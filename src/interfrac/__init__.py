@@ -12,12 +12,10 @@ from .model import (Bimaterial, CrackLoad, DerivedParams, InclusionSpec,
                     derive_params, inclusion_centre, point_load_transforms,
                     point_triple, smooth_exponential, smooth_load_transforms)
 from .numerics import (QuadratureSpec, SpectralSample, default_spec,
-                       halfline_fourier, integrate_adaptive, log_gamma,
-                       pv_integral_even_logkernel)
+                       integrate_adaptive, log_gamma)
 from .perturbation import (PerturbationResult, SignMapResult,
                            boundary_layer_dy, delta_sigma0, dipole_elliptic,
-                           dipole_for, dipole_rigid,
-                           effective_traction_transforms, sign_map)
+                           dipole_for, dipole_rigid, sign_map)
 from .unperturbed import FieldSample, UnperturbedSolution
 from .weightfn import (Sigma0Result, WeightField, k3_perfect, ratio_r,
                        sigma0)
@@ -34,9 +32,8 @@ __all__ = [
     "UnsupportedLoad", "WeightField", "bimaterial_from_dimensionless",
     "boundary_layer_dy", "custom_transform", "default_spec", "delta_sigma0",
     "derive_params", "dipole_elliptic", "dipole_for", "dipole_rigid",
-    "effective_traction_transforms", "halfline_fourier", "inclusion_centre",
-    "integrate_adaptive", "k3_perfect", "log_gamma", "point_load_transforms",
-    "point_triple", "pv_integral_even_logkernel", "ratio_r", "sigma0",
-    "sign_map", "smooth_exponential", "smooth_load_transforms",
-    "xi_minus_half", "xi_plus_half",
+    "inclusion_centre", "integrate_adaptive", "k3_perfect", "log_gamma",
+    "point_load_transforms", "point_triple", "ratio_r", "sigma0", "sign_map",
+    "smooth_exponential", "smooth_load_transforms", "xi_minus_half",
+    "xi_plus_half",
 ]

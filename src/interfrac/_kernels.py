@@ -1,156 +1,39 @@
-"""Numerical hot kernels with optional numba acceleration.
+"""Numerical hot kernels, vectorised in numpy.
 
 The innermost loops of the package live here: the log of the auxiliary
 factorization kernel ln[tanh(t/mu0)(1+mu0/t)], principal-branch complex
-log-gamma, and the batched Cauchy principal-value rule
+log-gamma (scipy.special.loggamma, Hare's algorithm), and the batched
+Cauchy principal-value rule
 
     H(s) = PV int_0^inf ln_xi_star(t) / (t^2 - s^2) dt,   s > 0,
 
 evaluated with a fixed composite Gauss-Legendre scheme (pole subtracted on
-[0, 2s], the tail mapped to u = 2s/t). Every kernel has a pure-numpy
-implementation and, when numba is importable, a jitted twin built from the
-same scalar source functions. The INTERFRAC_BACKEND environment variable
-(auto | numba | numpy, default auto) picks the backend at import time;
-benchmarks/bench_kernels.py times the two against each other.
+[0, 2s], the tail mapped to u = 2s/t).
 """
 
 import math
-import cmath
-import os
-import warnings
 
 import numpy as np
+from scipy.special import loggamma
+
+BACKEND = "numpy"
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _LN3 = math.log(3.0)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# B_{2k} / ((2k)(2k-1)) for the Stirling series, k = 1..7
-_S1 = 1.0 / 12.0
-_S2 = -1.0 / 360.0
-_S3 = 1.0 / 1260.0
-_S4 = -1.0 / 1680.0
-_S5 = 1.0 / 1188.0
-_S6 = -691.0 / 360360.0
-_S7 = 1.0 / 156.0
+# principal-branch log-gamma, no pole guarding (see numerics.log_gamma)
+log_gamma_raw = loggamma
 
 
-# ----------------------------------------------------------------------
-# scalar sources (shared by both backends; numba-compilable as written)
-# ----------------------------------------------------------------------
-
-def _ln_xi_star_scalar(t, mu0):
-    # ln[tanh(x)(1+1/x)], x = t/mu0; series branch avoids cancellation near 0
-    x = t / mu0
-    if x <= 1e-3:
-        r = x * x * (-1.0 / 3.0 + x * x * (2.0 / 15.0))  # tanh(x)/x - 1
-        return math.log1p(x) + math.log1p(r)
-    if x >= 30.0:
-        return math.log1p(1.0 / x)
-    return math.log(math.tanh(x)) + math.log1p(1.0 / x)
-
-
-def _log_gamma_scalar(z):
-    # principal branch: recurrence into Re w >= 16, then Stirling
-    w = z
-    shift = 0.0 + 0.0j
-    while w.real < 16.0:
-        shift = shift + cmath.log(w)
-        w = w + 1.0
-    r = 1.0 / w
-    r2 = r * r
-    series = r * (_S1 + r2 * (_S2 + r2 * (_S3 + r2 * (_S4 + r2 * (
-        _S5 + r2 * (_S6 + r2 * _S7))))))
-    return (w - 0.5) * cmath.log(w) - w + _LN_SQRT_2PI + series - shift
-
-
-def _pv_edges_main(s, mu0):
-    # panel edges in t on [0, 2s]: geometric chain over both scales plus
-    # dyadic refinement toward the subtracted pole at t = s
-    buf = np.empty(200)
-    n = 0
-    buf[n] = 0.0
-    n += 1
-    buf[n] = 2.0 * s
-    n += 1
-    q = min(mu0, s) / 64.0
-    while q < 2.0 * s and n < 160:
-        buf[n] = q
-        n += 1
-        q *= 2.0
-    f = 0.5
-    for _ in range(5):
-        lo = s * (1.0 - f)
-        hi = s * (1.0 + f)
-        if lo > 0.0:
-            buf[n] = lo
-            n += 1
-        if hi < 2.0 * s:
-            buf[n] = hi
-            n += 1
-        f *= 0.5
-    pts = np.sort(buf[:n])
-    out = np.empty(n)
-    k = 0
-    for i in range(n):
-        if k == 0 or pts[i] - out[k - 1] > 1e-12 * (pts[i] + s):
-            out[k] = pts[i]
-            k += 1
-    return out[:k]
-
-
-def _pv_edges_tail(s, mu0):
-    # panel edges in u on (0, 1] for t = 2s/u; dyadic chain deep enough to
-    # resolve the kernel knee at t = mu0 (u = 2s/mu0) when s << mu0
-    jmax = 24
-    r = 2.0 * s / mu0
-    if r < 1.0:
-        jmax = max(24, min(160, int(-math.log(r) / math.log(2.0)) + 12))
-    out = np.empty(jmax + 2)
-    out[0] = 0.0
-    for j in range(jmax + 1):
-        out[j + 1] = 2.0 ** (j - jmax)
-    return out
-
-
-def _pv_single(s, mu0, xg, wg):
-    gs = _ln_xi_star_scalar(s, mu0)
-    acc = 0.0
-    bp = _pv_edges_main(s, mu0)
-    for p in range(bp.shape[0] - 1):
-        mid = 0.5 * (bp[p] + bp[p + 1])
-        hw = 0.5 * (bp[p + 1] - bp[p])
-        part = 0.0
-        for j in range(xg.shape[0]):
-            t = mid + hw * xg[j]
-            part += wg[j] * (_ln_xi_star_scalar(t, mu0) - gs) / ((t - s) * (t + s))
-        acc += part * hw
-    acc -= gs * _LN3 / (2.0 * s)
-    bu = _pv_edges_tail(s, mu0)
-    for p in range(bu.shape[0] - 1):
-        mid = 0.5 * (bu[p] + bu[p + 1])
-        hw = 0.5 * (bu[p + 1] - bu[p])
-        part = 0.0
-        for j in range(xg.shape[0]):
-            u = mid + hw * xg[j]
-            part += wg[j] * 2.0 * _ln_xi_star_scalar(2.0 * s / u, mu0) / (s * (4.0 - u * u))
-        acc += part * hw
-    return acc
-
-
-# ----------------------------------------------------------------------
-# numpy implementations
-# ----------------------------------------------------------------------
-
-def _ln_xi_star_numpy(t, mu0):
-    x = np.asarray(t, dtype=float) / mu0
+def _ln_xi_star(x):
+    # ln[tanh(x)(1+1/x)] for x = t/mu0; series branch avoids cancellation near 0
     out = np.empty_like(x)
     lo = x <= 1e-3
     hi = x >= 30.0
     mid = ~(lo | hi)
     if np.any(lo):
         xl = x[lo]
-        r = xl * xl * (-1.0 / 3.0 + xl * xl * (2.0 / 15.0))
+        r = xl * xl * (-1.0 / 3.0 + xl * xl * (2.0 / 15.0))  # tanh(x)/x - 1
         out[lo] = np.log1p(xl) + np.log1p(r)
     if np.any(hi):
         out[hi] = np.log1p(1.0 / x[hi])
@@ -160,160 +43,57 @@ def _ln_xi_star_numpy(t, mu0):
     return out
 
 
-def _log_gamma_numpy(z):
-    w = np.array(z, dtype=complex, copy=True)
-    shift = np.zeros_like(w)
-    # masked recurrence passes until every Re(w) >= 16
-    nmax = int(max(0.0, math.ceil(16.0 - float(np.min(w.real)))))
-    for _ in range(nmax):
-        m = w.real < 16.0
-        if not np.any(m):
-            break
-        shift[m] += np.log(w[m])
-        w[m] += 1.0
-    r = 1.0 / w
-    r2 = r * r
-    series = r * (_S1 + r2 * (_S2 + r2 * (_S3 + r2 * (_S4 + r2 * (
-        _S5 + r2 * (_S6 + r2 * _S7))))))
-    return (w - 0.5) * np.log(w) - w + _LN_SQRT_2PI + series - shift
+def _pv_edges_main(s, mu0):
+    # panel edges in t on [0, 2s]: geometric chain over both scales plus
+    # dyadic refinement toward the subtracted pole at t = s
+    pts = [0.0, 2.0 * s]
+    q = min(mu0, s) / 64.0
+    while q < 2.0 * s and len(pts) < 160:
+        pts.append(q)
+        q *= 2.0
+    for k in range(1, 6):
+        pts += [s * (1.0 - 0.5 ** k), s * (1.0 + 0.5 ** k)]
+    out = []
+    for p in sorted(pts):
+        if not out or p - out[-1] > 1e-12 * (p + s):
+            out.append(p)
+    return np.array(out)
 
 
-def _pv_batch_numpy(svals, mu0):
-    xg = _GL_NODES
-    wg = _GL_WEIGHTS
-    out = np.empty(svals.shape[0])
-    for i in range(svals.shape[0]):
-        s = float(svals[i])
-        gs = _ln_xi_star_scalar(s, mu0)
-        bp = _pv_edges_main(s, mu0)
-        mid = 0.5 * (bp[1:] + bp[:-1])
-        hw = 0.5 * (bp[1:] - bp[:-1])
-        tt = mid[:, None] + hw[:, None] * xg[None, :]
-        ff = (_ln_xi_star_numpy(tt, mu0) - gs) / ((tt - s) * (tt + s))
-        acc = float(np.dot(ff @ wg, hw)) - gs * _LN3 / (2.0 * s)
-        bu = _pv_edges_tail(s, mu0)
-        um = 0.5 * (bu[1:] + bu[:-1])
-        uh = 0.5 * (bu[1:] - bu[:-1])
-        uu = um[:, None] + uh[:, None] * xg[None, :]
-        gg = 2.0 * _ln_xi_star_numpy(2.0 * s / uu, mu0) / (s * (4.0 - uu * uu))
-        out[i] = acc + float(np.dot(gg @ wg, uh))
-    return out
+def _pv_edges_tail(s, mu0):
+    # panel edges in u on (0, 1] for t = 2s/u; dyadic chain deep enough to
+    # resolve the kernel knee at t = mu0 (u = 2s/mu0) when s << mu0
+    jmax = 24
+    r = 2.0 * s / mu0
+    if r < 1.0:
+        jmax = max(24, min(160, int(-math.log(r) / math.log(2.0)) + 12))
+    return np.concatenate(([0.0], np.ldexp(1.0, np.arange(-jmax, 1))))
 
 
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
+def _gl_sum(f, edges):
+    # composite GL12 of f over consecutive panels [edges[k], edges[k+1]]
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    hw = 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + hw[:, None] * _GL_NODES[None, :]
+    return float(np.dot(f(x) @ _GL_WEIGHTS, hw))
 
-_requested = os.environ.get("INTERFRAC_BACKEND", "auto").lower()
-if _requested not in ("auto", "numba", "numpy"):
-    warnings.warn(f"INTERFRAC_BACKEND={_requested!r} not recognised, using 'auto'")
-    _requested = "auto"
-
-_numba_impl = None
-if _requested in ("auto", "numba"):
-    try:
-        import numba
-
-        _ln_nb = numba.njit(cache=True)(_ln_xi_star_scalar)
-        _lg_nb = numba.njit(cache=True)(_log_gamma_scalar)
-        _edges_main_nb = numba.njit(cache=True)(_pv_edges_main)
-        _edges_tail_nb = numba.njit(cache=True)(_pv_edges_tail)
-
-        @numba.njit(cache=True)
-        def _ln_xi_star_batch_nb(t, mu0):
-            out = np.empty(t.shape[0])
-            for i in range(t.shape[0]):
-                out[i] = _ln_nb(t[i], mu0)
-            return out
-
-        @numba.njit(cache=True)
-        def _log_gamma_batch_nb(z):
-            out = np.empty(z.shape[0], dtype=np.complex128)
-            for i in range(z.shape[0]):
-                out[i] = _lg_nb(z[i])
-            return out
-
-        @numba.njit(cache=True)
-        def _pv_batch_nb(svals, mu0, xg, wg):
-            out = np.empty(svals.shape[0])
-            for i in range(svals.shape[0]):
-                s = svals[i]
-                gs = _ln_nb(s, mu0)
-                acc = 0.0
-                bp = _edges_main_nb(s, mu0)
-                for p in range(bp.shape[0] - 1):
-                    mid = 0.5 * (bp[p] + bp[p + 1])
-                    hw = 0.5 * (bp[p + 1] - bp[p])
-                    part = 0.0
-                    for j in range(xg.shape[0]):
-                        t = mid + hw * xg[j]
-                        part += wg[j] * (_ln_nb(t, mu0) - gs) / ((t - s) * (t + s))
-                    acc += part * hw
-                acc -= gs * _LN3 / (2.0 * s)
-                bu = _edges_tail_nb(s, mu0)
-                for p in range(bu.shape[0] - 1):
-                    mid = 0.5 * (bu[p] + bu[p + 1])
-                    hw = 0.5 * (bu[p + 1] - bu[p])
-                    part = 0.0
-                    for j in range(xg.shape[0]):
-                        u = mid + hw * xg[j]
-                        part += wg[j] * 2.0 * _ln_nb(2.0 * s / u, mu0) / (s * (4.0 - u * u))
-                    acc += part * hw
-                out[i] = acc
-            return out
-
-        _numba_impl = {
-            "ln_xi_star": lambda t, mu0: _ln_xi_star_batch_nb(t, mu0),
-            "log_gamma": lambda z: _log_gamma_batch_nb(z),
-            "pv_batch": lambda s, mu0: _pv_batch_nb(s, mu0, _GL_NODES, _GL_WEIGHTS),
-        }
-    except ImportError:
-        if _requested == "numba":
-            warnings.warn("INTERFRAC_BACKEND=numba requested but numba is not "
-                          "importable; falling back to numpy")
-
-_numpy_impl = {
-    "ln_xi_star": _ln_xi_star_numpy,
-    "log_gamma": _log_gamma_numpy,
-    "pv_batch": _pv_batch_numpy,
-}
-
-if _numba_impl is not None and _requested in ("auto", "numba"):
-    BACKEND = "numba"
-    _impl = _numba_impl
-else:
-    BACKEND = "numpy"
-    _impl = _numpy_impl
-
-
-# ----------------------------------------------------------------------
-# public entry points (accept scalars or arrays, 1-D internally)
-# ----------------------------------------------------------------------
 
 def ln_xi_star(t, mu0):
     """ln Xi_*(t) for t > 0 (elementwise)."""
-    a = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _impl["ln_xi_star"](a.ravel(), float(mu0))
+    out = _ln_xi_star(np.atleast_1d(np.asarray(t, dtype=float)) / float(mu0))
     return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
-
-
-def log_gamma_raw(z):
-    """Principal-branch log-gamma, no pole guarding (see numerics.log_gamma)."""
-    a = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = _impl["log_gamma"](a.ravel())
-    return out.reshape(np.shape(z)) if np.ndim(z) else complex(out[0])
 
 
 def pv_cauchy_batch(s, mu0):
     """H(s) = PV int_0^inf ln Xi_*(t)/(t^2-s^2) dt for an array of s > 0."""
-    a = np.atleast_1d(np.asarray(s, dtype=float))
-    out = _impl["pv_batch"](a.ravel(), float(mu0))
+    mu0 = float(mu0)
+    a = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+    out = np.empty(a.shape[0])
+    for i, si in enumerate(a.tolist()):
+        gs = float(_ln_xi_star(np.array([si / mu0]))[0])
+        near = _gl_sum(lambda t: (_ln_xi_star(t / mu0) - gs) / ((t - si) * (t + si)),
+                       _pv_edges_main(si, mu0))
+        tail = _gl_sum(lambda u: 2.0 * _ln_xi_star(2.0 * si / u / mu0)
+                       / (si * (4.0 - u * u)), _pv_edges_tail(si, mu0))
+        out[i] = near - gs * _LN3 / (2.0 * si) + tail
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
-
-
-def implementations():
-    """Both backends' raw batch kernels, for benchmarks and equivalence tests."""
-    table = {"numpy": _numpy_impl}
-    if _numba_impl is not None:
-        table["numba"] = _numba_impl
-    return table

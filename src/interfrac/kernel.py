@@ -10,10 +10,9 @@ axis the plus factor follows from the Plemelj formula,
 
 so |Xi_*^+|^2 = Xi_* holds identically and only the phase depends on H.
 H is scale covariant, H(xi; mu0) = Hhat(xi/mu0)/mu0, so a single
-dimensionless table (built once per process from the same fixed rule as
-direct evaluation) serves every mu0; pass use_cache=False to force direct
-per-point evaluation. The combined factors are B^+/- = Xi_0^+/- Xi_*^+/-
-/ xi_+/-^{1/2} with pi mu0 B^+ B^- = Xi.
+dimensionless table (built once per process by _kernels.pv_cauchy_batch,
+which remains the direct per-point rule) serves every mu0. The combined
+factors are B^+/- = Xi_0^+/- Xi_*^+/- / xi_+/-^{1/2} with pi mu0 B^+ B^- = Xi.
 """
 
 import math
@@ -23,7 +22,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import _kernels
 from .errors import DomainError
-from .numerics import QuadratureSpec, log_gamma
+from .numerics import log_gamma
 
 _TABLE_LO = 1e-9
 _TABLE_HI = 1e9
@@ -53,14 +52,11 @@ def xi_minus_half(x):
 class KernelFactors:
     """Factorization machinery for one mu0; immutable after construction."""
 
-    def __init__(self, mu0, quadrature=None, use_cache=True):
+    def __init__(self, mu0):
         if not mu0 > 0:
             raise DomainError("mu0 must be positive")
         self.mu0 = float(mu0)
-        self.quadrature = quadrature or QuadratureSpec()
-        self.use_cache = bool(use_cache)
-        if self.use_cache:
-            _phase_table()
+        _phase_table()
 
     # -- scalar kernel and auxiliary function ---------------------------------
 
@@ -92,24 +88,21 @@ class KernelFactors:
         """H(|xi|) = PV int_0^inf ln Xi_*(t)/(t^2 - xi^2) dt."""
         arr = self._checked(x)
         s = np.atleast_1d(np.abs(arr) / self.mu0)
-        if self.use_cache:
-            out = np.empty_like(s)
-            table = _phase_table()
-            below = s < _TABLE_LO
-            above = s > _TABLE_HI
-            inside = ~(below | above)
-            if np.any(inside):
-                out[inside] = table(np.log(s[inside]))
-            if np.any(below):
-                # Hhat ~ -ln x + C near 0 (phase x*Hhat is < 1e-8 out here)
-                c0 = table(math.log(_TABLE_LO)) + math.log(_TABLE_LO)
-                out[below] = c0 - np.log(s[below])
-            if np.any(above):
-                # Hhat ~ (c - ln x)/x^2 at infinity
-                c1 = table(math.log(_TABLE_HI)) * _TABLE_HI ** 2 + math.log(_TABLE_HI)
-                out[above] = (c1 - np.log(s[above])) / s[above] ** 2
-        else:
-            out = _kernels.pv_cauchy_batch(s, 1.0)
+        out = np.empty_like(s)
+        table = _phase_table()
+        below = s < _TABLE_LO
+        above = s > _TABLE_HI
+        inside = ~(below | above)
+        if np.any(inside):
+            out[inside] = table(np.log(s[inside]))
+        if np.any(below):
+            # Hhat ~ -ln x + C near 0 (phase x*Hhat is < 1e-8 out here)
+            c0 = table(math.log(_TABLE_LO)) + math.log(_TABLE_LO)
+            out[below] = c0 - np.log(s[below])
+        if np.any(above):
+            # Hhat ~ (c - ln x)/x^2 at infinity
+            c1 = table(math.log(_TABLE_HI)) * _TABLE_HI ** 2 + math.log(_TABLE_HI)
+            out[above] = (c1 - np.log(s[above])) / s[above] ** 2
         out = (out / self.mu0).reshape(np.shape(arr))
         return out if np.ndim(x) else float(out)
 

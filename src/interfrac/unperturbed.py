@@ -44,14 +44,13 @@ class UnperturbedSolution:
     """Spectral solution of the loaded problem for one (load, material)."""
 
     def __init__(self, load: CrackLoad, material: Bimaterial, spec=None,
-                 kernel=None, use_cache=True):
+                 kernel=None):
         load.check_self_balance()
         self.load = load
         self.material = material
         self.params = derive_params(material, load.reference_length)
         self.spec = spec or QuadratureSpec()
-        self.kernel = kernel or KernelFactors(
-            self.params.mu0, quadrature=self.spec, use_cache=use_cache)
+        self.kernel = kernel or KernelFactors(self.params.mu0)
         self.kappa = material.kappa
         self._phi_interp = None
         self._phi_interp_hi = 0.0
@@ -226,16 +225,21 @@ class UnperturbedSolution:
         _, jump_p = self.load.transforms(np.asarray(xi, dtype=float))
         return self.phi1_minus_load(xi) + self.kappa * complex(jump_p)
 
+    def a_coeff(self, j, xi, phi_plus):
+        """Transform coefficient A_j of u_j = A_j e^{-|xi y|} given phi^+(xi);
+        j = 1 for the upper half-plane, 2 for the lower."""
+        avg_p, jump_p = self.load.transforms(xi)
+        core = phi_plus + avg_p
+        if j == 1:
+            return -(core + 0.5 * jump_p) / (self.material.mu1 * np.abs(xi))
+        return (core - 0.5 * jump_p) / (self.material.mu2 * np.abs(xi))
+
     def a_coeffs(self, xi, phi_plus=None):
         """Transform coefficients (A1, A2) of u_j = A_j e^{-|xi y|}."""
         arr = self.kernel._checked(xi)
         if phi_plus is None:
             phi_plus = self.phi_plus_load(float(arr))
-        avg_p, jump_p = self.load.transforms(arr)
-        core = phi_plus + avg_p
-        a1 = -(core + 0.5 * jump_p) / (self.material.mu1 * np.abs(arr))
-        a2 = (core - 0.5 * jump_p) / (self.material.mu2 * np.abs(arr))
-        return a1, a2
+        return self.a_coeff(1, arr, phi_plus), self.a_coeff(2, arr, phi_plus)
 
     # -- phi^+ interpolation (exact at nodes) for gradient quadratures --------
 
@@ -287,12 +291,7 @@ class UnperturbedSolution:
         self._phi_table(cut)
 
         def a_j(xi):
-            phi = self.phi_plus_cached(xi, hi_hint=cut)
-            avg_p, jump_p = self.load.transforms(xi)
-            core = phi + avg_p
-            if j == 1:
-                return -(core + 0.5 * jump_p) / (self.material.mu1 * np.abs(xi))
-            return (core - 0.5 * jump_p) / (self.material.mu2 * np.abs(xi))
+            return self.a_coeff(j, xi, self.phi_plus_cached(xi, hi_hint=cut))
 
         damp_osc = lambda xi: np.exp(-xi * abs(yy) - 1j * xi * yx)
 
@@ -346,13 +345,7 @@ class UnperturbedSolution:
         self._phi_table(cut)
 
         def f(xi):
-            phi = self.phi_plus_cached(xi, hi_hint=cut)
-            avg_p, jump_p = self.load.transforms(xi)
-            core = phi + avg_p
-            if j == 1:
-                aj = -(core + 0.5 * jump_p) / (self.material.mu1 * np.abs(xi))
-            else:
-                aj = (core - 0.5 * jump_p) / (self.material.mu2 * np.abs(xi))
+            aj = self.a_coeff(j, xi, self.phi_plus_cached(xi, hi_hint=cut))
             kernel_here = np.exp(-xi * abs(y) - 1j * xi * x)
             kernel_ref = np.exp(-xi * abs(ry) - 1j * xi * rx)
             return aj * (kernel_here - kernel_ref)

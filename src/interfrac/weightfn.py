@@ -37,13 +37,11 @@ class WeightField:
 
     normalization = 1.0  # the weight function is defined up to this scalar
 
-    def __init__(self, material: Bimaterial, a=1.0, spec=None, kernel=None,
-                 use_cache=True):
+    def __init__(self, material: Bimaterial, a=1.0, spec=None, kernel=None):
         self.material = material
         self.params = derive_params(material, a)
         self.spec = spec or QuadratureSpec()
-        self.kernel = kernel or KernelFactors(
-            self.params.mu0, quadrature=self.spec, use_cache=use_cache)
+        self.kernel = kernel or KernelFactors(self.params.mu0)
         self.kappa = material.kappa
         self.mu_star = self.params.mu_star
 

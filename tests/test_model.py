@@ -11,7 +11,8 @@ from interfrac.model import (Bimaterial, InclusionSpec,
                              derive_params, inclusion_centre,
                              point_load_transforms, point_triple,
                              smooth_exponential, smooth_load_transforms)
-from interfrac.numerics import QuadratureSpec, halfline_fourier
+from interfrac.numerics import QuadratureSpec
+from oracles import halfline_fourier
 
 
 class TestDerivedParams:

@@ -7,9 +7,9 @@ import pytest
 
 from interfrac import _kernels
 from interfrac.errors import (DomainError, NonFiniteSample, PoleError)
-from interfrac.numerics import (QuadratureSpec, halfline_fourier,
-                                integrate_adaptive, integrate_err, log_gamma,
-                                pv_integral_even_logkernel)
+from interfrac.numerics import (QuadratureSpec, integrate_adaptive,
+                                integrate_err, log_gamma)
+from oracles import halfline_fourier, pv_integral_even_logkernel
 
 SPEC = QuadratureSpec()
 
@@ -18,6 +18,17 @@ LOGGAMMA_1_PLUS_I = complex(-0.65092319930185633889, -0.30164032046753319789)
 LN_SQRT_PI = 0.57236494292470008707
 SQRT_PI = 1.7724538509055160273
 PV_LNXISTAR_MU1_XI1 = 0.041500473720915665644
+# log Gamma(c - i xi/pi) at the arguments of Xi_0^+ (mu0 = 1), keyed by
+# (xi, c); the arguments are the doubles complex(c, -xi / math.pi). The
+# values at c + i xi/pi are their conjugates.
+LOGGAMMA_XI0 = {
+    (1e2, 1.0): complex(-47.350841316725980923, -79.101027273282458875),
+    (1e2, 0.5): complex(-49.081061466795326513, -78.319556262240873625),
+    (1e3, 1.0): complex(-496.19954877022899597, -1516.9032071425099508),
+    (1e3, 0.5): complex(-499.08106146679536445, -1516.1182016783556928),
+    (1e4, 1.0): complex(-4995.0482562237323078, -22491.322068563600841),
+    (1e4, 0.5): complex(-4999.0810614667956992, -22490.536709670111724),
+}
 
 
 class TestIntegrateAdaptive:
@@ -147,6 +158,14 @@ class TestLogGamma:
 
     def test_against_high_precision_oracle(self):
         assert abs(log_gamma(1 + 1j) - LOGGAMMA_1_PLUS_I) < 1e-12
+
+    @pytest.mark.parametrize("xi,c", sorted(LOGGAMMA_XI0))
+    def test_against_oracle_at_xi0_arguments(self, xi, c):
+        ref = LOGGAMMA_XI0[(xi, c)]
+        for sgn in (-1.0, 1.0):
+            want = ref if sgn < 0 else ref.conjugate()
+            got = log_gamma(complex(c, sgn * xi / math.pi))
+            assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_recurrence_property(self):
         rng = np.random.default_rng(17)

@@ -12,9 +12,10 @@ from interfrac.numerics import QuadratureSpec
 from interfrac.perturbation import (_LayerTransforms, _delta_from_v,
                                     boundary_layer_dy, delta_sigma0,
                                     dipole_elliptic, dipole_for, dipole_rigid,
-                                    effective_traction_transforms, sign_map)
+                                    sign_map)
 from interfrac.unperturbed import UnperturbedSolution
 from interfrac.weightfn import WeightField
+from oracles import effective_traction_transforms, halfline_fourier
 
 SPEC = QuadratureSpec()
 MATERIAL = Bimaterial(3.0, 1.0, 0.25)  # mu* = 0.5, kappa* = 1 at a = 1
@@ -138,7 +139,6 @@ class TestEffectiveTractions:
     def test_closed_form_matches_quadrature(self, Y):
         # dual route: the exponential-integral layer transforms against the
         # direct half-line Fourier operation
-        from interfrac.numerics import halfline_fourier
         from interfrac.perturbation import _dy_from_v
         v = np.array([0.4, -0.9])
         layer = _LayerTransforms(v, Y, SPEC)
@@ -165,6 +165,23 @@ class TestDeltaSigma0:
         r = delta_sigma0(LOAD, MATERIAL, inc, solution=solution, field=field)
         assert r.delta_sigma0 == 0.0
         assert r.sign == "neutral"
+        assert r.sigma0_base is not None
+        assert r.sigma0_total == r.sigma0_base
+
+    def test_small_inclusion_is_not_neutral(self, pipeline):
+        # |v| = |M G| ~ 5e-10 here: a tiny but physical inclusion keeps the
+        # linear law in its area, ell_a ell_b
+        solution, field = pipeline
+        res = {}
+        for scale in (1.0, 1e-3):
+            inc = InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0,
+                                ell_a=0.2 * scale, ell_b=0.1 * scale, nu_star=5.0)
+            res[scale] = delta_sigma0(LOAD, MATERIAL, inc, solution=solution,
+                                      field=field)
+        small, ref = res[1e-3], res[1.0]
+        assert small.delta_sigma0 == pytest.approx(1e-6 * ref.delta_sigma0, rel=1e-6)
+        assert small.sign == ref.sign != "neutral"
+        assert small.sigma0_base == ref.sigma0_base
 
     def test_circle_alpha_independence(self, pipeline):
         solution, field = pipeline

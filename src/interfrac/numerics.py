@@ -59,7 +59,7 @@ def _vectorized(f):
     def call(x):
         try:
             v = np.asarray(f(x), dtype=complex)
-            if v.shape == x.shape:
+            if v.shape[:x.ndim] == x.shape:
                 return v
         except (TypeError, ValueError):
             pass
@@ -162,7 +162,9 @@ def oscillatory_tail(f, omega, x_start, spec):
     """int_{x_start}^inf f(u) e^{i omega u} du by 4-term integration by parts.
 
     f must be smooth and slowly varying past x_start (no oscillation of its
-    own) with |omega| * x_start >> 1. Returns (value, residual estimate).
+    own) with |omega| * x_start >> 1. Returns (value, residual estimate);
+    an f whose values carry trailing axes (one integrand per column) gets
+    arrays of those shapes back.
     """
     if omega == 0.0:
         raise DomainError("oscillatory_tail needs omega != 0")
@@ -173,7 +175,9 @@ def oscillatory_tail(f, omega, x_start, spec):
     phase = np.exp(iw * x_start)
     derivs = [p[n] * math.factorial(n) for n in range(5)]
     value = -phase * sum(derivs[n] * (-1) ** n / iw ** (n + 1) for n in range(4))
-    resid = abs(derivs[4]) / abs(omega) ** 5
+    resid = np.abs(derivs[4]) / abs(omega) ** 5
+    if np.ndim(value):
+        return value, resid
     return complex(value), float(resid)
 
 

@@ -307,7 +307,7 @@ def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
 
     front = -0.5 * math.sqrt(mu0 / math.pi)
     value = front * total
-    return float(value.real), abs(front) * est + abs(value.imag)
+    return float(value.real), float(abs(front) * est + abs(value.imag))
 
 
 def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,

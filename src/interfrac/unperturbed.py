@@ -10,10 +10,23 @@ is decomposed into plus/minus parts by its Cauchy transform, with real-axis
 boundary values L^+/-(xi) = +/- g(xi)/2 + (1/(2 pi i)) PV int g/(b - xi) db.
 Then phi^+ = -L^+/(kappa pi mu0 B^+), phi_1^- = L^- B^-, and the transform
 coefficients A_j of u_j(xi, y) = A_j(xi) e^{-|xi y|} follow from the load.
+
+The Cauchy transform is batched over its targets (cauchy_pv): g is sampled
+once on a composite 16-point Gauss-Legendre mesh shared by every target.
+The mesh is geometric (ratio 2) on both half-lines from 1e-40 out to the
+cut, so the |b|^{-1/2} point b = 0 needs no substitution; its panels are
+capped at half an oscillation period for point loads and bisected where g,
+built on the PCHIP phase table of the kernel, is not resolved. Each target
+sums the plain rule over the panels far from it and Helsing-Ojala product
+weights (Helsing & Ojala, J. Comput. Phys. 227, 2008) over the panels
+around it. Past the cut, point loads get integration-by-parts tails per
+oscillation component; an algebraically decaying g is carried on further
+ratio-2 panels until what is left is negligible.
+
 Gradients off the interface line come from the inverse transform, folded to
 xi > 0 by conjugate symmetry. A PCHIP table of phi^+ over a log grid (exact
-at its nodes, built on demand) accelerates the gradient quadratures; all
-identity checks use the direct route.
+at its nodes, filled by one batched transform) serves the gradient and
+displacement quadratures; the identity checks evaluate phi^+ directly.
 """
 
 import math
@@ -22,11 +35,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, NonConvergence
 from .kernel import KernelFactors
 from .model import Bimaterial, CrackLoad, derive_params
-from .numerics import (QuadratureSpec, algebraic_tail, integrate_err,
-                       oscillatory_tail)
+from .numerics import QuadratureSpec, integrate_err, oscillatory_tail
+
+# composite GL16 for the batched Cauchy transform: the nodes and weights, the
+# transposed Vandermonde matrix of the product-weight solve, and the
+# projector onto the two highest Legendre modes (the error estimate)
+_GL16_Z, _GL16_W = np.polynomial.legendre.leggauss(16)
+_GL16_VANDER_T = np.vander(_GL16_Z, increasing=True).T
+_LEG_TOP = np.polynomial.legendre.legvander(_GL16_Z, 15)[:, 14:]
+_GL16_TOP = (_LEG_TOP * np.array([14.5, 15.5])) @ (_LEG_TOP * _GL16_W[:, None]).T
+_PV_LO = 1e-40  # innermost panel edge; |g| ~ |b|^{-1/2} below it
+_PV_SPLITS = 12  # bisection rounds of the shared mesh
+_PV_MAX_PANELS = 2 ** 15  # half-period panels per half-line: |x| up to ~2.5e4/c_max
 
 
 @dataclass(frozen=True)
@@ -100,107 +123,159 @@ class UnperturbedSolution:
 
     # -- Cauchy transform and the L decomposition ------------------------------
 
-    def _cauchy_pv(self, x):
-        """PV int g(b)/(b - x) db over the real line, x real nonzero."""
-        x = float(x)
-        if x == 0.0:
-            raise DomainError("Cauchy boundary values need xi != 0")
-        spec = self.spec
-        mu0 = self.kernel.mu0
-        g = self.g_rhs
-        gx = self.g_rhs(x)
-        s = abs(x)
+    def _pv_samples(self, cut, x_max):
+        """Panels [lo, hi] of the shared mesh and g on their GL16 nodes.
+
+        Ratio-2 geometric panels run from _PV_LO to the cut on both
+        half-lines, with panels capped at the half-period pi/c_max for
+        oscillatory loads; an algebraically decaying g is carried on ratio-2
+        panels out to 2^40 cut instead, where what is left is below the
+        remainder term of the error estimate. A panel whose two highest
+        Legendre modes of g exceed a tenth of rel_tol times its largest |g|,
+        or times the smallest such value among the panels inside x_max if
+        that is larger, is bisected, for at most _PV_SPLITS rounds and
+        max_subdivisions panels: g is only C^1 where the PCHIP phase table of
+        B^+/- bends, most of all at its extremum. An oscillatory mesh of more
+        than _PV_MAX_PANELS panels per half-line raises NonConvergence.
+        """
         shifts = self._osc_shifts()
-        c_max = max(shifts) if shifts else 1.0 / self.load.reference_length
-        c_min = min(shifts) if shifts else None
-
-        half_w = min(0.5 * s, math.pi / (4.0 * c_max)) if shifts else 0.5 * s
-        zone = min(mu0, 0.25 * s, math.pi / c_max)
-        x_cut = (max(60.0 / c_min, 3.0 * s, 4.0 * zone) if shifts
-                 else max(2e3 / self.load.reference_length, 3.0 * s, 20.0 * mu0))
-
-        total = 0.0 + 0.0j
-        est = 0.0
-
-        def sub(b):
-            return (g(b) - gx) / (b - x)
-
-        win_seeds = [x + sgn * half_w * 2.0 ** (-j)
-                     for j in range(1, 10) for sgn in (-1.0, 1.0)]
-        val, err = integrate_err(sub, x - half_w, x + half_w, spec,
-                                 breakpoints=win_seeds)
-        total += val
-        est += err
-
-        # inner zone around the b = 0 singularity, b = +/- t^2
-        t0 = math.sqrt(zone)
-        t_seeds = [t0 * 2.0 ** (-j) for j in range(1, 22)]
-        for sgn in (-1.0, 1.0):
-            def f_zone(t, sgn=sgn):
-                # b = sgn t^2; the substitution jacobian is 2t on both sides
-                # once the limits are oriented 0 -> sqrt(zone)
-                b = sgn * t * t
-                return g(b) / (b - x) * 2.0 * t
-
-            val, err = integrate_err(f_zone, 0.0, t0, spec, breakpoints=t_seeds)
-            total += val
-            est += err
-
-        def plain(b):
-            return g(b) / (b - x)
-
-        segments = []
-        if x > 0:
-            segments = [(-x_cut, -zone), (zone, x - half_w), (x + half_w, x_cut)]
-        else:
-            segments = [(-x_cut, x - half_w), (x + half_w, -zone), (zone, x_cut)]
-        for lo, hi in segments:
-            if hi <= lo:
-                continue
-            seeds = set()
-            mags = sorted({abs(lo), abs(hi)})
-            q = max(min(abs(lo), abs(hi)), zone, 1e-300)
-            while q < max(abs(lo), abs(hi)):
-                if lo < -q < hi:
-                    seeds.add(-q)
-                if lo < q < hi:
-                    seeds.add(q)
-                q *= 2.0
-            if shifts:
-                width = max(math.pi / c_max, (hi - lo) / 2000.0)
-                seeds.update(np.arange(lo + width, hi, width).tolist())
-            val, err = integrate_err(plain, lo, hi, spec, breakpoints=sorted(seeds))
-            total += val
-            est += err
-
+        top = cut if shifts else cut * 2.0 ** 40
+        edges = np.geomspace(_PV_LO, top, math.ceil(math.log2(top / _PV_LO)) + 1)
         if shifts:
+            width = math.pi / max(shifts)
+            pieces = np.ceil(np.diff(edges) / width).astype(int)
+            if pieces.sum() > _PV_MAX_PANELS:
+                raise NonConvergence(
+                    f"the cut {top:.4g} needs {pieces.sum()} panels of width "
+                    f"{width:.4g} per half-line, above {_PV_MAX_PANELS}")
+            edges = np.concatenate(
+                [np.linspace(a, b, k, endpoint=False)
+                 for a, b, k in zip(edges[:-1], edges[1:], pieces)] + [[top]])
+        lo = np.concatenate([-edges[:0:-1], edges[:-1]])
+        hi = np.concatenate([-edges[-2::-1], edges[1:]])
+        g = self._g_on_panels(lo, hi)
+        floor = np.min(np.abs(g).max(axis=1), initial=np.inf,
+                       where=np.abs(lo + hi) <= 2.0 * x_max)
+        tol = 0.1 * self.spec.rel_tol
+        budget = self.spec.max_subdivisions
+        for _ in range(_PV_SPLITS):
+            rough = np.flatnonzero(np.abs(g @ _GL16_TOP.T).max(axis=1)
+                                   > tol * np.maximum(np.abs(g).max(axis=1), floor))
+            rough = rough[:budget]
+            if rough.size == 0:
+                break
+            budget -= rough.size
+            split = np.zeros(lo.size, dtype=bool)
+            split[rough] = True
+            m = 0.5 * (lo[split] + hi[split])
+            new_lo = np.concatenate([lo[split], m])
+            new_hi = np.concatenate([m, hi[split]])
+            g = np.concatenate([g[~split], self._g_on_panels(new_lo, new_hi)])
+            lo = np.concatenate([lo[~split], new_lo])
+            hi = np.concatenate([hi[~split], new_hi])
+        return lo, hi, g
+
+    def _g_on_panels(self, lo, hi):
+        nodes = 0.5 * ((lo + hi)[:, None] + (hi - lo)[:, None] * _GL16_Z)
+        return self.g_rhs(nodes.ravel()).reshape(nodes.shape)
+
+    def cauchy_pv(self, x):
+        """PV int g(b)/(b - x) db over the real line for real x != 0 (scalar
+        or array), with an error estimate per target.
+
+        g is sampled once, on the composite GL16 mesh of _pv_samples with the
+        cut max(2e3 a, 20 mu0, 4 max|x|), and every target is summed from
+        those samples: by the plain rule on panels far from it, and by
+        Helsing-Ojala product weights (PV int z^k/(z - z0) dz by recurrence,
+        then a Vandermonde solve) on the panels within 1.5 half-widths of it.
+        Oscillatory loads add integration-by-parts tails past the cut per
+        e^{-i c b} component. The estimate sums |weight| times the two
+        highest Legendre modes of g over every panel, plus the tail residuals
+        and bounds for the parts of the line left unmeshed.
+        """
+        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        if np.any(xs == 0.0) or not np.all(np.isfinite(xs)):
+            raise DomainError("Cauchy boundary values need finite xi != 0")
+        x_max = float(np.abs(xs).max())
+        cut = max(2e3 / self.load.reference_length, 20.0 * self.kernel.mu0,
+                  4.0 * x_max)
+        lo, hi, g = self._pv_samples(cut, x_max)
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = (mid[:, None] + half[:, None] * _GL16_Z).ravel()
+        g_top = np.abs(g @ _GL16_TOP.T)
+        wg = (half[:, None] * _GL16_W * g).ravel()
+        rhs = np.column_stack([wg.real, wg.imag])
+        rhs_top = (half[:, None] * _GL16_W * g_top).ravel()
+
+        total = np.empty(xs.size, dtype=complex)
+        est = np.empty(xs.size)
+        near_t, near_p = [], []
+        step = max(1, 2 ** 21 // nodes.size)
+        for s in range(0, xs.size, step):
+            xt = xs[s:s + step, None]
+            z = (xt - mid) / half
+            near = np.abs(z) <= 1.5
+            with np.errstate(divide="ignore"):
+                kern = 1.0 / (nodes - xt)
+            kern.reshape(xt.shape[0], mid.size, -1)[near] = 0.0
+            far = kern @ rhs
+            total[s:s + step] = far[:, 0] + 1j * far[:, 1]
+            est[s:s + step] = np.abs(kern) @ rhs_top
+            t, p = np.nonzero(near)
+            near_t.append(t + s)
+            near_p.append(p)
+
+        t = np.concatenate(near_t)
+        p = np.concatenate(near_p)
+        xt = xs[t]
+        z0 = (xt - mid[p]) / half[p]
+        mom = np.empty((z0.size, _GL16_Z.size))
+        # ln|(1 - z0)/(1 + z0)| from the distances to the panel ends, floored
+        # at eps |x| alike on both sides of an edge so that the two logs
+        # cancel there as they do in the limit
+        floor = np.finfo(float).eps * np.abs(xt)
+        mom[:, 0] = (np.log(np.maximum(np.abs(hi[p] - xt), floor))
+                     - np.log(np.maximum(np.abs(xt - lo[p]), floor)))
+        for k in range(_GL16_Z.size - 1):
+            mom[:, k + 1] = z0 * mom[:, k] + (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        weights = np.linalg.solve(_GL16_VANDER_T, mom.T).T
+        np.add.at(total, t, np.sum(weights * g[p], axis=1))
+        # near a target the interpolation error e also enters through its
+        # slope: |PV int e/(z - z0)| <= |e(z0) ln| + 2 max|e'|, and Markov's
+        # inequality gives max|e'| <= n^2 max|e| at degree n = 15
+        np.add.at(est, t, (450.0 + np.abs(mom[:, 0])) * g_top[p].max(axis=1))
+
+        # unmeshed ends: |g| ~ |b|^{-1/2} inside _PV_LO, and past the last
+        # edge an algebraic g decays faster than 1/|b|
+        end = float(hi.max())
+        g_end = np.abs(self.g_rhs(np.array([-_PV_LO, _PV_LO, -end, end])))
+        est += 2.0 * _PV_LO * (g_end[0] + g_end[1]) / np.abs(xs)
+        if self._osc_shifts():
             for shift, env in self._g_components():
-                def upper(u, env=env):
-                    return env(u) / (u - x)
-
-                def lower(u, env=env):
-                    return -env(-u) / (u + x)
-
-                v, r = oscillatory_tail(upper, -shift, x_cut, spec)
+                v, r = oscillatory_tail(
+                    lambda u, env=env: env(u)[:, None] / (u[:, None] - xs),
+                    -shift, end, self.spec)
                 total += v
                 est += r
-                v, r = oscillatory_tail(lower, shift, x_cut, spec)
+                v, r = oscillatory_tail(
+                    lambda u, env=env: -env(-u)[:, None] / (u[:, None] + xs),
+                    shift, end, self.spec)
                 total += v
                 est += r
         else:
-            for mirror in (plain, lambda u: plain(-u)):
-                v, r = algebraic_tail(mirror, x_cut, spec)
-                total += v
-                est += r
-
-        return total, est
+            est += g_end[2] + g_end[3]
+        total = total.reshape(np.shape(x))
+        est = est.reshape(np.shape(x))
+        return (total, est) if np.ndim(x) else (complex(total), float(est))
 
     def l_pm(self, xi, side):
-        """Real-axis boundary values L^{+/-}(xi) by the Plemelj formula."""
+        """Real-axis boundary values L^{+/-}(xi) by the Plemelj formula, for
+        real xi != 0 (scalar or array)."""
         if side not in ("plus", "minus"):
             raise DomainError("side must be 'plus' or 'minus'")
         sgn = 1.0 if side == "plus" else -1.0
-        cauchy, _ = self._cauchy_pv(xi)
+        cauchy, _ = self.cauchy_pv(xi)
         return sgn * 0.5 * self.g_rhs(xi) + cauchy / (2.0j * math.pi)
 
     def l_plus(self, xi):
@@ -223,7 +298,8 @@ class UnperturbedSolution:
     def phi2_minus_load(self, xi):
         """phi_2^- = phi_1^- + kappa [p]."""
         _, jump_p = self.load.transforms(np.asarray(xi, dtype=float))
-        return self.phi1_minus_load(xi) + self.kappa * complex(jump_p)
+        out = self.phi1_minus_load(xi) + self.kappa * jump_p
+        return out if np.ndim(xi) else complex(out)
 
     def a_coeff(self, j, xi, phi_plus):
         """Transform coefficient A_j of u_j = A_j e^{-|xi y|} given phi^+(xi);
@@ -238,19 +314,19 @@ class UnperturbedSolution:
         """Transform coefficients (A1, A2) of u_j = A_j e^{-|xi y|}."""
         arr = self.kernel._checked(xi)
         if phi_plus is None:
-            phi_plus = self.phi_plus_load(float(arr))
+            phi_plus = self.phi_plus_load(arr)
         return self.a_coeff(1, arr, phi_plus), self.a_coeff(2, arr, phi_plus)
 
     # -- phi^+ interpolation (exact at nodes) for gradient quadratures --------
 
     def _phi_table(self, hi_needed):
-        scale = min(self.kernel.mu0, 1.0 / self.load.reference_length)
-        hi = max(hi_needed * 2.0, 1e2 * scale)
-        if self._phi_interp is None or hi > self._phi_interp_hi:
+        if self._phi_interp is None or hi_needed > self._phi_interp_hi:
+            scale = min(self.kernel.mu0, 1.0 / self.load.reference_length)
+            hi = max(hi_needed * 2.0, 1e2 * scale)
             lo = 1e-6 * scale
             n = max(48, int(48 * math.log10(hi / lo)))
             grid = np.geomspace(lo, hi, n)
-            vals = np.array([self.phi_plus_load(float(t)) for t in grid])
+            vals = self.phi_plus_load(grid)
             lg = np.log(grid)
             self._phi_interp = (
                 PchipInterpolator(lg, vals.real, extrapolate=False),

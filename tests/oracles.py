@@ -1,8 +1,9 @@
 """Quadrature oracles used only by the tests: the adaptive principal-value
-rule for the Cauchy integral of ln Xi_*, direct half-line Fourier transforms
-with explicit tail treatment, and the effective tractions of the boundary
-layer computed by those transforms. Each cross-checks a faster or
-closed-form route of the library."""
+rules for the Cauchy integral of ln Xi_* and for the Cauchy transform of the
+load right-hand side g, direct half-line Fourier transforms with explicit
+tail treatment, and the effective tractions of the boundary layer computed
+by those transforms. Each cross-checks a faster or closed-form route of the
+library."""
 
 import math
 
@@ -43,6 +44,114 @@ def pv_integral_even_logkernel(g, xi, spec):
     ib, eb = integrate_err(mapped_tail, 0.0, 1.0, spec, breakpoints=useeds)
     value = ia + ib - gxi * math.log(3.0) / (2.0 * xi)
     return float(value.real)
+
+
+def cauchy_pv_adaptive(sol, x, spec=None):
+    """PV int g(b)/(b - x) db over the real line for one real x != 0, by
+    adaptive quadrature per target: a subtracted window around x, b = +-t^2
+    zones around the |b|^{-1/2} point b = 0, log-seeded segments and
+    integration-by-parts (oscillatory) or fitted algebraic tails. Returns
+    (value, error estimate) for the solution's g (UnperturbedSolution.g_rhs)
+    at the tolerances of spec (default sol.spec)."""
+    x = float(x)
+    if x == 0.0:
+        raise DomainError("Cauchy boundary values need xi != 0")
+    spec = spec or sol.spec
+    mu0 = sol.kernel.mu0
+    g = sol.g_rhs
+    gx = sol.g_rhs(x)
+    s = abs(x)
+    shifts = sol._osc_shifts()
+    c_max = max(shifts) if shifts else 1.0 / sol.load.reference_length
+    c_min = min(shifts) if shifts else None
+
+    half_w = min(0.5 * s, math.pi / (4.0 * c_max)) if shifts else 0.5 * s
+    zone = min(mu0, 0.25 * s, math.pi / c_max)
+    x_cut = (max(60.0 / c_min, 3.0 * s, 4.0 * zone) if shifts
+             else max(2e3 / sol.load.reference_length, 3.0 * s, 20.0 * mu0))
+
+    total = 0.0 + 0.0j
+    est = 0.0
+
+    def sub(b):
+        return (g(b) - gx) / (b - x)
+
+    win_seeds = [x + sgn * half_w * 2.0 ** (-j)
+                 for j in range(1, 10) for sgn in (-1.0, 1.0)]
+    val, err = integrate_err(sub, x - half_w, x + half_w, spec,
+                             breakpoints=win_seeds)
+    total += val
+    est += err
+
+    # inner zone around the b = 0 singularity, b = +/- t^2
+    t0 = math.sqrt(zone)
+    t_seeds = [t0 * 2.0 ** (-j) for j in range(1, 22)]
+    for sgn in (-1.0, 1.0):
+        def f_zone(t, sgn=sgn):
+            # b = sgn t^2; the substitution jacobian is 2t on both sides
+            # once the limits are oriented 0 -> sqrt(zone)
+            b = sgn * t * t
+            return g(b) / (b - x) * 2.0 * t
+
+        val, err = integrate_err(f_zone, 0.0, t0, spec, breakpoints=t_seeds)
+        total += val
+        est += err
+
+    def plain(b):
+        return g(b) / (b - x)
+
+    segments = []
+    if x > 0:
+        segments = [(-x_cut, -zone), (zone, x - half_w), (x + half_w, x_cut)]
+    else:
+        segments = [(-x_cut, x - half_w), (x + half_w, -zone), (zone, x_cut)]
+    for lo, hi in segments:
+        if hi <= lo:
+            continue
+        seeds = set()
+        mags = sorted({abs(lo), abs(hi)})
+        q = max(min(abs(lo), abs(hi)), zone, 1e-300)
+        while q < max(abs(lo), abs(hi)):
+            if lo < -q < hi:
+                seeds.add(-q)
+            if lo < q < hi:
+                seeds.add(q)
+            q *= 2.0
+        if shifts:
+            width = max(math.pi / c_max, (hi - lo) / 2000.0)
+            seeds.update(np.arange(lo + width, hi, width).tolist())
+        val, err = integrate_err(plain, lo, hi, spec, breakpoints=sorted(seeds))
+        total += val
+        est += err
+
+    if shifts:
+        for shift, env in sol._g_components():
+            def upper(u, env=env):
+                return env(u) / (u - x)
+
+            def lower(u, env=env):
+                return -env(-u) / (u + x)
+
+            v, r = oscillatory_tail(upper, -shift, x_cut, spec)
+            total += v
+            est += r
+            v, r = oscillatory_tail(lower, shift, x_cut, spec)
+            total += v
+            est += r
+    else:
+        for mirror in (plain, lambda u: plain(-u)):
+            v, r = algebraic_tail(mirror, x_cut, spec)
+            total += v
+            est += r
+
+    return total, est
+
+
+def phi_plus_adaptive(sol, x, spec=None):
+    """phi^+(x) of the solution through cauchy_pv_adaptive."""
+    cauchy, _ = cauchy_pv_adaptive(sol, x, spec)
+    l_plus = 0.5 * sol.g_rhs(x) + cauchy / (2.0j * math.pi)
+    return -l_plus / (sol.kappa * math.pi * sol.kernel.mu0 * sol.kernel.b_plus(x))
 
 
 def halfline_fourier(f, side, xi, spec):

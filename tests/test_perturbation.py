@@ -14,7 +14,7 @@ from interfrac.perturbation import (_LayerTransforms, _delta_from_v,
                                     dipole_elliptic, dipole_for, dipole_rigid,
                                     sign_map)
 from interfrac.unperturbed import UnperturbedSolution
-from interfrac.weightfn import WeightField
+from interfrac.weightfn import WeightField, sigma0
 from oracles import effective_traction_transforms, halfline_fourier
 
 SPEC = QuadratureSpec()
@@ -182,6 +182,18 @@ class TestDeltaSigma0:
         assert small.delta_sigma0 == pytest.approx(1e-6 * ref.delta_sigma0, rel=1e-6)
         assert small.sign == ref.sign != "neutral"
         assert small.sigma0_base == ref.sigma0_base
+
+    def test_results_are_plain_floats(self, pipeline):
+        solution, field = pipeline
+        inc = InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0, ell_a=0.2,
+                            ell_b=0.1, nu_star=5.0)
+        r = delta_sigma0(LOAD, MATERIAL, inc, solution=solution, field=field)
+        base = sigma0(LOAD, MATERIAL, SPEC, field=field)
+        values = [r.delta_sigma0, r.est_error, r.sigma0_base, r.sigma0_total,
+                  r.epsilon, base.sigma0, base.est_error,
+                  *solution.grad_u0((0.3, 0.9))]
+        assert all(type(v) is float for v in values), [type(v) for v in values]
+        assert type(base.integral) is complex
 
     def test_circle_alpha_independence(self, pipeline):
         solution, field = pipeline

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from interfrac.errors import DomainError, GeometryError
+from interfrac.errors import DomainError, GeometryError, NonConvergence
 from interfrac.model import (Bimaterial, CrackLoad, point_triple,
                              smooth_exponential)
+from interfrac.numerics import QuadratureSpec
 from interfrac.unperturbed import UnperturbedSolution
+from oracles import cauchy_pv_adaptive, phi_plus_adaptive
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,56 @@ class TestPlemeljDecomposition:
     def test_conjugate_symmetry(self, sol):
         assert sol.phi_plus_load(-1.3) == pytest.approx(
             np.conj(sol.phi_plus_load(1.3)), abs=1e-8)
+
+
+class TestBatchedCauchy:
+    @pytest.mark.parametrize("load", [smooth_exponential(),
+                                      point_triple(1.0, 1.0, 0.75)],
+                             ids=["smooth", "point-triple"])
+    def test_matches_adaptive_oracle(self, load):
+        s = UnperturbedSolution(load, Bimaterial(3.0, 1.0, 0.25))
+        xs = np.geomspace(1e-6, 1e3, 20)
+        xs = np.concatenate([xs, -xs])
+        vals, est = s.cauchy_pv(xs)
+        assert vals.shape == est.shape == xs.shape
+        spec = QuadratureSpec(rel_tol=1e-11)
+        for x, v, e in zip(xs, vals, est):
+            ref, ref_est = cauchy_pv_adaptive(s, x, spec)
+            dev = abs(v - ref)
+            assert dev <= e + ref_est, x
+            if abs(x) <= 1.0:
+                assert dev <= 3e-9 * abs(ref), x
+
+    def test_continuous_across_a_panel_edge(self, sol_smooth):
+        # with 1.0 among the targets the cut is 2e3 (2e3/a > 20 mu0, 4 |x|),
+        # so x below sits exactly on an edge of the mesh that call samples
+        lo, _, _ = sol_smooth._pv_samples(2e3, 1.0)
+        x = lo[(lo > 0.3) & (lo < 1.0)][0]
+        on_edge = sol_smooth.cauchy_pv(np.array([x, 1.0]))[0][0]
+        for side in (1.0 - 1e-13, 1.0 + 1e-13):
+            beside = sol_smooth.cauchy_pv(np.array([x * side, 1.0]))[0][0]
+            assert abs(on_edge - beside) <= 1e-9 * abs(on_edge)
+
+    def test_too_far_for_the_oscillatory_mesh(self, sol):
+        # 1e6 needs ~1.4e6 half-period panels per half-line; refused before
+        # any sampling
+        with pytest.raises(NonConvergence):
+            sol.cauchy_pv(1e6)
+
+    def test_one_shared_sampling_fills_the_table(self, sol_smooth):
+        # the delta_warm extent: 435 targets up to 2 * 40 / 0.069
+        s = UnperturbedSolution(sol_smooth.load, sol_smooth.material)
+        g = s.g_rhs
+        seen = []
+
+        def counted(b):
+            seen.append(np.size(b))
+            return g(b)
+
+        s.g_rhs = counted
+        s._phi_table(40.0 / 0.0690)
+        assert len(s._phi_interp[0].x) == 435
+        assert sum(seen) <= 20000
 
 
 class TestLoadProblemIdentities:
@@ -161,9 +213,18 @@ class TestGradient:
     def test_interp_matches_direct_phi(self, sol_smooth):
         sol_smooth._phi_table(50.0)
         for x in (0.3, 4.0, 29.0):
-            direct = sol_smooth.phi_plus_load(x)
+            direct = phi_plus_adaptive(sol_smooth, x)
             cached = sol_smooth.phi_plus_cached(np.array([x]))[0]
             assert abs(cached - direct) < 5e-6 * max(abs(direct), 1e-6)
+
+    def test_table_kept_for_a_smaller_cut(self, sol_smooth):
+        # sin(170 deg) is 2 ulp below sin(10 deg), so the second cut is a
+        # hair larger than the first; the table built for it covers both
+        s = UnperturbedSolution(sol_smooth.load, sol_smooth.material)
+        s.grad_u0((math.cos(math.radians(10.0)), math.sin(math.radians(10.0))))
+        table = s._phi_interp
+        s.grad_u0((math.cos(math.radians(170.0)), math.sin(math.radians(170.0))))
+        assert s._phi_interp is table
 
     def test_geometry_guards(self, sol_smooth):
         with pytest.raises(GeometryError):

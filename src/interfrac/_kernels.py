@@ -44,13 +44,11 @@ def _ln_xi_star(x):
 
 
 def _pv_edges_main(s, mu0):
-    # panel edges in t on [0, 2s]: geometric chain over both scales plus
-    # dyadic refinement toward the subtracted pole at t = s
-    pts = [0.0, 2.0 * s]
+    # panel edges in t on [0, 2s]: geometric chain over both scales (at most
+    # 158 doublings) plus dyadic refinement toward the subtracted pole at t = s
     q = min(mu0, s) / 64.0
-    while q < 2.0 * s and len(pts) < 160:
-        pts.append(q)
-        q *= 2.0
+    n = min(158, math.ceil(math.log2(2.0 * s / q)) + 1)
+    pts = [0.0, 2.0 * s] + [p for p in (q * 2.0 ** k for k in range(n)) if p < 2.0 * s]
     for k in range(1, 6):
         pts += [s * (1.0 - 0.5 ** k), s * (1.0 + 0.5 ** k)]
     out = []

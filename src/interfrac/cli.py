@@ -303,6 +303,8 @@ def cmd_field(args):
             x, y = (float(p) for p in spec_at.split(","))
         except ValueError:
             raise ConfigError(f"--at expects 'x,y', got {spec_at!r}")
+        if not (math.isfinite(x) and math.isfinite(y)) or y == 0.0:
+            raise ConfigError(f"--at needs finite x and y != 0, got {spec_at!r}")
         sample = solution.field_sample(x, y, min_angle_deg=args.min_angle)
         rows.append((sample.x, sample.y, sample.u, sample.gx, sample.gy))
     meta = {"command": "field", "config": cfg}

@@ -1,6 +1,7 @@
-"""Reusable numerical kernels: adaptive panel quadrature, oscillatory and
-algebraic tail closures for half-line integrals, and principal-branch
-complex log-gamma.
+"""Reusable numerical kernels: adaptive panel quadrature, the head/mid split
+of a half-line spectral integral (half_line), oscillatory and algebraic
+tail closures for half-line integrals, and principal-branch complex
+log-gamma.
 
 Integrand callables are expected to accept numpy arrays (scalar-only
 callables are wrapped transparently). All routines are pure functions of
@@ -148,6 +149,24 @@ def integrate_adaptive(f, lo, hi, spec, breakpoints=None):
     """Adaptive integral of a (possibly complex) integrand over [lo, hi]."""
     value, _ = integrate_err(f, lo, hi, spec, breakpoints=breakpoints)
     return value
+
+
+def half_line(f, xi_c, x_cut, spec, seeds=()):
+    """int_0^x_cut f(u) du for an f that may grow like u^{-1/2} at 0;
+    returns (value, error estimate).
+
+    The head [0, xi_c] is integrated in u = t^2 on panels that halve toward
+    t = 0; the mid [xi_c, x_cut] on the doublings of xi_c plus the caller's
+    seeds. The tail past x_cut stays with the caller.
+    """
+    t_c = math.sqrt(xi_c)
+    head, e_head = integrate_err(
+        lambda t: f(t * t) * 2.0 * t, 0.0, t_c, spec,
+        breakpoints=[t_c * 2.0 ** (-k) for k in range(1, 26)])
+    ladder = [xi_c * 2.0 ** k for k in range(int(math.log2(x_cut / xi_c)) + 1)]
+    mid, e_mid = integrate_err(f, xi_c, x_cut, spec,
+                               breakpoints=ladder + list(seeds))
+    return head + mid, e_head + e_mid
 
 
 def _series_coefficients(fv, x0, h, degree=6):

@@ -52,6 +52,18 @@ _PV_SPLITS = 12  # bisection rounds of the shared mesh
 _PV_MAX_PANELS = 2 ** 15  # half-period panels per half-line: |x| up to ~2.5e4/c_max
 
 
+def _seed_ladder(cut, y, x):
+    """Breakpoints on [0, cut] for an integrand damped like e^{-xi y} and
+    oscillating like e^{-i xi x}: 39 halvings of the cut, steps of 1/y, and
+    quarter periods pi/(2x), at most 4000 of them."""
+    seeds = {cut * 2.0 ** (-k) for k in range(1, 40)}
+    seeds.update((k + 1.0) / y for k in range(int(cut * y)))
+    if x > 1e-12:
+        width = math.pi / (2.0 * x)
+        seeds.update((k + 1) * width for k in range(int(min(cut / width, 4000.0))))
+    return sorted(seeds)
+
+
 @dataclass(frozen=True)
 class FieldSample:
     """One physical-domain sample of the unperturbed solution (y != 0)."""
@@ -352,6 +364,8 @@ class UnperturbedSolution:
 
     def _check_position(self, Y, min_angle_deg):
         yx, yy = float(Y[0]), float(Y[1])
+        if not (math.isfinite(yx) and math.isfinite(yy)):
+            raise GeometryError("field evaluation requires a finite position")
         if yy == 0.0:
             raise GeometryError("field evaluation requires |y| > 0 (off the interface)")
         angle = math.atan2(yy, yx)
@@ -362,6 +376,9 @@ class UnperturbedSolution:
         return yx, yy
 
     def _grad_integrals(self, yx, yy, spec):
+        """(gx, gy, err) at (yx, yy); err bounds the error of the vector
+        (gx, gy) in length. The gx integrand is i times the gy one, so a
+        single integral H gives gx = -Im H / pi and gy = sign(y) Re H / pi."""
         j = 1 if yy > 0 else 2
         cut = 40.0 / abs(yy)
         self._phi_table(cut)
@@ -369,36 +386,18 @@ class UnperturbedSolution:
         def a_j(xi):
             return self.a_coeff(j, xi, self.phi_plus_cached(xi, hi_hint=cut))
 
-        damp_osc = lambda xi: np.exp(-xi * abs(yy) - 1j * xi * yx)
-
-        seeds = {cut * 2.0 ** (-k) for k in range(1, 40)}
-        seeds.update((k + 1.0) / abs(yy) for k in range(int(cut * abs(yy))))
-        if abs(yx) > 1e-12:
-            width = math.pi / (2.0 * abs(yx))
-            n_osc = int(min(cut / width, 4000.0))
-            seeds.update((k + 1) * width for k in range(n_osc))
-        seeds = sorted(seeds)
-
-        gx_val, gx_err = integrate_err(
-            lambda xi: -1j * xi * a_j(xi) * damp_osc(xi), 0.0, cut, spec,
-            breakpoints=seeds)
-        gy_val, gy_err = integrate_err(
-            lambda xi: -xi * a_j(xi) * damp_osc(xi), 0.0, cut, spec,
-            breakpoints=seeds)
+        val, err = integrate_err(
+            lambda xi: -xi * a_j(xi) * np.exp(-xi * abs(yy) - 1j * xi * yx),
+            0.0, cut, spec, breakpoints=_seed_ladder(cut, abs(yy), abs(yx)))
         tail_mag = float(np.abs(a_j(np.array([cut]))[0])) * cut * math.exp(
             -cut * abs(yy)) / abs(yy)
-        gx = gx_val.real / math.pi
-        gy = math.copysign(1.0, yy) * gy_val.real / math.pi
-        err = (gx_err + gy_err + abs(gx_val.imag) + abs(gy_val.imag)
-               + 2.0 * tail_mag) / math.pi
-        return gx, gy, err
+        gx = -val.imag / math.pi
+        gy = math.copysign(1.0, yy) * val.real / math.pi
+        return gx, gy, (err + tail_mag) / math.pi
 
     def grad_u0(self, Y, min_angle_deg=5.0, spec=None):
-        """(du/dx, du/dy) of the unperturbed field at Y = (x, y), |y| > 0.
-
-        Folded to xi > 0 through A_j(-xi) = conj(A_j(xi)); the imaginary
-        residue of the folded integrals lands in the internal error estimate.
-        """
+        """(du/dx, du/dy) of the unperturbed field at Y = (x, y), |y| > 0,
+        folded to xi > 0 through A_j(-xi) = conj(A_j(xi))."""
         yx, yy = self._check_position(Y, min_angle_deg)
         spec = spec or self.spec
         gx, gy, _ = self._grad_integrals(yx, yy, spec)
@@ -408,6 +407,8 @@ class UnperturbedSolution:
         """Unperturbed displacement at (x, y), y != 0, relative to the
         reference point ref (default (0, sign(y) * reference_length)); the
         1/|xi| spectral weight makes only differences well defined."""
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError("u0 needs a finite position")
         if y == 0.0:
             raise GeometryError("u0 is reconstructed off the interface line only")
         spec = spec or self.spec
@@ -417,7 +418,8 @@ class UnperturbedSolution:
         if ry * y <= 0.0:
             raise GeometryError("reference point must lie in the same half-plane")
         j = 1 if y > 0 else 2
-        cut = 40.0 / min(abs(y), abs(ry))
+        y_min = min(abs(y), abs(ry))
+        cut = 40.0 / y_min
         self._phi_table(cut)
 
         def f(xi):
@@ -426,15 +428,9 @@ class UnperturbedSolution:
             kernel_ref = np.exp(-xi * abs(ry) - 1j * xi * rx)
             return aj * (kernel_here - kernel_ref)
 
-        seeds = sorted({cut * 2.0 ** (-k) for k in range(1, 44)}
-                       | {(k + 1.0) / min(abs(y), abs(ry))
-                          for k in range(int(cut * min(abs(y), abs(ry))))}
-                       | ({(k + 1) * math.pi / (2.0 * max(abs(x), abs(rx)))
-                           for k in range(
-                               int(min(cut * 2.0 * max(abs(x), abs(rx)) / math.pi,
-                                       4000.0)))}
-                          if max(abs(x), abs(rx)) > 1e-12 else set()))
-        val, _ = integrate_err(f, 0.0, cut, spec, breakpoints=seeds)
+        val, _ = integrate_err(
+            f, 0.0, cut, spec,
+            breakpoints=_seed_ladder(cut, y_min, max(abs(x), abs(rx))))
         return float(val.real) / math.pi
 
     def field_sample(self, x, y, min_angle_deg=5.0) -> FieldSample:

@@ -11,12 +11,15 @@ With unit normalization the weight-function transforms are
 and the Betti identity gives
 
     sigma0 = (1/2) sqrt(mu0/pi) int xi ([U] <p> + <U> [p]) dxi
+           = (1/2) sqrt(mu0/pi) int xi [U] (<p> - (mu_*/2) [p]) dxi
 
-over the real line. The integrand is O(xi_+^{-1/2}) at 0 (removed by the
-xi = s^2 substitution) and O(1/xi) times the load oscillation at infinity;
-the oscillatory tail past X is summed by integration-by-parts asymptotics
-per load component, smooth-load tails decay algebraically and are bounded
-from the declared decay exponent.
+over the real line, so the weight function enters through one [U]
+evaluation per node. The integrand is O(xi_+^{-1/2}) at 0 and O(1/xi) times
+the load oscillation at infinity. Each half-line is integrated by
+numerics.half_line (the xi = s^2 head and the seeded mid); the oscillatory
+tail past X is summed by integration-by-parts asymptotics per load
+component, smooth-load tails decay algebraically and are bounded from the
+declared decay exponent.
 """
 
 import math
@@ -28,8 +31,8 @@ import numpy as np
 from .errors import DomainError, UnsupportedLoad
 from .kernel import KernelFactors, xi_minus_half, xi_plus_half
 from .model import Bimaterial, CrackLoad, derive_params
-from .numerics import (QuadratureSpec, SpectralSample, integrate_err,
-                       oscillatory_tail)
+from .numerics import (QuadratureSpec, SpectralSample, half_line,
+                       integrate_err, oscillatory_tail)
 
 
 class WeightField:
@@ -101,37 +104,26 @@ def _combined_components(load: CrackLoad, mu_star):
     return sorted(weights.items())
 
 
-def _geometric_seeds(lo, hi, per_octave=1):
-    seeds = []
-    q = lo
-    while q < hi:
-        seeds.append(q)
-        q *= 2.0 ** (1.0 / per_octave)
-    return seeds
+def _betti_integrand(field: WeightField, load: CrackLoad):
+    """f(xi) = xi([U]<p> + <U>[p]) = xi [U] (<p> - (mu_*/2)[p]), with one
+    [U] evaluation per node."""
+    def f(xi):
+        avg_p, jump_p = load.transforms(xi)
+        return xi * field.jump_u(xi) * (avg_p - 0.5 * field.mu_star * jump_p)
+
+    return f
 
 
 def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
-    """int_0^inf f(sign u) du of f(xi) = xi([U]<p> + <U>[p]), split as
-    s^2-substituted head, panelled midrange, and analytic tail."""
+    """int_0^inf f(sign u) du of the Betti integrand f: the head and mid by
+    numerics.half_line, then an analytic tail."""
     mu0 = field.kernel.mu0
-
-    def f(xi):
-        avg_p, jump_p = load.transforms(xi)
-        return xi * (field.jump_u(xi) * avg_p + field.avg_u(xi) * jump_p)
+    f = _betti_integrand(field, load)
 
     def f_signed(u):
         return f(sign * u)
 
     xi_c = min(mu0, math.pi / load.phase_scale)
-
-    def f_head(s):
-        return f_signed(s * s) * 2.0 * s
-
-    s_max = math.sqrt(xi_c)
-    head, e_head = integrate_err(
-        f_head, 0.0, s_max, spec,
-        breakpoints=[s_max * 2.0 ** (-k) for k in range(1, 26)])
-
     stretch = max(1.0, spec.truncation_radius / 1e4)
     oscillatory = bool(load.osc_avg or load.osc_jump)
     if oscillatory:
@@ -139,10 +131,8 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
         c_min, c_max = min(shifts), max(shifts)
         x_cut = max(4.0 * xi_c, 100.0 / c_min) * stretch
         width = max(math.pi / c_max, (x_cut - xi_c) / 3000.0)
-        seeds = set(_geometric_seeds(xi_c, x_cut))
-        seeds.update(np.arange(xi_c + width, x_cut, width).tolist())
-        mid, e_mid = integrate_err(f_signed, xi_c, x_cut, spec,
-                                   breakpoints=sorted(seeds))
+        body, e_body = half_line(f_signed, xi_c, x_cut, spec,
+                                 seeds=np.arange(xi_c + width, x_cut, width))
 
         def envelope(u):
             ss = sign * u
@@ -158,13 +148,12 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
             e_tail += abs(w) * r
     else:
         x_cut = max(4.0 * xi_c, 20.0 * mu0, 1e5 / load.reference_length) * stretch
-        mid, e_mid = integrate_err(f_signed, xi_c, x_cut, spec,
-                                   breakpoints=_geometric_seeds(xi_c, x_cut))
+        body, e_body = half_line(f_signed, xi_c, x_cut, spec)
         tail = 0.0 + 0.0j
         delta = load.decay_exponent or 1.0
         e_tail = abs(complex(np.asarray(f_signed(np.array([x_cut])))[0])) * x_cut / delta
 
-    return head + mid + tail, e_head + e_mid + e_tail
+    return body + tail, e_body + e_tail
 
 
 def sigma0(load: CrackLoad, material: Bimaterial, spec=None, *, field=None,
@@ -186,8 +175,7 @@ def sigma0(load: CrackLoad, material: Bimaterial, spec=None, *, field=None,
     if profile:
         mu0 = field.kernel.mu0
         grid = np.geomspace(1e-3 * mu0, max(1e3 * mu0, 200.0 / load.phase_scale), 400)
-        avg_p, jump_p = load.transforms(grid)
-        vals = grid * (field.jump_u(grid) * avg_p + field.avg_u(grid) * jump_p)
+        vals = _betti_integrand(field, load)(grid)
         samples = [SpectralSample(float(x), complex(v)) for x, v in zip(grid, vals)]
     return Sigma0Result(sigma0=float(total.real), est_error=float(est),
                         integral=complex(total), integrand_profile=samples)

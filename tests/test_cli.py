@@ -184,6 +184,13 @@ class TestMapCommand:
         assert lines[1] == "x,y,u,gx,gy"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("at", ["0.5,nan", "1,inf", "inf,1", "0.5,0"])
+    def test_field_bad_position_exit_2(self, tmp_path, capsys, at):
+        cfg = write_cfg(tmp_path, POINT_CFG)
+        assert main(["field", "--config", cfg, "--at", at]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_alpha_period_duplication(self, tmp_path):
         # alpha and alpha + pi give identical delta columns
         cfg = write_cfg(tmp_path, MAP_CFG)

@@ -1,13 +1,15 @@
 """Quadrature, principal-value, half-line Fourier and log-gamma kernels."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from interfrac import _kernels
 from interfrac.errors import (DomainError, NonFiniteSample, PoleError)
-from interfrac.numerics import (QuadratureSpec, integrate_adaptive,
+from interfrac.numerics import (QuadratureSpec, half_line, integrate_adaptive,
                                 integrate_err, log_gamma)
 from oracles import halfline_fourier, pv_integral_even_logkernel
 
@@ -84,6 +86,21 @@ def _excision_oracle(g, xi, eps_ladder=(0.1, 0.05, 0.025, 0.0125), big=4e5):
     r2 = [(8 * r1[i + 1] - r1[i]) / 7 for i in range(len(r1) - 1)]
     r3 = [(32 * r2[i + 1] - r2[i]) / 31 for i in range(len(r2) - 1)]
     return r3[-1]
+
+
+class TestHalfLine:
+    @pytest.mark.parametrize("seeds", [(), (0.3, 2.5, 7.0, 11.0)])
+    @pytest.mark.parametrize("omega", [0.0, 20.0])
+    def test_inverse_sqrt_exponential(self, omega, seeds):
+        # int_0^X u^{-1/2} e^{-cu} du = sqrt(pi/c) erf(sqrt(cX)), c = 1 - i omega;
+        # at omega = 0 the panels resolve the integrand at once and the
+        # estimate is at rounding level, so a few ulps are allowed on top
+        c, x_cut = 1.0 - 1j * omega, 30.0
+        val, est = half_line(lambda u: np.exp(-c * u) / np.sqrt(u), 1.0, x_cut,
+                             SPEC, seeds)
+        exact = cmath.sqrt(math.pi / c) * erf(cmath.sqrt(c * x_cut))
+        assert abs(val - exact) <= est + 4 * np.finfo(float).eps * abs(exact)
+        assert est <= SPEC.tolerance(exact)
 
 
 class TestPrincipalValue:

@@ -141,7 +141,7 @@ class TestEffectiveTractions:
         # direct half-line Fourier operation
         from interfrac.perturbation import _dy_from_v
         v = np.array([0.4, -0.9])
-        layer = _LayerTransforms(v, Y, SPEC)
+        layer = _LayerTransforms(v, Y)
         dy = lambda x: _dy_from_v(x, v, Y)
         for xi in (0.0, 0.37, -2.2, 31.0):
             tm = halfline_fourier(dy, "negative-axis", xi, SPEC)
@@ -157,6 +157,26 @@ class TestDeltaSigma0:
         d1, _ = _delta_from_v(field, MATERIAL, v, (0.0, 1.0), SPEC)
         d2, _ = _delta_from_v(field, MATERIAL, 2.0 * v, (0.0, 1.0), SPEC)
         assert d2 == pytest.approx(2.0 * d1, rel=1e-8)
+
+    def test_one_jump_u_per_node(self, pipeline, monkeypatch):
+        # work guard: one kernel-factor evaluation per layer-transform node
+        solution, field = pipeline
+        points = {"xi0_minus": 0, "layer": 0}
+        xi0_minus = field.kernel.xi0_minus
+        layer_eval = _LayerTransforms._eval
+
+        def counted_xi0(z):
+            points["xi0_minus"] += np.size(z)
+            return xi0_minus(z)
+
+        def counted_eval(self, xi, plus_side):
+            points["layer"] += np.size(xi)
+            return layer_eval(self, xi, plus_side)
+
+        monkeypatch.setattr(field.kernel, "xi0_minus", counted_xi0)
+        monkeypatch.setattr(_LayerTransforms, "_eval", counted_eval)
+        _delta_from_v(field, MATERIAL, np.array([0.3, -0.7]), (0.4, 0.9), SPEC)
+        assert points["xi0_minus"] <= 1.05 * points["layer"]
 
     def test_neutral_contrast(self, pipeline):
         solution, field = pipeline

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from interfrac import unperturbed
 from interfrac.errors import DomainError, GeometryError, NonConvergence
 from interfrac.model import (Bimaterial, CrackLoad, point_triple,
                              smooth_exponential)
@@ -226,7 +227,37 @@ class TestGradient:
         s.grad_u0((math.cos(math.radians(170.0)), math.sin(math.radians(170.0))))
         assert s._phi_interp is table
 
+    @pytest.mark.parametrize("Y", [(0.5, 0.8), (0.0, -1.0), (-1.2, 0.4)])
+    @pytest.mark.parametrize("which", ["sol", "sol_smooth"])
+    def test_error_estimate(self, request, which, Y):
+        # the estimate is small against |G| and bounds each component's
+        # deviation from a run at rel_tol = 1e-12 on the same phi^+ table
+        s = request.getfixturevalue(which)
+        gx, gy, err = s._grad_integrals(*Y, s.spec)
+        tight_x, tight_y, _ = s._grad_integrals(*Y, QuadratureSpec(rel_tol=1e-12))
+        assert err < 1e-6 * math.hypot(gx, gy)
+        assert abs(gx - tight_x) <= err
+        assert abs(gy - tight_y) <= err
+
+    def test_one_integral_per_gradient(self, sol_smooth, monkeypatch):
+        # work guard: the gx integrand is i times the gy one
+        calls = []
+        integrate = unperturbed.integrate_err
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(unperturbed, "integrate_err", counted)
+        sol_smooth.grad_u0((0.3, 0.9))
+        assert len(calls) == 1
+
     def test_geometry_guards(self, sol_smooth):
+        for bad in ((0.5, math.nan), (1.0, math.inf), (math.inf, 1.0)):
+            with pytest.raises(GeometryError):
+                sol_smooth.grad_u0(bad)
+            with pytest.raises(GeometryError):
+                sol_smooth.u0(*bad)
         with pytest.raises(GeometryError):
             sol_smooth.grad_u0((1.0, 0.0))
         with pytest.raises(GeometryError):

@@ -1,6 +1,7 @@
 """Weight-function transforms, the sigma0 Betti quadrature, and the
 perfect-interface comparison quantities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,14 @@ class TestTransforms:
         res = (field_contrast.avg_u(grid)
                + 0.5 * field_contrast.mu_star * field_contrast.jump_u(grid))
         assert np.max(np.abs(res)) == 0.0
+
+    def test_phi_minus_is_scaled_jump(self, field_contrast):
+        # kappa xi Phi^- = -(xi |xi| / mu0) [U]: the Betti integrands use it
+        f = field_contrast
+        grid = log_grid(f.kernel.mu0)
+        lhs = f.kappa * grid * f.phi_minus(grid)
+        rhs = -(grid * np.abs(grid) / f.kernel.mu0) * f.jump_u(grid)
+        assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-14
 
     def test_avg_vanishes_for_equal_moduli(self, field):
         grid = log_grid(field.kernel.mu0, 25)
@@ -109,6 +118,29 @@ class TestSigma0:
         r = sigma0(smooth_exponential(), m)
         assert r.est_error < 1e-6 * abs(r.sigma0)
         assert abs(r.integral.imag) < 1e-8 * abs(r.integral.real)
+
+    @pytest.mark.parametrize("load, material", [
+        (point_triple(1.0, 1.0, 0.75), Bimaterial(1.0, 1.0, 0.5)),
+        (smooth_exponential(), Bimaterial(3.0, 1.0, 0.25)),
+    ], ids=["point-triple-anchor", "smooth"])
+    def test_one_jump_u_per_node(self, load, material, monkeypatch):
+        # work guard: the kernel factors are evaluated once per load node
+        # (the oscillatory tails add a few envelope points of their own)
+        field = WeightField(material, a=1.0)
+        points = {"xi0_minus": 0, "load": 0}
+
+        def counted(key, fn):
+            def call(x):
+                points[key] += np.size(x)
+                return fn(x)
+            return call
+
+        monkeypatch.setattr(field.kernel, "xi0_minus",
+                            counted("xi0_minus", field.kernel.xi0_minus))
+        load = dataclasses.replace(
+            load, transform_avg=counted("load", load.transform_avg))
+        sigma0(load, material, field=field)
+        assert points["xi0_minus"] <= 1.05 * points["load"]
 
     def test_profile_samples(self):
         m = Bimaterial(1.0, 1.0, 0.5)

@@ -15,11 +15,14 @@ Through <U> = -(mu_*/2)[U] and kappa xi Phi^- = -(xi |xi|/mu0)[U] both
 integrands are xi [U] times a load factor, so the weight function costs one
 [U] evaluation per node. dw1/dy is rational with double poles at Y and its
 conjugate, so its half-line transforms reduce to exponential-integral
-closed forms. Each half-line is integrated by numerics.half_line (the
-xi = s^2 head and the seeded mid); the conditionally convergent
-kappa xi Phi^- Pbar^+ tail becomes absolutely convergent after folding the
-two half-lines and is closed with a log-augmented algebraic fit integrated
-exactly.
+closed forms; the x < 0 and x > 0 transforms evaluate e^z E1(z) at the same
+z = i xi q, so both come from one e^z E1(z) per pole per node. [U] and
+dw1/dy are transforms of real functions, so the whole integrand at -xi is
+the conjugate of the one at xi: the line folds onto xi > 0 as twice the
+real part of both integrands, integrated in one numerics.half_line pass
+(the xi = s^2 head and the seeded mid). The conditionally convergent
+kappa xi Phi^- Pbar^+ tail is absolutely convergent once folded and is
+closed with a log-augmented algebraic fit integrated exactly.
 """
 
 import math
@@ -128,24 +131,37 @@ def _scaled_e1(z):
     return out
 
 
-def _pole_transform_pos(q, xi):
-    """int_0^inf e^{i xi x}/(x - q) dx for complex q off [0, inf), xi != 0.
+def _pole_transforms(q, xi):
+    """(J(q, xi), J(-q, -xi)) with J(q, xi) = int_0^inf e^{i xi x}/(x - q) dx,
+    for complex q off the real axis and xi != 0.
 
-    Equals e^{i xi q} E1(i xi q) continued across the E1 cut: the principal
-    branch jumps where i xi q crosses the negative real axis (xi Im q > 0 as
-    Re q changes sign), so a residue term sign(xi) 2 pi i e^{i xi q} is added
-    on the Re q > 0 side. Verified against direct quadrature in tests."""
+    Both are e^z E1(z) at the same z = i xi q, continued across the E1 cut,
+    so one e^z E1(z) serves the pair and only the continuations differ. The
+    principal branch jumps where z crosses the negative real axis (xi Im q
+    > 0 as Re q changes sign): J(q, xi) gains sign(xi) 2 pi i e^z where
+    Re q > 0, and J(-q, -xi) loses it where Re q < 0. Where z is real
+    (Re q == 0) the two sides are the opposite limits onto the cut, so
+    J(-q, -xi) is J(q, xi) minus that jump wherever z < 0. Checked against
+    the two separate continuations and direct quadrature in tests."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    sgn = np.sign(xi)
     z = 1j * xi * q
-    if q.real >= 0.0 and q.imag != 0.0:
-        on_cut = z.imag == 0.0
-        if np.any(on_cut):
-            z = np.where(on_cut, z - 1j * np.sign(xi) * 1e-290, z)
-    out = _scaled_e1(z)
-    corr = (xi * q.imag > 0.0) & (q.real > 0.0)
-    if np.any(corr):
-        out[corr] += np.sign(xi[corr]) * 2j * math.pi * np.exp(1j * xi[corr] * q)
-    return out
+    on_cut = z.imag == 0.0
+    if np.any(on_cut):
+        z = np.where(on_cut, z - 1j * sgn * 1e-290, z)
+    pos = _scaled_e1(z)
+    neg = pos.copy()
+    jump = on_cut & (z.real < 0.0)
+    if np.any(jump):
+        neg[jump] -= sgn[jump] * 2j * math.pi * np.exp(z[jump])
+    res = ~on_cut & (xi * q.imag > 0.0)
+    if np.any(res):
+        r = sgn[res] * 2j * math.pi * np.exp(1j * xi[res] * q)
+        if q.real > 0.0:
+            pos[res] += r
+        else:
+            neg[res] -= r
+    return pos, neg
 
 
 class _LayerTransforms:
@@ -153,8 +169,10 @@ class _LayerTransforms:
 
     dy is rational with double poles at p = cx + i cy and its conjugate, so
     both transforms reduce to exponential-integral closed forms, which the
-    tests cross-check against direct half-line quadrature. Negative xi
-    follows from dy being real."""
+    tests cross-check against direct half-line quadrature. The two sides
+    share their exponential integrals (_pole_transforms), so pair() costs
+    one e^z E1(z) per pole per node. dy is real, so each transform at -xi
+    is the conjugate of its value at xi."""
 
     def __init__(self, v, Y):
         self.v = np.asarray(v, dtype=float)
@@ -177,37 +195,40 @@ class _LayerTransforms:
     def _dy(self, x):
         return _dy_from_v(x, self.v, (self.cx, self.cy))
 
-    def _eval(self, xi, plus_side):
+    def pair(self, xi):
+        """The transforms of dy over x < 0 and over x > 0 at the flattened
+        xi, from one e^z E1(z) per pole per node."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-        out = np.zeros(xi.shape, dtype=complex)
+        minus = np.empty(xi.shape, dtype=complex)
+        plus = np.empty(xi.shape, dtype=complex)
         tiny = np.abs(xi) * self.scale < 1e-9
-        if np.any(tiny):
-            out[tiny] = -self._t_minus_0 if plus_side else self._t_minus_0
+        minus[tiny] = self._t_minus_0
+        plus[tiny] = -self._t_minus_0
         live = ~tiny
         if np.any(live):
             w = xi[live]
-            acc = np.zeros(w.shape, dtype=complex)
+            acc_m = np.zeros(w.shape, dtype=complex)
+            acc_p = np.zeros(w.shape, dtype=complex)
             a1, b1, a2, b2 = self.coeffs
             for q, alpha, beta in ((self.poles[0], a1, b1),
                                    (self.poles[1], a2, b2)):
-                if plus_side:
-                    j = _pole_transform_pos(q, w)
-                    k = -1.0 / q + 1j * w * j
-                else:
-                    j = -_pole_transform_pos(-q, -w)
-                    k = _pole_transform_pos(-q, -w) * (-1j * w) + (-1.0 / (-q))
-                acc += alpha * j + beta * k
-            out[live] = acc
-        return out
+                j_pos, j_neg = _pole_transforms(q, w)
+                # 1/(x - q) and 1/(x - q)^2 over x > 0, and over x < 0
+                # through x -> -x
+                acc_p += alpha * j_pos + beta * (1j * w * j_pos - 1.0 / q)
+                acc_m += -alpha * j_neg + beta * (1.0 / q - 1j * w * j_neg)
+            minus[live] = acc_m
+            plus[live] = acc_p
+        return minus, plus
 
     def minus(self, xi):
         """Transform of dy over x < 0."""
-        out = self._eval(xi, plus_side=False)
+        out = self.pair(xi)[0]
         return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
 
     def plus(self, xi):
         """Transform of dy over x > 0."""
-        out = self._eval(xi, plus_side=True)
+        out = self.pair(xi)[1]
         return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
 
 
@@ -217,6 +238,17 @@ class _LayerTransforms:
 
 @dataclass
 class PerturbationResult:
+    """delta_sigma0 with its error estimate and the label it implies.
+
+    est_error bounds the quadrature of the second Betti integral: its
+    adaptive head and mid and its fitted tail. It does not cover the PCHIP
+    tables the pipeline reads, the kernel phase table (Hhat) and the phi^+
+    table behind grad_u0, nor the gradient error; until those tables are
+    evaluated exactly, the estimate says nothing about them. sign is
+    shielding where |sigma0| falls (sigma0_base * delta_sigma0 < 0),
+    amplifying where it rises, and neutral when |delta_sigma0| <= est_error.
+    """
+
     delta_sigma0: float
     sign: str
     est_error: float
@@ -225,10 +257,15 @@ class PerturbationResult:
     epsilon: Optional[float] = None
 
 
-def _classify(delta, est):
-    if abs(delta) <= est:
-        return "neutral"
-    return "amplifying" if delta > 0 else "shielding"
+def _classify(delta, est, base):
+    """shielding where the inclusion lowers |sigma0| (base * delta < 0),
+    amplifying where it raises it, neutral inside the error band; the
+    labels follow the physics, not the sign of the load or the units. Works
+    elementwise on arrays."""
+    delta = np.asarray(delta, dtype=float)
+    out = np.where(np.abs(delta) <= est, "neutral",
+                   np.where(base * delta < 0.0, "shielding", "amplifying"))
+    return out if out.ndim else str(out)
 
 
 def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
@@ -238,15 +275,19 @@ def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
     s_p = -0.5 * (material.mu1 + material.mu2)
     s_q = -(material.mu1 - material.mu2)
     half_mu = 0.5 * field.mu_star
+    w_minus = s_p - half_mu * s_q
 
     # the weights xi [U] s_p + xi <U> s_q and kappa xi Phi^- s_p + xi <U> s_q
-    # through <U> = -(mu_*/2) [U] and kappa xi Phi^- = -(xi |xi| / mu0) [U]
-    def i1(xi):
-        return xi * field.jump_u(xi) * (s_p - half_mu * s_q) * layer.minus(xi)
-
-    def i2(xi):
-        return (xi * field.jump_u(xi) * (-np.abs(xi) * s_p / mu0 - half_mu * s_q)
-                * layer.plus(xi))
+    # through <U> = -(mu_*/2) [U] and kappa xi Phi^- = -(xi |xi| / mu0) [U];
+    # [U] and dw1/dy are transforms of real functions, so the integrand at
+    # -u is the conjugate of the one at u and the whole line folds onto
+    # u > 0 as twice the real part
+    def folded(u):
+        t_minus, t_plus = layer.pair(u)
+        weight = u * field.jump_u(u)
+        f = weight * (w_minus * t_minus
+                      + (-u * s_p / mu0 - half_mu * s_q) * t_plus)
+        return 2.0 * f.real
 
     xi_c = min(mu0, 1.0 / math.hypot(*Y))
     # past x_cut the layer transforms are in their boundary 1/(i xi) regime
@@ -260,37 +301,25 @@ def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
         n_osc = int(min((top - xi_c) / width, 3000.0))
         seeds = [xi_c + (k + 1) * width for k in range(n_osc)]
 
-    total = 0.0 + 0.0j
-    est = 0.0
-    for f in (i1, i2):
-        for sign in (1.0, -1.0):
-            v_, e_ = half_line(lambda u: f(sign * u), xi_c, x_cut, spec, seeds)
-            total += v_
-            est += e_
+    total, est = half_line(folded, xi_c, x_cut, spec, seeds)
 
-        # symmetric tail: the folded integrand decays like
-        # (a ln u + b)/u^2 + c/u^3 even where each half alone is O(1/u)
-        # (the kappa xi Phi^- Pbar^+ term); fit the three-term model and
-        # integrate it in closed form, with the half-scale refit as residual
-        def folded(u, f=f):
-            return f(u) + f(-u)
+    # tail: the folded integrand decays like (a ln u + b)/u^2 + c/u^3 even
+    # where each half-line alone is O(1/u) (the kappa xi Phi^- Pbar^+ term);
+    # fit the three-term model and integrate it in closed form, with the
+    # half-scale refit as residual
+    def fitted_tail(anchor):
+        us = anchor * np.array([0.5, 1.0 / math.sqrt(2.0), 1.0])
+        basis = np.column_stack([np.log(us) / us ** 2, 1.0 / us ** 2,
+                                 1.0 / us ** 3])
+        abc = np.linalg.solve(basis, folded(us))
+        return (abc[0] * (1.0 + math.log(x_cut)) / x_cut
+                + abc[1] / x_cut + abc[2] / (2.0 * x_cut ** 2))
 
-        def fitted_tail(anchor):
-            us = anchor * np.array([0.5, 1.0 / math.sqrt(2.0), 1.0])
-            basis = np.column_stack([np.log(us) / us ** 2, 1.0 / us ** 2,
-                                     1.0 / us ** 3])
-            abc = np.linalg.solve(basis.astype(complex), folded(us))
-            return (abc[0] * (1.0 + math.log(x_cut)) / x_cut
-                    + abc[1] / x_cut + abc[2] / (2.0 * x_cut ** 2))
-
-        tail = fitted_tail(x_cut)
-        tail_check = fitted_tail(0.5 * x_cut)
-        total += tail
-        est += abs(tail - tail_check)
+    tail = fitted_tail(x_cut)
+    est += abs(tail - fitted_tail(0.5 * x_cut))
 
     front = -0.5 * math.sqrt(mu0 / math.pi)
-    value = front * total
-    return float(value.real), float(abs(front) * est + abs(value.imag))
+    return float(front * (total.real + tail)), float(abs(front) * est)
 
 
 def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
@@ -315,7 +344,8 @@ def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
         delta, est = 0.0, 0.0  # a neutral inclusion leaves no boundary layer
     base = _sigma0(load, material, spec, field=field)
     return PerturbationResult(
-        delta_sigma0=delta, sign=_classify(delta, est), est_error=est,
+        delta_sigma0=delta, sign=_classify(delta, est, base.sigma0),
+        est_error=est,
         sigma0_base=base.sigma0,
         sigma0_total=base.sigma0 + inc.epsilon ** 2 * delta,
         epsilon=inc.epsilon)
@@ -344,6 +374,7 @@ def sign_map(load: CrackLoad, material: Bimaterial, d, nu_star, e, ell_a,
     solution = UnperturbedSolution(load, material, spec=spec)
     field = WeightField(material, a=load.reference_length, spec=spec,
                         kernel=solution.kernel)
+    base = _sigma0(load, material, spec, field=field).sigma0
     delta = np.empty((phi_grid.size, alpha_grid.size))
     est = np.empty_like(delta)
     for i, phi in enumerate(phi_grid):
@@ -359,7 +390,5 @@ def sign_map(load: CrackLoad, material: Bimaterial, d, nu_star, e, ell_a,
             v = M @ G
             delta[i, j] = l1 * v[0] + l2 * v[1]
             est[i, j] = abs(e1 * v[0]) + abs(e2 * v[1])
-    signs = np.where(np.abs(delta) <= est, "neutral",
-                     np.where(delta > 0, "amplifying", "shielding"))
     return SignMapResult(phi=phi_grid, alpha=alpha_grid, delta=delta,
-                         est_error=est, sign=signs)
+                         est_error=est, sign=_classify(delta, est, base))

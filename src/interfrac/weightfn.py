@@ -88,6 +88,15 @@ class WeightField:
 
 @dataclass
 class Sigma0Result:
+    """sigma0 with its error estimate.
+
+    est_error bounds the Betti quadrature (head, mid and tails of both
+    half-lines) plus the imaginary residue of the integral. It does not
+    cover the PCHIP phase table (Hhat) that the kernel factors read; until
+    that table is evaluated exactly, the estimate says nothing about it.
+    (The other PCHIP table, phi^+, enters delta_sigma0 only.)
+    """
+
     sigma0: float
     est_error: float
     integral: complex

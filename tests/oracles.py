@@ -1,9 +1,10 @@
 """Quadrature oracles used only by the tests: the adaptive principal-value
 rules for the Cauchy integral of ln Xi_* and for the Cauchy transform of the
 load right-hand side g, direct half-line Fourier transforms with explicit
-tail treatment, and the effective tractions of the boundary layer computed
-by those transforms. Each cross-checks a faster or closed-form route of the
-library."""
+tail treatment, the effective tractions of the boundary layer computed by
+those transforms, and the one-sided exponential-integral pole transforms
+with the layer transforms built from them. Each cross-checks a faster or
+closed-form route of the library."""
 
 import math
 
@@ -13,7 +14,7 @@ from interfrac.errors import DomainError, TailBoundExceeded
 from interfrac.model import Bimaterial
 from interfrac.numerics import (QuadratureSpec, _vectorized, algebraic_tail,
                                 integrate_err, oscillatory_tail)
-from interfrac.perturbation import _dy_from_v
+from interfrac.perturbation import _dy_from_v, _scaled_e1
 
 
 def pv_integral_even_logkernel(g, xi, spec):
@@ -234,3 +235,49 @@ def effective_traction_transforms(G, M, Y, material: Bimaterial, xi, spec=None):
     s_p = -0.5 * (material.mu1 + material.mu2)
     s_q = -(material.mu1 - material.mu2)
     return (s_p * t_minus, s_q * t_minus, s_p * t_plus, s_q * t_plus)
+
+
+def pole_transform_pos(q, xi):
+    """int_0^inf e^{i xi x}/(x - q) dx for complex q off [0, inf), xi != 0.
+
+    Equals e^{i xi q} E1(i xi q) continued across the E1 cut: the principal
+    branch jumps where i xi q crosses the negative real axis (xi Im q > 0 as
+    Re q changes sign), so a residue term sign(xi) 2 pi i e^{i xi q} is added
+    on the Re q > 0 side. One side per call, with its own e^z E1(z)."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    z = 1j * xi * q
+    if q.real >= 0.0 and q.imag != 0.0:
+        on_cut = z.imag == 0.0
+        if np.any(on_cut):
+            z = np.where(on_cut, z - 1j * np.sign(xi) * 1e-290, z)
+    out = _scaled_e1(z)
+    corr = (xi * q.imag > 0.0) & (q.real > 0.0)
+    if np.any(corr):
+        out[corr] += np.sign(xi[corr]) * 2j * math.pi * np.exp(1j * xi[corr] * q)
+    return out
+
+
+def layer_transforms_separate(layer, xi, plus_side):
+    """One side of a _LayerTransforms at xi, from pole_transform_pos: the
+    plus side at (q, xi) and the minus side at (-q, -xi), each with its own
+    exponential integrals."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
+    out = np.zeros(xi.shape, dtype=complex)
+    tiny = np.abs(xi) * layer.scale < 1e-9
+    out[tiny] = -layer._t_minus_0 if plus_side else layer._t_minus_0
+    live = ~tiny
+    if np.any(live):
+        w = xi[live]
+        acc = np.zeros(w.shape, dtype=complex)
+        a1, b1, a2, b2 = layer.coeffs
+        for q, alpha, beta in ((layer.poles[0], a1, b1),
+                               (layer.poles[1], a2, b2)):
+            if plus_side:
+                j = pole_transform_pos(q, w)
+                k = -1.0 / q + 1j * w * j
+            else:
+                j = -pole_transform_pos(-q, -w)
+                k = pole_transform_pos(-q, -w) * (-1j * w) + (-1.0 / (-q))
+            acc += alpha * j + beta * k
+        out[live] = acc
+    return out

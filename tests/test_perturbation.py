@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from interfrac.errors import DomainError, GeometryError
-from interfrac.model import Bimaterial, InclusionSpec, smooth_exponential
+from interfrac import perturbation
+from interfrac.model import (Bimaterial, InclusionSpec, point_triple,
+                             smooth_exponential)
 from interfrac.numerics import QuadratureSpec
 from interfrac.perturbation import (_LayerTransforms, _delta_from_v,
-                                    boundary_layer_dy, delta_sigma0,
-                                    dipole_elliptic, dipole_for, dipole_rigid,
-                                    sign_map)
+                                    _pole_transforms, boundary_layer_dy,
+                                    delta_sigma0, dipole_elliptic, dipole_for,
+                                    dipole_rigid, sign_map)
 from interfrac.unperturbed import UnperturbedSolution
 from interfrac.weightfn import WeightField, sigma0
-from oracles import effective_traction_transforms, halfline_fourier
+from oracles import (effective_traction_transforms, halfline_fourier,
+                     layer_transforms_separate, pole_transform_pos)
 
 SPEC = QuadratureSpec()
 MATERIAL = Bimaterial(3.0, 1.0, 0.25)  # mu* = 0.5, kappa* = 1 at a = 1
@@ -149,6 +152,33 @@ class TestEffectiveTractions:
             assert abs(layer.minus(xi) - tm) < 1e-10
             assert abs(layer.plus(xi) - tp) < 1e-10
 
+    SHARED_Y = [(0.0, 1.0), (0.0, -1.0), (0.4, 0.9), (0.4, -0.9), (-0.7, 1.3)]
+
+    @pytest.mark.parametrize("Y", SHARED_Y)
+    def test_shared_pole_evaluation(self, Y):
+        # one e^z E1(z) per pole and node serves both continuations; at
+        # cx = 0 every node lies on the E1 cut
+        xi = np.geomspace(1e-6, 1e4, 61)
+        xi = np.concatenate([xi, -xi])
+        p = complex(*Y)
+        for q in (p, p.conjugate()):
+            pos, neg = _pole_transforms(q, xi)
+            for got, want in ((pos, pole_transform_pos(q, xi)),
+                              (neg, pole_transform_pos(-q, -xi))):
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("Y", SHARED_Y)
+    def test_shared_layer_evaluation(self, Y):
+        # both sides from one pass, against each side from its own
+        # exponential integrals, with xi = 0 and the tiny branch included
+        layer = _LayerTransforms(np.array([0.4, -0.9]), Y)
+        xi = np.geomspace(1e-6, 1e4, 61)
+        xi = np.concatenate([xi, -xi, [0.0, 1e-12, -3e-11]])
+        minus, plus = layer.pair(xi)
+        for got, plus_side in ((minus, False), (plus, True)):
+            want = layer_transforms_separate(layer, xi, plus_side)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
 
 class TestDeltaSigma0:
     def test_linear_in_dipole(self, pipeline):
@@ -161,22 +191,46 @@ class TestDeltaSigma0:
     def test_one_jump_u_per_node(self, pipeline, monkeypatch):
         # work guard: one kernel-factor evaluation per layer-transform node
         solution, field = pipeline
-        points = {"xi0_minus": 0, "layer": 0}
+        points = self._count_points(field, monkeypatch, (0.4, 0.9))
+        assert points["xi0_minus"] <= 1.05 * points["layer"]
+
+    # xi0_minus points of one _delta_from_v that integrates both half-lines
+    XI0_POINTS_UNFOLDED = {(0.4, 0.9): 7224}
+
+    @pytest.mark.parametrize("Y", [(0.4, 0.9), (0.0, 1.0), (1.2, 0.15)])
+    def test_one_e1_per_pole_per_node(self, pipeline, monkeypatch, Y):
+        # work guard: the two layer transforms share one e^z E1(z) per pole
+        # per node, and the folded integrand visits u > 0 only
+        solution, field = pipeline
+        points = self._count_points(field, monkeypatch, Y)
+        assert points["e1"] <= 1.05 * 2 * points["xi0_minus"]
+        if Y in self.XI0_POINTS_UNFOLDED:
+            assert points["xi0_minus"] <= 0.5 * self.XI0_POINTS_UNFOLDED[Y]
+
+    @staticmethod
+    def _count_points(field, monkeypatch, Y):
+        points = {"xi0_minus": 0, "layer": 0, "e1": 0}
         xi0_minus = field.kernel.xi0_minus
-        layer_eval = _LayerTransforms._eval
+        layer_pair = _LayerTransforms.pair
+        scaled_e1 = perturbation._scaled_e1
 
         def counted_xi0(z):
             points["xi0_minus"] += np.size(z)
             return xi0_minus(z)
 
-        def counted_eval(self, xi, plus_side):
+        def counted_pair(self, xi):
             points["layer"] += np.size(xi)
-            return layer_eval(self, xi, plus_side)
+            return layer_pair(self, xi)
+
+        def counted_e1(z):
+            points["e1"] += np.size(z)
+            return scaled_e1(z)
 
         monkeypatch.setattr(field.kernel, "xi0_minus", counted_xi0)
-        monkeypatch.setattr(_LayerTransforms, "_eval", counted_eval)
-        _delta_from_v(field, MATERIAL, np.array([0.3, -0.7]), (0.4, 0.9), SPEC)
-        assert points["xi0_minus"] <= 1.05 * points["layer"]
+        monkeypatch.setattr(_LayerTransforms, "pair", counted_pair)
+        monkeypatch.setattr(perturbation, "_scaled_e1", counted_e1)
+        _delta_from_v(field, MATERIAL, np.array([0.3, -0.7]), Y, SPEC)
+        return points
 
     def test_neutral_contrast(self, pipeline):
         solution, field = pipeline
@@ -256,7 +310,9 @@ class TestDeltaSigma0:
                             ell_b=0.1, nu_star=5.0)
         r = delta_sigma0(LOAD, MATERIAL, inc, solution=solution, field=field)
         assert r.sign == ("neutral" if abs(r.delta_sigma0) <= r.est_error
-                          else ("amplifying" if r.delta_sigma0 > 0 else "shielding"))
+                          else ("amplifying"
+                                if r.sigma0_base * r.delta_sigma0 > 0
+                                else "shielding"))
         assert r.sigma0_total == pytest.approx(
             r.sigma0_base + inc.epsilon ** 2 * r.delta_sigma0, rel=1e-12)
 
@@ -281,6 +337,21 @@ class TestDeltaSigma0:
         assert soft.sign == "shielding"
         assert rigid.sign == "amplifying"
 
+    def test_label_independent_of_load_sign_and_units(self):
+        # shielding means |sigma0| falls: F -> -F flips sigma0 and delta
+        # together, and a unit of length lam scales both by positive factors
+        labels = set()
+        for F, lam in ((1.0, 1.0), (-1.0, 1.0), (1.0, 2.0), (-1.0, 2.0)):
+            inc = InclusionSpec(d=lam, phi=0.7, alpha=0.3, ell_a=0.05 * lam,
+                                ell_b=0.01 * lam, nu_star=3.0)
+            r = delta_sigma0(point_triple(F, lam, 0.75 * lam),
+                             Bimaterial(3.0, 1.0, 0.25 * lam), inc)
+            assert r.sign != "neutral"
+            assert (r.sign == "shielding") == (
+                abs(r.sigma0_total) < abs(r.sigma0_base))
+            labels.add(r.sign)
+        assert labels == {"shielding"}
+
     def test_lower_half_plane_inclusion(self, pipeline):
         solution, field = pipeline
         inc = InclusionSpec(d=1.0, phi=-math.pi / 3, alpha=0.2,
@@ -299,6 +370,18 @@ def small_map():
 
 
 class TestSignMap:
+
+    def test_labels_independent_of_load_sign_and_units(self):
+        # the soft inclusion (nu* = 3) shields, the stiff one (0.3)
+        # amplifies, whatever the load's sign or the unit of length
+        for F, lam in ((1.0, 1.0), (-1.0, 1.0), (1.0, 2.0), (-1.0, 2.0)):
+            for nu, label in ((3.0, "shielding"), (0.3, "amplifying")):
+                res = sign_map(point_triple(F, lam, 0.75 * lam),
+                               Bimaterial(3.0, 1.0, 0.25 * lam), d=lam,
+                               nu_star=nu, e=0.2, ell_a=0.05 * lam,
+                               phi_grid=[0.7, 2.0], alpha_grid=[0.3, 1.4],
+                               spec=SPEC)
+                assert np.all(res.sign == label), (F, lam, nu, res.sign)
 
     def test_alpha_periodicity(self, small_map):
         assert np.allclose(small_map.delta[:, 0], small_map.delta[:, 1],

@@ -14,85 +14,87 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, InterfracError
-from .model import (Bimaterial, InclusionSpec, derive_params, point_triple,
-                    smooth_exponential)
+from .model import Bimaterial, derive_params, point_triple, smooth_exponential
 from .numerics import QuadratureSpec
+# delta_sigma0 has no caller here; perfbench/tracer.py patches it by name
 from .perturbation import delta_sigma0, sign_map
 from .weightfn import ratio_r, sigma0
 
 _LOAD_KINDS = ("point-triple", "smooth-exponential")
 
 
-def _need(table, key, kind, path):
+def _section(cfg, name, default):
+    """The config table cfg[name], or `default` when it is absent."""
+    table = cfg.get(name, default)
+    if not isinstance(table, dict):
+        raise ConfigError(f"config key {name} must be a JSON object")
+    return table
+
+
+def _number(table, path, key, default=None):
+    """table[key] as a float; it must be a finite JSON number. An absent key
+    gives `default`, or an error when there is none."""
     if key not in table:
-        raise ConfigError(f"missing config key {path}.{key}")
+        if default is None:
+            raise ConfigError(f"missing config key {path}.{key}")
+        return float(default)
     value = table[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"config key {path}.{key} must be a number")
-        return float(value)
-    return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {path}.{key} must be a number")
+    try:
+        out = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"config key {path}.{key} must be finite")
+    return out
 
 
 def _parse_material(cfg):
-    t = cfg.get("material", {"mu1": 1.0, "mu2": 1.0, "kappa": 0.5})
-    mu1 = _need(t, "mu1", float, "material")
-    mu2 = _need(t, "mu2", float, "material")
-    kappa = _need(t, "kappa", float, "material")
+    t = _section(cfg, "material", {"mu1": 1.0, "mu2": 1.0, "kappa": 0.5})
+    mu1 = _number(t, "material", "mu1")
+    mu2 = _number(t, "material", "mu2")
+    kappa = _number(t, "material", "kappa")
     if mu1 <= 0:
         raise ConfigError("material.mu1 must be positive")
     if mu2 <= 0:
         raise ConfigError("material.mu2 must be positive")
     if kappa <= 0:
         raise ConfigError("material.kappa must be positive")
-    return Bimaterial(mu1=mu1, mu2=mu2, kappa=kappa)
+    material = Bimaterial(mu1=mu1, mu2=mu2, kappa=kappa)
+    # the product test comes first: it underflows to 0 where mu0 would
+    # divide by zero
+    if not (mu1 * mu2 * kappa > 0 and 0 < material.mu0 < math.inf):
+        raise ConfigError("material gives no finite positive "
+                          "mu0 = (mu1 + mu2)/(mu1 mu2 kappa)")
+    return material
 
 
 def _parse_load(cfg):
-    t = cfg.get("load", {"kind": "smooth-exponential"})
+    t = _section(cfg, "load", {"kind": "smooth-exponential"})
     kind = t.get("kind", "point-triple")
     if kind not in _LOAD_KINDS:
         raise ConfigError(f"load.kind must be one of {_LOAD_KINDS}, got {kind!r}")
     if kind == "point-triple":
-        F = float(t.get("F", 1.0))
-        a = _need(t, "a", float, "load")
-        b = _need(t, "b", float, "load")
+        F = _number(t, "load", "F", 1.0)
+        a = _number(t, "load", "a")
+        b = _number(t, "load", "b")
         if not (0 < b < a):
             raise ConfigError("load requires 0 < b < a")
         return point_triple(F, a, b)
-    return smooth_exponential(reference_length=float(t.get("a", 1.0)))
-
-
-def _parse_inclusion(cfg):
-    t = cfg.get("inclusion")
-    if t is None:
-        return None
-    d = _need(t, "d", float, "inclusion")
-    phi = _need(t, "phi", float, "inclusion")
-    alpha = float(t.get("alpha", 0.0))
-    ell_a = _need(t, "ell_a", float, "inclusion")
-    ell_b = _need(t, "ell_b", float, "inclusion")
-    rigid = bool(t.get("rigid", False))
-    nu_star = t.get("nu_star")
-    if not rigid and nu_star is None:
-        raise ConfigError("inclusion needs nu_star (or rigid: true)")
-    try:
-        return InclusionSpec(d=d, phi=phi, alpha=alpha, ell_a=ell_a,
-                             ell_b=ell_b,
-                             nu_star=None if rigid else float(nu_star),
-                             rigid=rigid)
-    except InterfracError as exc:
-        raise ConfigError(f"inclusion: {exc}") from exc
+    return smooth_exponential(reference_length=_number(t, "load", "a", 1.0))
 
 
 def _parse_numerics(cfg):
-    t = cfg.get("numerics", {})
+    t = _section(cfg, "numerics", {})
+    rel_tol = _number(t, "numerics", "rel_tol", 1e-8)
+    abs_tol = _number(t, "numerics", "abs_tol", 1e-12)
+    max_subdivisions = int(_number(t, "numerics", "max_subdivisions", 4000))
+    truncation_radius = _number(t, "numerics", "truncation_radius", 1e4)
     try:
-        return QuadratureSpec(
-            rel_tol=float(t.get("rel_tol", 1e-8)),
-            abs_tol=float(t.get("abs_tol", 1e-12)),
-            max_subdivisions=int(t.get("max_subdivisions", 4000)),
-            truncation_radius=float(t.get("truncation_radius", 1e4)))
+        return QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
+                              max_subdivisions=max_subdivisions,
+                              truncation_radius=truncation_radius)
     except InterfracError as exc:
         raise ConfigError(f"numerics: {exc}") from exc
 
@@ -102,11 +104,14 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _open_out(path):
@@ -211,12 +216,14 @@ def cmd_ratio(args):
     cfg = _load_config(args.config)
     load = _parse_load(cfg)
     spec = _parse_numerics(cfg)
-    rcfg = cfg.get("ratio", {})
-    mu_star_1 = float(rcfg.get("mu_star_1", 0.0))
-    mu_star_2 = args.mu_star_2 if args.mu_star_2 is not None else rcfg.get("mu_star_2")
-    if mu_star_2 is None:
+    rcfg = _section(cfg, "ratio", {})
+    mu_star_1 = _number(rcfg, "ratio", "mu_star_1", 0.0)
+    if args.mu_star_2 is not None:
+        mu_star_2 = args.mu_star_2
+    elif "mu_star_2" in rcfg:
+        mu_star_2 = _number(rcfg, "ratio", "mu_star_2")
+    else:
         raise ConfigError("ratio needs mu_star_2 (config ratio.mu_star_2 or --mu-star-2)")
-    mu_star_2 = float(mu_star_2)
     for name, ms in (("mu_star_1", mu_star_1), ("mu_star_2", mu_star_2)):
         if not -1.0 < ms < 1.0:
             raise ConfigError(f"ratio.{name} must lie in (-1, 1)")
@@ -236,11 +243,11 @@ def cmd_map(args):
     material = _parse_material(cfg)
     load = _parse_load(cfg)
     spec = _parse_numerics(cfg)
-    inc = cfg.get("inclusion", {})
-    d = float(inc.get("d", 1.0))
-    nu_star = float(inc.get("nu_star", 5.0))
-    ell_a = float(inc.get("ell_a", 0.1 * d))
-    ell_b = float(inc.get("ell_b", ell_a * 0.5))
+    inc = _section(cfg, "inclusion", {})
+    d = _number(inc, "inclusion", "d", 1.0)
+    nu_star = _number(inc, "inclusion", "nu_star", 5.0)
+    ell_a = _number(inc, "inclusion", "ell_a", 0.1 * d)
+    ell_b = _number(inc, "inclusion", "ell_b", ell_a * 0.5)
     rigid = bool(inc.get("rigid", False))
     if d <= 0 or ell_a <= 0 or not ell_b <= ell_a:
         raise ConfigError("inclusion map needs d > 0 and ell_a >= ell_b > 0")

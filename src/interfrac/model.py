@@ -220,10 +220,6 @@ class InclusionSpec:
     def epsilon(self):
         return self.ell_a / self.d
 
-    @property
-    def eccentricity_ratio(self):
-        return self.ell_b / self.ell_a
-
 
 def inclusion_centre(s: InclusionSpec):
     """Centre Y = (d cos phi, d sin phi)."""

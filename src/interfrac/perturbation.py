@@ -327,7 +327,8 @@ def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
                  min_angle_deg=5.0) -> PerturbationResult:
     """First-order crack-tip traction change eps^2 * delta_sigma0 induced by
     the inclusion; sign classified against the error-estimate neutrality
-    band."""
+    band. sigma0_base is computed once per field, load and spec: pass one
+    prebuilt solution and field to a run of calls over many inclusions."""
     spec = spec or QuadratureSpec()
     if solution is None:
         solution = UnperturbedSolution(load, material, spec=spec)
@@ -342,12 +343,20 @@ def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
         delta, est = _delta_from_v(field, material, v, Y, spec)
     else:
         delta, est = 0.0, 0.0  # a neutral inclusion leaves no boundary layer
-    base = _sigma0(load, material, spec, field=field)
+    # sigma0 depends on the load and the material, not on the inclusion, so
+    # calls that share a field share it; CrackLoad and QuadratureSpec are
+    # frozen, so any other load or spec misses and is computed afresh
+    memo = field.sigma0_memo
+    if memo is not None and memo[0] == load and memo[1] == spec:
+        base = memo[2]
+    else:
+        base = _sigma0(load, material, spec, field=field).sigma0
+        field.sigma0_memo = (load, spec, base)
     return PerturbationResult(
-        delta_sigma0=delta, sign=_classify(delta, est, base.sigma0),
+        delta_sigma0=delta, sign=_classify(delta, est, base),
         est_error=est,
-        sigma0_base=base.sigma0,
-        sigma0_total=base.sigma0 + inc.epsilon ** 2 * delta,
+        sigma0_base=base,
+        sigma0_total=base + inc.epsilon ** 2 * delta,
         epsilon=inc.epsilon)
 
 

@@ -36,7 +36,11 @@ from .numerics import (QuadratureSpec, SpectralSample, half_line,
 
 
 class WeightField:
-    """Weight-function transforms for one material/reference-length pair."""
+    """Weight-function transforms for one material/reference-length pair.
+
+    sigma0_memo is the (load, spec, sigma0) of the last sigma0 that
+    perturbation.delta_sigma0 computed on this field, or None; it is
+    replaced whole, in one assignment."""
 
     normalization = 1.0  # the weight function is defined up to this scalar
 
@@ -47,6 +51,7 @@ class WeightField:
         self.kernel = kernel or KernelFactors(self.params.mu0)
         self.kappa = material.kappa
         self.mu_star = self.params.mu_star
+        self.sigma0_memo = None
 
     def phi_minus(self, xi):
         """Transform of the weight-function interface tractions (minus fn)."""
@@ -168,9 +173,16 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
 def sigma0(load: CrackLoad, material: Bimaterial, spec=None, *, field=None,
            profile=False) -> Sigma0Result:
     """Crack-tip traction constant of the unperturbed problem via the Betti
-    identity. Both half-lines are integrated independently, so the imaginary
-    residue of the result is a genuine symmetry diagnostic (folded into
-    est_error)."""
+    identity.
+
+    Both half-lines are integrated, but they carry no independent check:
+    [U] and the load transforms are transforms of real functions, so the
+    negative half-line comes out as the exact conjugate of the positive one
+    (neg == conj(pos) and e_neg == e_pos, bitwise) and integral.imag is
+    exactly 0.0; the |Im| term in est_error adds nothing. Folding onto one
+    half-line, as delta_sigma0 does, would halve the work. It waits on a
+    benchmark change, because perfbench/test_tracer.py hand-counts the
+    integrate_err and tail calls of both half-lines."""
     load.check_self_balance()
     spec = spec or QuadratureSpec()
     if field is None:

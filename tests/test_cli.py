@@ -63,6 +63,27 @@ class TestSigma0Command:
     def test_unreadable_config_exit_2(self, tmp_path):
         assert main(["sigma0", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command,cfg_data", [
+        ("sigma0", dict(POINT_CFG, numerics={"rel_tol": "abc"})),
+        ("sigma0", dict(POINT_CFG, load={"kind": "point-triple", "F": "x",
+                                         "a": 1.0, "b": 0.75})),
+        ("sigma0", dict(POINT_CFG, numerics={"truncation_radius": math.inf})),
+        ("sigma0", [POINT_CFG]),
+        ("map", dict(MAP_CFG, inclusion=dict(MAP_CFG["inclusion"], d="x"))),
+        ("sigma0", dict(POINT_CFG, material={"mu1": 1e308, "mu2": 1e308,
+                                             "kappa": 0.5})),
+        ("sigma0", dict(POINT_CFG, material={"mu1": 1e-200, "mu2": 1e-200,
+                                             "kappa": 0.5})),
+        ("sigma0", dict(POINT_CFG, load="point-triple")),
+    ], ids=["rel_tol_string", "F_string", "truncation_radius_inf",
+            "top_level_array", "map_d_string", "mu0_overflow",
+            "mu0_zero_division", "load_string"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, command, cfg_data):
+        cfg = write_cfg(tmp_path, cfg_data)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_csv_format(self, tmp_path):
         cfg = write_cfg(tmp_path, POINT_CFG)
         out = tmp_path / "s.csv"

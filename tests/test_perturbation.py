@@ -352,6 +352,88 @@ class TestDeltaSigma0:
             labels.add(r.sign)
         assert labels == {"shielding"}
 
+    @staticmethod
+    def _count_sigma0(monkeypatch):
+        """Loads passed to perturbation._sigma0 from now on."""
+        loads = []
+        real = perturbation._sigma0
+
+        def counting(load, *args, **kwargs):
+            loads.append(load)
+            return real(load, *args, **kwargs)
+
+        monkeypatch.setattr(perturbation, "_sigma0", counting)
+        return loads
+
+    WARM_INCLUSIONS = (
+        InclusionSpec(d=1.0, phi=0.7, alpha=0.3, ell_a=0.2, ell_b=0.1,
+                      nu_star=5.0),
+        InclusionSpec(d=1.4, phi=-2.1, alpha=1.1, ell_a=0.1, ell_b=0.08,
+                      nu_star=0.3),
+        InclusionSpec(d=0.9, phi=math.pi / 2, alpha=0.0, ell_a=0.2,
+                      ell_b=0.05, rigid=True),
+    )
+
+    def test_sigma0_base_once_per_field_load_and_spec(self, pipeline,
+                                                      monkeypatch):
+        # work guard: sigma0 does not depend on the inclusion, so a repeat
+        # call on the same field, load and spec does not recompute it
+        solution, _ = pipeline
+        field = WeightField(MATERIAL, a=1.0, spec=SPEC, kernel=solution.kernel)
+        loads = self._count_sigma0(monkeypatch)
+        first, *rest = self.WARM_INCLUSIONS
+        delta_sigma0(LOAD, MATERIAL, first, spec=SPEC, solution=solution,
+                     field=field)
+        assert len(loads) == 1
+        for inc in (first,) + tuple(rest):
+            delta_sigma0(LOAD, MATERIAL, inc, spec=QuadratureSpec(),
+                         solution=solution, field=field)
+        assert len(loads) == 1
+
+    def test_shared_field_matches_fresh_field_bitwise(self, pipeline,
+                                                      monkeypatch):
+        solution, _ = pipeline
+        shared = WeightField(MATERIAL, a=1.0, spec=SPEC, kernel=solution.kernel)
+        loads = self._count_sigma0(monkeypatch)
+        for inc in self.WARM_INCLUSIONS:
+            warm = delta_sigma0(LOAD, MATERIAL, inc, spec=SPEC,
+                                solution=solution, field=shared)
+            fresh = delta_sigma0(
+                LOAD, MATERIAL, inc, spec=SPEC, solution=solution,
+                field=WeightField(MATERIAL, a=1.0, spec=SPEC,
+                                  kernel=solution.kernel))
+            assert (warm.delta_sigma0, warm.sigma0_base, warm.sigma0_total,
+                    warm.est_error, warm.sign) == (
+                fresh.delta_sigma0, fresh.sigma0_base, fresh.sigma0_total,
+                fresh.est_error, fresh.sign)
+        # one miss on the shared field, one on each fresh one
+        assert len(loads) == 1 + len(self.WARM_INCLUSIONS)
+
+    def test_sigma0_base_recomputed_for_a_new_load_or_spec(self, monkeypatch):
+        # F -> -F and a second spec on one field: each call changes one of
+        # the two from the call before, so each must miss; the labels follow
+        # test_label_independent_of_load_sign_and_units
+        material = Bimaterial(3.0, 1.0, 0.25)
+        inc = InclusionSpec(d=1.0, phi=0.7, alpha=0.3, ell_a=0.05,
+                            ell_b=0.01, nu_star=3.0)
+        loads = {F: point_triple(F, 1.0, 0.75) for F in (1.0, -1.0)}
+        field = WeightField(material, a=1.0)
+        solutions = {F: UnperturbedSolution(load, material, kernel=field.kernel)
+                     for F, load in loads.items()}
+        spec_a, spec_b = QuadratureSpec(), QuadratureSpec(rel_tol=1e-9)
+        seen = self._count_sigma0(monkeypatch)
+        order = ((spec_a, 1.0), (spec_b, 1.0), (spec_b, -1.0), (spec_a, -1.0),
+                 (spec_a, 1.0))
+        for n, (spec, F) in enumerate(order, start=1):
+            r = delta_sigma0(loads[F], material, inc, spec=spec,
+                             solution=solutions[F], field=field)
+            assert len(seen) == n and seen[-1] is loads[F]
+            assert r.sigma0_base == sigma0(loads[F], material, spec,
+                                           field=field).sigma0
+            assert math.copysign(1.0, r.sigma0_base) == F
+            assert r.sign == "shielding"
+            assert abs(r.sigma0_total) < abs(r.sigma0_base)
+
     def test_lower_half_plane_inclusion(self, pipeline):
         solution, field = pipeline
         inc = InclusionSpec(d=1.0, phi=-math.pi / 3, alpha=0.2,

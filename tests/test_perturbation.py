@@ -381,11 +381,10 @@ class TestDeltaSigma0:
         solution, _ = pipeline
         field = WeightField(MATERIAL, a=1.0, spec=SPEC, kernel=solution.kernel)
         loads = self._count_sigma0(monkeypatch)
-        first, *rest = self.WARM_INCLUSIONS
-        delta_sigma0(LOAD, MATERIAL, first, spec=SPEC, solution=solution,
-                     field=field)
+        delta_sigma0(LOAD, MATERIAL, self.WARM_INCLUSIONS[0], spec=SPEC,
+                     solution=solution, field=field)
         assert len(loads) == 1
-        for inc in (first,) + tuple(rest):
+        for inc in self.WARM_INCLUSIONS:
             delta_sigma0(LOAD, MATERIAL, inc, spec=QuadratureSpec(),
                          solution=solution, field=field)
         assert len(loads) == 1

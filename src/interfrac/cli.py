@@ -10,17 +10,29 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, InterfracError
-from .model import Bimaterial, derive_params, point_triple, smooth_exponential
+from .errors import ConfigError, DomainError, InterfracError
+from .model import (Bimaterial, InclusionSpec, bimaterial_from_dimensionless,
+                    derive_params, point_triple, smooth_exponential)
 from .numerics import QuadratureSpec
 # delta_sigma0 has no caller here; perfbench/tracer.py patches it by name
 from .perturbation import delta_sigma0, sign_map
 from .weightfn import ratio_r, sigma0
 
 _LOAD_KINDS = ("point-triple", "smooth-exponential")
+
+
+@contextmanager
+def _building():
+    """Turns a DomainError raised by the constructors that own the range
+    rules into a ConfigError (exit 2); one raised by a solve stays exit 3."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _section(cfg, name, default):
@@ -50,24 +62,20 @@ def _number(table, path, key, default=None):
     return out
 
 
+def _boolean(table, path, key, default):
+    """table[key]; it must be a JSON boolean. An absent key gives `default`."""
+    value = table.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {path}.{key} must be true or false")
+    return value
+
+
 def _parse_material(cfg):
     t = _section(cfg, "material", {"mu1": 1.0, "mu2": 1.0, "kappa": 0.5})
     mu1 = _number(t, "material", "mu1")
     mu2 = _number(t, "material", "mu2")
     kappa = _number(t, "material", "kappa")
-    if mu1 <= 0:
-        raise ConfigError("material.mu1 must be positive")
-    if mu2 <= 0:
-        raise ConfigError("material.mu2 must be positive")
-    if kappa <= 0:
-        raise ConfigError("material.kappa must be positive")
-    material = Bimaterial(mu1=mu1, mu2=mu2, kappa=kappa)
-    # the product test comes first: it underflows to 0 where mu0 would
-    # divide by zero
-    if not (mu1 * mu2 * kappa > 0 and 0 < material.mu0 < math.inf):
-        raise ConfigError("material gives no finite positive "
-                          "mu0 = (mu1 + mu2)/(mu1 mu2 kappa)")
-    return material
+    return Bimaterial(mu1=mu1, mu2=mu2, kappa=kappa)
 
 
 def _parse_load(cfg):
@@ -79,8 +87,6 @@ def _parse_load(cfg):
         F = _number(t, "load", "F", 1.0)
         a = _number(t, "load", "a")
         b = _number(t, "load", "b")
-        if not (0 < b < a):
-            raise ConfigError("load requires 0 < b < a")
         return point_triple(F, a, b)
     return smooth_exponential(reference_length=_number(t, "load", "a", 1.0))
 
@@ -91,17 +97,12 @@ def _parse_numerics(cfg):
     abs_tol = _number(t, "numerics", "abs_tol", 1e-12)
     max_subdivisions = int(_number(t, "numerics", "max_subdivisions", 4000))
     truncation_radius = _number(t, "numerics", "truncation_radius", 1e4)
-    try:
-        return QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
-                              max_subdivisions=max_subdivisions,
-                              truncation_radius=truncation_radius)
-    except InterfracError as exc:
-        raise ConfigError(f"numerics: {exc}") from exc
+    return QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
+                          max_subdivisions=max_subdivisions,
+                          truncation_radius=truncation_radius)
 
 
 def _load_config(path):
-    if path is None:
-        return {}
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -114,22 +115,28 @@ def _load_config(path):
     return cfg
 
 
+def _read_run(path):
+    """The config at path and the material, load and numerics it gives."""
+    cfg = _load_config(path)
+    with _building():
+        return cfg, _parse_material(cfg), _parse_load(cfg), _parse_numerics(cfg)
+
+
+@contextmanager
 def _open_out(path):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def _write_csv(path, meta, header, rows):
-    fh, close = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(c) for c in row) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _fmt(cell):
@@ -139,10 +146,7 @@ def _fmt(cell):
 
 
 def cmd_sigma0(args):
-    cfg = _load_config(args.config)
-    material = _parse_material(cfg)
-    load = _parse_load(cfg)
-    spec = _parse_numerics(cfg)
+    cfg, material, load, spec = _read_run(args.config)
     params = derive_params(material, load.reference_length)
     result = sigma0(load, material, spec)
     payload = {
@@ -159,19 +163,13 @@ def cmd_sigma0(args):
                    [(params.kappa_star, params.mu_star, params.mu0,
                      result.sigma0, result.est_error)])
         return 0
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def _sweep_values(args):
-    if args.points < 1:
-        raise ConfigError("--points must be >= 1")
     if not args.from_value < args.to_value and args.points > 1:
         raise ConfigError("--from must be below --to")
     if args.log:
@@ -182,24 +180,19 @@ def _sweep_values(args):
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args.config)
-    material = _parse_material(cfg)
-    load = _parse_load(cfg)
-    spec = _parse_numerics(cfg)
+    cfg, material, load, spec = _read_run(args.config)
     a = load.reference_length
-    grid = _sweep_values(args)
     mu_sum = material.mu1 + material.mu2
-    rows = []
-    for value in grid:
+    with _building():
         if args.axis == "kappa_star":
-            if value <= 0:
-                raise ConfigError("kappa_star values must be positive")
-            m = Bimaterial(material.mu1, material.mu2, value * a / mu_sum)
+            grid = [Bimaterial(material.mu1, material.mu2, value * a / mu_sum)
+                    for value in _sweep_values(args)]
         else:
-            if not -1.0 < value < 1.0:
-                raise ConfigError("mu_star values must lie in (-1, 1)")
-            m = Bimaterial(0.5 * mu_sum * (1.0 + value),
-                           0.5 * mu_sum * (1.0 - value), material.kappa)
+            grid = [Bimaterial(0.5 * mu_sum * (1.0 + value),
+                               0.5 * mu_sum * (1.0 - value), material.kappa)
+                    for value in _sweep_values(args)]
+    rows = []
+    for m in grid:
         params = derive_params(m, a)
         result = sigma0(load, m, spec)
         rows.append((params.kappa_star, params.mu_star,
@@ -213,9 +206,7 @@ def cmd_sweep(args):
 
 
 def cmd_ratio(args):
-    cfg = _load_config(args.config)
-    load = _parse_load(cfg)
-    spec = _parse_numerics(cfg)
+    cfg, _, load, spec = _read_run(args.config)
     rcfg = _section(cfg, "ratio", {})
     mu_star_1 = _number(rcfg, "ratio", "mu_star_1", 0.0)
     if args.mu_star_2 is not None:
@@ -227,11 +218,14 @@ def cmd_ratio(args):
     for name, ms in (("mu_star_1", mu_star_1), ("mu_star_2", mu_star_2)):
         if not -1.0 < ms < 1.0:
             raise ConfigError(f"ratio.{name} must lie in (-1, 1)")
-    rows = []
-    for value in _sweep_values(args):
-        if value <= 0:
-            raise ConfigError("kappa_star values must be positive")
-        rows.append((value, ratio_r(value, mu_star_1, mu_star_2, load, spec)))
+    grid = _sweep_values(args)
+    # both pairs of ratio_r share the compliance and mu0 = 2/kappa of the
+    # mu_star = 0 material, so it meets each kappa_star's rules first
+    with _building():
+        for value in grid:
+            bimaterial_from_dimensionless(0.0, value, load.reference_length)
+    rows = [(value, ratio_r(value, mu_star_1, mu_star_2, load, spec))
+            for value in grid]
     meta = {"command": "ratio", "mu_star_1": mu_star_1, "mu_star_2": mu_star_2,
             "log": bool(args.log), "config": cfg}
     _write_csv(args.out, meta, ("kappa_star", "r"), rows)
@@ -239,29 +233,25 @@ def cmd_ratio(args):
 
 
 def cmd_map(args):
-    cfg = _load_config(args.config)
-    material = _parse_material(cfg)
-    load = _parse_load(cfg)
-    spec = _parse_numerics(cfg)
-    inc = _section(cfg, "inclusion", {})
-    d = _number(inc, "inclusion", "d", 1.0)
-    nu_star = _number(inc, "inclusion", "nu_star", 5.0)
-    ell_a = _number(inc, "inclusion", "ell_a", 0.1 * d)
-    ell_b = _number(inc, "inclusion", "ell_b", ell_a * 0.5)
-    rigid = bool(inc.get("rigid", False))
-    if d <= 0 or ell_a <= 0 or not ell_b <= ell_a:
-        raise ConfigError("inclusion map needs d > 0 and ell_a >= ell_b > 0")
-    e = ell_b / ell_a
+    cfg, material, load, spec = _read_run(args.config)
+    t = _section(cfg, "inclusion", {})
+    d = _number(t, "inclusion", "d", 1.0)
+    nu_star = _number(t, "inclusion", "nu_star", 5.0)
+    ell_a = _number(t, "inclusion", "ell_a", 0.1 * d)
+    ell_b = _number(t, "inclusion", "ell_b", ell_a * 0.5)
+    rigid = _boolean(t, "inclusion", "rigid", False)
     phi = np.linspace(math.radians(5.0), math.radians(175.0), args.phi_steps)
     alpha = np.linspace(0.0, math.pi, args.alpha_steps, endpoint=False)
-    result = sign_map(load, material, d, nu_star, e, ell_a, phi, alpha,
-                      spec=spec, rigid=rigid)
+    with _building():
+        inc = InclusionSpec(d=d, phi=phi[0], alpha=alpha[0], ell_a=ell_a,
+                            ell_b=ell_b, nu_star=nu_star, rigid=rigid)
+    result = sign_map(load, material, inc, phi, alpha, spec=spec)
     rows = []
     for i, p in enumerate(result.phi):
         for j, al in enumerate(result.alpha):
             rows.append((math.degrees(p), math.degrees(al),
                          result.delta[i, j], str(result.sign[i, j])))
-    meta = {"command": "map", "d": d, "nu_star": nu_star, "e": e,
+    meta = {"command": "map", "d": d, "nu_star": nu_star, "e": ell_b / ell_a,
             "ell_a": ell_a, "rigid": rigid, "config": cfg}
     _write_csv(args.out, meta, ("phi_deg", "alpha_deg", "delta_sigma0",
                                 "sign"), rows)
@@ -282,10 +272,8 @@ def cmd_residual(args):
     """Factorization-identity diagnostic |pi mu0 B+ B-/Xi - 1| on a log grid."""
     from .kernel import KernelFactors
 
-    cfg = _load_config(args.config)
-    material = _parse_material(cfg)
-    load = _parse_load(cfg)
-    kernel = KernelFactors(derive_params(material, load.reference_length).mu0)
+    cfg, material, _, _ = _read_run(args.config)
+    kernel = KernelFactors(material.mu0)
     half = np.geomspace(1e-3 * kernel.mu0, 1e3 * kernel.mu0, max(2, args.points // 2))
     grid = np.concatenate([-half[::-1], half])
     res = kernel.factorization_residual(grid)
@@ -299,10 +287,7 @@ def cmd_field(args):
     """Unperturbed displacement and gradient samples off the interface."""
     from .unperturbed import UnperturbedSolution
 
-    cfg = _load_config(args.config)
-    material = _parse_material(cfg)
-    load = _parse_load(cfg)
-    spec = _parse_numerics(cfg)
+    cfg, material, load, spec = _read_run(args.config)
     solution = UnperturbedSolution(load, material, spec=spec)
     rows = []
     for spec_at in args.at:
@@ -377,15 +362,28 @@ def build_parser():
     return parser
 
 
+def _check_flags(args):
+    """Every count flag must be at least 1, and --min-angle lie in [0, 180)."""
+    for name in ("points", "phi_steps", "alpha_steps"):
+        if getattr(args, name, 1) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1")
+    if not 0.0 <= getattr(args, "min_angle", 0.0) < 180.0:
+        raise ConfigError("--min-angle must lie in [0, 180) degrees")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _check_flags(args)
+        # numpy's overflow warnings would add lines; NonFiniteSample reports
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except InterfracError as exc:
+    # Python float arithmetic raises OverflowError where numpy gives inf
+    except (ArithmeticError, InterfracError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -29,6 +29,11 @@ class Bimaterial:
             raise DomainError("shear moduli mu1, mu2 must be positive")
         if not self.kappa > 0:
             raise DomainError("interface compliance kappa must be positive")
+        # the product test comes first: it underflows to 0 where mu0 would
+        # divide by zero
+        if not (self.mu1 * self.mu2 * self.kappa > 0 and 0 < self.mu0 < math.inf):
+            raise DomainError("material gives no finite positive "
+                              "mu0 = (mu1 + mu2)/(mu1 mu2 kappa)")
 
     @property
     def mu0(self):
@@ -60,11 +65,8 @@ def derive_params(m: Bimaterial, a: float) -> DerivedParams:
 
 def bimaterial_from_dimensionless(mu_star, kappa_star, a=1.0, mu_sum=2.0):
     """Bimaterial with the requested (mu*, kappa*) at reference length a,
-    normalised so mu1 + mu2 = mu_sum."""
-    if not -1.0 < mu_star < 1.0:
-        raise DomainError("mu_star must lie in (-1, 1)")
-    if not kappa_star > 0:
-        raise DomainError("kappa_star must be positive")
+    normalised so mu1 + mu2 = mu_sum. Bimaterial rejects a mu_star outside
+    (-1, 1) and a kappa_star that is not positive."""
     mu1 = 0.5 * mu_sum * (1.0 + mu_star)
     mu2 = 0.5 * mu_sum * (1.0 - mu_star)
     return Bimaterial(mu1=mu1, mu2=mu2, kappa=kappa_star * a / mu_sum)
@@ -120,6 +122,10 @@ class CrackLoad:
     phase_scale: float = 1.0
     x_avg: Optional[Callable] = None
     x_jump: Optional[Callable] = None
+
+    def __post_init__(self):
+        if not 0 < self.reference_length < math.inf:
+            raise DomainError("reference length a must be positive and finite")
 
     def transforms(self, xi):
         return self.transform_avg(xi), self.transform_jump(xi)

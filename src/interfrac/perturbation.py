@@ -26,7 +26,7 @@ closed with a log-augmented algebraic fit integrated exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -369,17 +369,17 @@ class SignMapResult:
     sign: np.ndarray  # strings: shielding | neutral | amplifying
 
 
-def sign_map(load: CrackLoad, material: Bimaterial, d, nu_star, e, ell_a,
-             phi_grid, alpha_grid, spec=None, rigid=False,
+def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
+             phi_grid, alpha_grid, spec=None,
              min_angle_deg=5.0) -> SignMapResult:
-    """delta_sigma0 sign over a (phi, alpha) grid at fixed distance and shape.
+    """delta_sigma0 sign over a (phi, alpha) grid for the inclusion inc; the
+    grids replace inc.phi and inc.alpha, its distance and shape stay.
 
     The pipeline is linear in v = M G: per phi the two basis responses
     (v = e1, e2) are integrated once and every alpha is a dot product."""
     spec = spec or QuadratureSpec()
     phi_grid = np.asarray(phi_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    ell_b = e * ell_a
     solution = UnperturbedSolution(load, material, spec=spec)
     field = WeightField(material, a=load.reference_length, spec=spec,
                         kernel=solution.kernel)
@@ -387,16 +387,13 @@ def sign_map(load: CrackLoad, material: Bimaterial, d, nu_star, e, ell_a,
     delta = np.empty((phi_grid.size, alpha_grid.size))
     est = np.empty_like(delta)
     for i, phi in enumerate(phi_grid):
-        Y = (d * math.cos(phi), d * math.sin(phi))
+        at = replace(inc, phi=phi)
+        Y = inclusion_centre(at)
         G = np.asarray(solution.grad_u0(Y, min_angle_deg=min_angle_deg))
         l1, e1 = _delta_from_v(field, material, np.array([1.0, 0.0]), Y, spec)
         l2, e2 = _delta_from_v(field, material, np.array([0.0, 1.0]), Y, spec)
         for j, alpha in enumerate(alpha_grid):
-            if rigid:
-                M = dipole_rigid(ell_a, ell_b, alpha)
-            else:
-                M = dipole_elliptic(ell_a, ell_b, alpha, nu_star)
-            v = M @ G
+            v = dipole_for(replace(at, alpha=alpha)) @ G
             delta[i, j] = l1 * v[0] + l2 * v[1]
             est[i, j] = abs(e1 * v[0]) + abs(e2 * v[1])
     return SignMapResult(phi=phi_grid, alpha=alpha_grid, delta=delta,

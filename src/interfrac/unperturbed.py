@@ -369,7 +369,8 @@ class UnperturbedSolution:
         if yy == 0.0:
             raise GeometryError("field evaluation requires |y| > 0 (off the interface)")
         angle = math.atan2(yy, yx)
-        if abs(angle) < math.radians(min_angle_deg):
+        # atan2 of (d cos g, d sin g) can come back an ulp below the guard g
+        if abs(angle) < math.radians(min_angle_deg) * (1.0 - 1e-12):
             raise GeometryError(
                 f"position angle {math.degrees(angle):.2f} deg below the "
                 f"{min_angle_deg} deg guard near the intact interface")

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedLoad
+from .errors import UnsupportedLoad
 from .kernel import KernelFactors, xi_minus_half, xi_plus_half
 from .model import Bimaterial, CrackLoad, derive_params
 from .numerics import (QuadratureSpec, SpectralSample, half_line,
@@ -242,9 +242,8 @@ def ratio_r(kappa_star, mu_star_1, mu_star_2, load: CrackLoad, spec=None):
     sigma0 -> sqrt(mu0/pi) * (K-moment) as the interface becomes perfect,
     matched mu0 is the one normalisation under which r -> 1; with any other
     pairing mu0 differs between pairs (mu0 kappa_star a = 4/(1-mu_*^2)
-    identically) and r -> sqrt((1-mu_*2^2)/(1-mu_*1^2)) instead."""
-    if not kappa_star > 0:
-        raise DomainError("kappa_star must be positive")
+    identically) and r -> sqrt((1-mu_*2^2)/(1-mu_*1^2)) instead. Bimaterial
+    rejects a kappa_star that is not positive."""
     a = load.reference_length
     kappa = kappa_star * a / 2.0
 

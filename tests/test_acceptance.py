@@ -232,7 +232,9 @@ def test_criterion_09_perturbation_invariants(smooth_pipeline):
                            solution=solution, field=field).delta_sigma0
     flip_ok = abs(flipped + circle[0]) <= 1e-8 * abs(circle[0])
 
-    res = sign_map(load, material, d=1.0, nu_star=5.0, e=0.5, ell_a=0.2,
+    res = sign_map(load, material,
+                   InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0, ell_a=0.2,
+                                 ell_b=0.1, nu_star=5.0),
                    phi_grid=np.radians([40.0, 140.0]),
                    alpha_grid=np.array([0.3, 0.3 + math.pi]))
     period_ok = bool(np.allclose(res.delta[:, 0], res.delta[:, 1], rtol=1e-8))

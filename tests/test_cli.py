@@ -1,11 +1,19 @@
 """Command-line surface: config validation, exit codes, artifact formats,
 and determinism."""
 
+import copy
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interfrac.cli import main
 
@@ -21,6 +29,11 @@ MAP_CFG = {
     "inclusion": {"d": 1.0, "phi": 1.5707963, "alpha": 0.0,
                   "ell_a": 0.2, "ell_b": 0.1, "nu_star": 5.0},
 }
+
+
+def map_cfg(**inclusion):
+    """MAP_CFG with the given inclusion keys replaced."""
+    return dict(MAP_CFG, inclusion=dict(MAP_CFG["inclusion"], **inclusion))
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -69,18 +82,41 @@ class TestSigma0Command:
                                          "a": 1.0, "b": 0.75})),
         ("sigma0", dict(POINT_CFG, numerics={"truncation_radius": math.inf})),
         ("sigma0", [POINT_CFG]),
-        ("map", dict(MAP_CFG, inclusion=dict(MAP_CFG["inclusion"], d="x"))),
+        ("map", map_cfg(d="x")),
         ("sigma0", dict(POINT_CFG, material={"mu1": 1e308, "mu2": 1e308,
                                              "kappa": 0.5})),
         ("sigma0", dict(POINT_CFG, material={"mu1": 1e-200, "mu2": 1e-200,
                                              "kappa": 0.5})),
         ("sigma0", dict(POINT_CFG, load="point-triple")),
+        ("sigma0", dict(POINT_CFG, load={"kind": "smooth-exponential",
+                                         "a": -1})),
+        ("sigma0", dict(POINT_CFG, load={"kind": "smooth-exponential",
+                                         "a": 0})),
+        ("sweep --axis kappa_star --from nan --to nan --points 1", POINT_CFG),
+        ("sweep --axis kappa_star --from 1 --to inf --points 3", POINT_CFG),
+        ("ratio --from nan --to nan --points 1 --mu-star-2 0.5", POINT_CFG),
+        ("map", map_cfg(rigid="false")),
+        ("map", map_cfg(nu_star=-1)),
+        ("map", map_cfg(nu_star=0)),
+        ("map", map_cfg(ell_b=-0.1)),
+        ("map", map_cfg(ell_a=2, ell_b=1)),
+        ("map --phi-steps -1", MAP_CFG),
+        ("map --phi-steps 0", MAP_CFG),
+        ("map --alpha-steps 0", MAP_CFG),
+        ("kernel-residual --points 0", POINT_CFG),
+        ("field --at 0.5,0.8 --min-angle nan", POINT_CFG),
     ], ids=["rel_tol_string", "F_string", "truncation_radius_inf",
             "top_level_array", "map_d_string", "mu0_overflow",
-            "mu0_zero_division", "load_string"])
+            "mu0_zero_division", "load_string", "smooth_a_negative",
+            "smooth_a_zero", "sweep_nan", "sweep_to_inf", "ratio_nan",
+            "rigid_string", "nu_star_negative", "nu_star_zero",
+            "ell_b_negative", "epsilon_above_1", "phi_steps_negative",
+            "phi_steps_zero", "alpha_steps_zero", "residual_points_zero",
+            "min_angle_nan"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, cfg_data):
         cfg = write_cfg(tmp_path, cfg_data)
-        assert main([command, "--config", cfg]) == 2
+        argv = command.split()
+        assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("config error:")
 
@@ -93,6 +129,31 @@ class TestSigma0Command:
         assert lines[1] == "kappa_star,mu_star,mu0,sigma0,est_error"
         assert len(lines) == 3
         assert float(lines[2].split(",")[3]) == pytest.approx(1.1644302, rel=1e-5)
+
+
+    @pytest.mark.parametrize("command,cfg_data", [
+        ("sigma0", dict(POINT_CFG, load={"kind": "point-triple", "F": 1.0,
+                                         "a": 1e300, "b": 0.75})),
+        ("sigma0", dict(POINT_CFG, load={"kind": "smooth-exponential",
+                                         "a": 1e-300})),
+        ("sigma0", dict(POINT_CFG, numerics={"truncation_radius": 1e300})),
+        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1.35e154)),
+    ], ids=["point_a_huge", "smooth_a_tiny", "truncation_radius_huge",
+            "map_d_overflow"])
+    def test_numerical_failure_one_line(self, tmp_path, command, cfg_data):
+        # in a child process: pytest would capture the numpy warnings that
+        # used to reach stderr here; d^2 overflows a Python float in map
+        import interfrac
+        cfg = write_cfg(tmp_path, cfg_data)
+        argv = command.split()
+        src = os.path.dirname(os.path.dirname(interfrac.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "interfrac.cli", argv[0],
+                               "--config", cfg] + argv[1:], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        err = proc.stderr.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
 
 
 class TestSweepCommand:
@@ -212,6 +273,17 @@ class TestMapCommand:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    @pytest.mark.parametrize("d", [0.1, 0.4, 1.3, 2.6])
+    def test_guard_edge_rows(self, tmp_path, d):
+        # (d cos 5deg, d sin 5deg) comes back from atan2 an ulp below 5 deg
+        # at these distances; the guard lets rounding through
+        cfg = write_cfg(tmp_path, dict(MAP_CFG, inclusion={"d": d}))
+        out = tmp_path / "edge.csv"
+        assert main(["map", "--config", cfg, "--phi-steps", "2",
+                     "--alpha-steps", "1", "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[2:]
+        assert [float(r.split(",")[0]) for r in rows] == pytest.approx([5.0, 175.0])
+
     def test_alpha_period_duplication(self, tmp_path):
         # alpha and alpha + pi give identical delta columns
         cfg = write_cfg(tmp_path, MAP_CFG)
@@ -224,9 +296,69 @@ class TestMapCommand:
         assert np.allclose(alphas[:, 1] - alphas[:, 0], 90.0)  # [0, pi) in two steps
         # compare against the same grid shifted by pi via a direct run
         from interfrac.perturbation import sign_map
-        from interfrac.model import Bimaterial, smooth_exponential
+        from interfrac.model import (Bimaterial, InclusionSpec,
+                                     smooth_exponential)
         res = sign_map(smooth_exponential(), Bimaterial(3.0, 1.0, 0.25),
-                       d=1.0, nu_star=5.0, e=0.5, ell_a=0.2,
+                       InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0,
+                                     ell_a=0.2, ell_b=0.1, nu_star=5.0),
                        phi_grid=np.radians([5.0, 175.0]),
                        alpha_grid=np.array([0.0, math.pi]))
         assert np.allclose(res.delta[:, 0], res.delta[:, 1], rtol=1e-8)
+
+
+# any JSON value, NaN and Infinity included (json writes and reads both);
+# the test draws bare numbers more often, since they reach the solvers
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+# (command, config, path): the path names the whole config, a section or
+# a leaf to replace
+FUZZ_TARGETS = [(command, cfg, path)
+                for command, cfg in (("sigma0", POINT_CFG), ("map", MAP_CFG))
+                for path in [()] + [(s,) for s in cfg]
+                + [(s, k) for s in cfg for k in cfg[s]]]
+
+
+def replaced(cfg, path, value):
+    """A copy of cfg with the value at path replaced."""
+    if not path:
+        return value
+    out = copy.deepcopy(cfg)
+    table = out
+    for key in path[:-1]:
+        table = table[key]
+    table[path[-1]] = value
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(target=st.sampled_from(FUZZ_TARGETS),
+       value=st.floats() | st.integers() | JSON_VALUES)
+def test_config_fuzz_exit_codes(tmp_path_factory, target, value):
+    command, cfg_data, path = target
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = write_cfg(tmp, replaced(cfg_data, path, value))
+    out = tmp / "out"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "map":
+        argv += ["--phi-steps", "1", "--alpha-steps", "1"]
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith(("config error:", "numerical failure:"))
+    elif command == "sigma0":
+        payload = json.loads(out.read_text())
+        assert all(math.isfinite(payload[k]) for k in
+                   ("sigma0", "est_error", "mu0", "mu_star", "kappa_star"))
+    else:
+        rows = out.read_text().strip().split("\n")[2:]
+        assert rows and all(math.isfinite(float(r.split(",")[2])) for r in rows)

@@ -2,6 +2,7 @@
 crack-tip correction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,8 +447,10 @@ class TestDeltaSigma0:
 def small_map():
     phi = np.radians([30.0, 90.0, 150.0])
     alpha = np.array([0.4, 0.4 + math.pi])
-    return sign_map(LOAD, MATERIAL, d=1.0, nu_star=5.0, e=0.5,
-                    ell_a=0.2, phi_grid=phi, alpha_grid=alpha, spec=SPEC)
+    inc = InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0, ell_a=0.2,
+                        ell_b=0.1, nu_star=5.0)
+    return sign_map(LOAD, MATERIAL, inc, phi_grid=phi, alpha_grid=alpha,
+                    spec=SPEC)
 
 
 class TestSignMap:
@@ -457,9 +460,11 @@ class TestSignMap:
         # amplifies, whatever the load's sign or the unit of length
         for F, lam in ((1.0, 1.0), (-1.0, 1.0), (1.0, 2.0), (-1.0, 2.0)):
             for nu, label in ((3.0, "shielding"), (0.3, "amplifying")):
+                inc = InclusionSpec(d=lam, phi=math.pi / 2, alpha=0.0,
+                                    ell_a=0.05 * lam, ell_b=0.2 * 0.05 * lam,
+                                    nu_star=nu)
                 res = sign_map(point_triple(F, lam, 0.75 * lam),
-                               Bimaterial(3.0, 1.0, 0.25 * lam), d=lam,
-                               nu_star=nu, e=0.2, ell_a=0.05 * lam,
+                               Bimaterial(3.0, 1.0, 0.25 * lam), inc,
                                phi_grid=[0.7, 2.0], alpha_grid=[0.3, 1.4],
                                spec=SPEC)
                 assert np.all(res.sign == label), (F, lam, nu, res.sign)
@@ -476,15 +481,35 @@ class TestSignMap:
     def test_circle_constant_along_alpha(self):
         phi = np.radians([60.0])
         alpha = np.array([0.0, 0.7, 2.1])
-        res = sign_map(LOAD, MATERIAL, d=1.0, nu_star=5.0, e=1.0,
-                       ell_a=0.15, phi_grid=phi, alpha_grid=alpha, spec=SPEC)
+        inc = InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0, ell_a=0.15,
+                            ell_b=0.15, nu_star=5.0)
+        res = sign_map(LOAD, MATERIAL, inc, phi_grid=phi, alpha_grid=alpha,
+                       spec=SPEC)
         assert np.ptp(res.delta[0]) < 1e-10 * abs(res.delta[0, 0])
+
+    @pytest.mark.parametrize("rigid", [False, True])
+    def test_cells_match_delta_sigma0(self, pipeline, rigid):
+        # the grids replace the inclusion's own phi and alpha; the rigid
+        # flag picks the dipole as in delta_sigma0
+        solution, field = pipeline
+        inc = InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0, ell_a=0.2,
+                            ell_b=0.1, nu_star=5.0, rigid=rigid)
+        res = sign_map(LOAD, MATERIAL, inc, phi_grid=[0.7, 2.0],
+                       alpha_grid=[0.3], spec=SPEC)
+        for i, phi in enumerate((0.7, 2.0)):
+            ref = delta_sigma0(LOAD, MATERIAL, replace(inc, phi=phi, alpha=0.3),
+                               spec=SPEC, solution=solution, field=field)
+            assert res.delta[i, 0] == pytest.approx(
+                ref.delta_sigma0, rel=0, abs=res.est_error[i, 0] + ref.est_error)
+            assert res.sign[i, 0] == ref.sign
 
     def test_stiff_soft_circle_maps_flip(self):
         phi = np.radians([45.0, 120.0])
         alpha = np.array([0.0])
-        stiff = sign_map(LOAD, MATERIAL, d=1.0, nu_star=0.2, e=1.0,
-                         ell_a=0.15, phi_grid=phi, alpha_grid=alpha, spec=SPEC)
-        soft = sign_map(LOAD, MATERIAL, d=1.0, nu_star=5.0, e=1.0,
-                        ell_a=0.15, phi_grid=phi, alpha_grid=alpha, spec=SPEC)
+        circle = dict(d=1.0, phi=math.pi / 2, alpha=0.0, ell_a=0.15,
+                      ell_b=0.15)
+        stiff = sign_map(LOAD, MATERIAL, InclusionSpec(nu_star=0.2, **circle),
+                         phi_grid=phi, alpha_grid=alpha, spec=SPEC)
+        soft = sign_map(LOAD, MATERIAL, InclusionSpec(nu_star=5.0, **circle),
+                        phi_grid=phi, alpha_grid=alpha, spec=SPEC)
         assert np.allclose(stiff.delta, -soft.delta, rtol=1e-10)

@@ -263,6 +263,9 @@ class TestGradient:
         with pytest.raises(GeometryError):
             sol_smooth.grad_u0((1.0, 0.01))  # ~0.6 degrees off the interface
         sol_smooth.grad_u0((1.0, 0.01), min_angle_deg=0.25)
+        g = math.radians(4.9)
+        with pytest.raises(GeometryError):
+            sol_smooth.grad_u0((1.3 * math.cos(g), 1.3 * math.sin(g)))
 
     def test_gradient_against_finite_differences(self, sol_smooth):
         Y = (0.5, 0.8)

@@ -43,12 +43,6 @@ class QuadratureSpec:
         return max(self.abs_tol, self.rel_tol * abs(magnitude))
 
 
-def default_spec(mu0=None, a=None):
-    """Default tolerances with the truncation radius 1e4*max(mu0, 1/a)."""
-    scale = max(mu0 if mu0 else 1.0, 1.0 / a if a else 1.0)
-    return QuadratureSpec(truncation_radius=1e4 * scale)
-
-
 class SpectralSample(NamedTuple):
     """One (xi, value) record of a transform-domain function."""
 
@@ -169,12 +163,17 @@ def half_line(f, xi_c, x_cut, spec, seeds=()):
     return head + mid, e_head + e_mid
 
 
-def _series_coefficients(fv, x0, h, degree=6):
-    """Taylor coefficients of f around x0 from a symmetric 7-point stencil."""
-    k = np.arange(-3, 4, dtype=float)
-    y = fv(x0 + k * h)
-    p = np.polynomial.polynomial.polyfit(k * h, y, degree)
-    return p  # p[n] ~ f^(n)(x0) / n!
+_STENCIL = np.arange(-3, 4, dtype=float)
+# the interpolant through the stencil in k, whatever h: fixed and well
+# conditioned, where one in the offsets k h is not once h is large
+_STENCIL_INVERSE = np.linalg.inv(np.vander(_STENCIL, increasing=True))
+
+
+def _series_coefficients(fv, x0, h):
+    """Taylor coefficients p[n] ~ f^(n)(x0)/n! of f around x0 from the
+    symmetric 7-point stencil x0 + k h, k = -3..3."""
+    p = _STENCIL_INVERSE @ fv(x0 + _STENCIL * h)
+    return p / (h ** np.arange(7.0)).reshape((-1,) + (1,) * (p.ndim - 1))
 
 
 def oscillatory_tail(f, omega, x_start, spec):

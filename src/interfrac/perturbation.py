@@ -13,16 +13,20 @@ both half-lines. The Betti identity then gives
 and the perturbed constant is sigma0 + eps^2 dsigma0, eps = ell_a/d.
 Through <U> = -(mu_*/2)[U] and kappa xi Phi^- = -(xi |xi|/mu0)[U] both
 integrands are xi [U] times a load factor, so the weight function costs one
-[U] evaluation per node. dw1/dy is rational with double poles at Y and its
-conjugate, so its half-line transforms reduce to exponential-integral
-closed forms; the x < 0 and x > 0 transforms evaluate e^z E1(z) at the same
-z = i xi q, so both come from one e^z E1(z) per pole per node. [U] and
-dw1/dy are transforms of real functions, so the whole integrand at -xi is
-the conjugate of the one at xi: the line folds onto xi > 0 as twice the
-real part of both integrands, integrated in one numerics.half_line pass
-(the xi = s^2 head and the seeded mid). The conditionally convergent
-kappa xi Phi^- Pbar^+ tail is absolutely convergent once folded and is
-closed with a log-augmented algebraic fit integrated exactly.
+[U] evaluation per node. dw1/dy = Re[iV/(x - p)^2]/(2 pi), with
+V = v_x + i v_y for v = M G and p = Y_x + i Y_y, has two double poles and no
+simple ones; the half-line transforms of 1/(x - q)^2 follow by parts from
+exponential-integral closed forms, and the x < 0 and x > 0 sides evaluate
+e^z E1(z) at the same z = i xi q, so both come from one e^z E1(z) per pole
+per node. [U] and dw1/dy are transforms of real functions, so the whole
+integrand at -xi is the conjugate of the one at xi: the line folds onto
+xi > 0 as twice its real part, which is Re(V K) for a K that depends on the
+position Y alone. So dsigma0 = Re(V L) with one complex response L per
+position, integrated in one numerics.half_line pass (the xi = s^2 head and
+the seeded mid) whatever the dipole; sign_map serves every orientation at
+one position from it. The conditionally convergent kappa xi Phi^- Pbar^+
+tail is absolutely convergent once folded and is closed with a
+log-augmented algebraic fit integrated exactly.
 """
 
 import math
@@ -164,72 +168,12 @@ def _pole_transforms(q, xi):
     return pos, neg
 
 
-class _LayerTransforms:
-    """Exact half-line transforms of dw1/dy via partial fractions.
-
-    dy is rational with double poles at p = cx + i cy and its conjugate, so
-    both transforms reduce to exponential-integral closed forms, which the
-    tests cross-check against direct half-line quadrature. The two sides
-    share their exponential integrals (_pole_transforms), so pair() costs
-    one e^z E1(z) per pole per node. dy is real, so each transform at -xi
-    is the conjugate of its value at xi."""
-
-    def __init__(self, v, Y):
-        self.v = np.asarray(v, dtype=float)
-        self.cx, self.cy = float(Y[0]), float(Y[1])
-        if self.cy == 0.0:
-            raise GeometryError("inclusion centre must lie off the interface line")
-        d2 = self.cx ** 2 + self.cy ** 2
-        self.scale = math.sqrt(d2)
-        p = complex(self.cx, self.cy)
-        self.poles = (p, p.conjugate())
-        xs = self.cx + abs(self.cy) * np.array([0.83, 2.31, -1.57, 3.79])
-        basis = np.column_stack([1.0 / (xs - p), 1.0 / (xs - p) ** 2,
-                                 1.0 / (xs - p.conjugate()),
-                                 1.0 / (xs - p.conjugate()) ** 2])
-        self.coeffs = np.linalg.solve(basis, self._dy(xs).astype(complex))
-        # xi = 0 values from the elementary antiderivative
-        # (cy v0 + (x - cx) v1)/(2 pi rho^2)
-        self._t_minus_0 = (self.cy * self.v[0] - self.cx * self.v[1]) / (2.0 * math.pi * d2)
-
-    def _dy(self, x):
-        return _dy_from_v(x, self.v, (self.cx, self.cy))
-
-    def pair(self, xi):
-        """The transforms of dy over x < 0 and over x > 0 at the flattened
-        xi, from one e^z E1(z) per pole per node."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-        minus = np.empty(xi.shape, dtype=complex)
-        plus = np.empty(xi.shape, dtype=complex)
-        tiny = np.abs(xi) * self.scale < 1e-9
-        minus[tiny] = self._t_minus_0
-        plus[tiny] = -self._t_minus_0
-        live = ~tiny
-        if np.any(live):
-            w = xi[live]
-            acc_m = np.zeros(w.shape, dtype=complex)
-            acc_p = np.zeros(w.shape, dtype=complex)
-            a1, b1, a2, b2 = self.coeffs
-            for q, alpha, beta in ((self.poles[0], a1, b1),
-                                   (self.poles[1], a2, b2)):
-                j_pos, j_neg = _pole_transforms(q, w)
-                # 1/(x - q) and 1/(x - q)^2 over x > 0, and over x < 0
-                # through x -> -x
-                acc_p += alpha * j_pos + beta * (1j * w * j_pos - 1.0 / q)
-                acc_m += -alpha * j_neg + beta * (1.0 / q - 1j * w * j_neg)
-            minus[live] = acc_m
-            plus[live] = acc_p
-        return minus, plus
-
-    def minus(self, xi):
-        """Transform of dy over x < 0."""
-        out = self.pair(xi)[0]
-        return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
-
-    def plus(self, xi):
-        """Transform of dy over x > 0."""
-        out = self.pair(xi)[1]
-        return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
+def _double_pole_transforms(q, u):
+    """The transforms of 1/(x - q)^2 over x < 0 and over x > 0 at u != 0,
+    by parts from _pole_transforms: 1/q - iu J(-q, -u) and iu J(q, u) - 1/q,
+    so both cost one e^z E1(z) per node."""
+    j_pos, j_neg = _pole_transforms(q, u)
+    return 1.0 / q - 1j * u * j_neg, 1j * u * j_pos - 1.0 / q
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +185,11 @@ class PerturbationResult:
     """delta_sigma0 with its error estimate and the label it implies.
 
     est_error bounds the quadrature of the second Betti integral: its
-    adaptive head and mid and its fitted tail. It does not cover the PCHIP
+    adaptive head and mid and its fitted tail. It is |V| e_L, with e_L the
+    estimate of the complex response L and delta_sigma0 = Re(V L), so it
+    bounds |Re(V dL)| by |V| |dL| and is looser than an estimate of the real
+    integrand alone (2x in the median and up to 158x, where Re(V dL)
+    cancels, on 200 seeded inclusions). It does not cover the PCHIP
     tables the pipeline reads, the kernel phase table (Hhat) and the phi^+
     table behind grad_u0, nor the gradient error; until those tables are
     evaluated exactly, the estimate says nothing about them. sign is
@@ -269,8 +217,17 @@ def _classify(delta, est, base):
 
 
 def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
-    """The two Betti integrals for one boundary-layer strength vector v."""
-    layer = _LayerTransforms(v, Y)
+    """The second Betti integral for boundary-layer strengths v = M G, of
+    shape (2,) or (2, k): returns (delta, est), floats or k-arrays.
+
+    dw1/dy = Re[iV/(x - p)^2]/(2 pi) with V = v_x + i v_y and p = Y_x + i Y_y,
+    so delta = Re(V L) for one complex response L of the position alone; L
+    is integrated once, whatever v, and est = |V| e_L, with e_L the
+    estimate of L, bounds |Re(V dL)| by |V| |dL|."""
+    cx, cy = float(Y[0]), float(Y[1])
+    if cy == 0.0:
+        raise GeometryError("inclusion centre must lie off the interface line")
+    p = complex(cx, cy)
     mu0 = field.kernel.mu0
     s_p = -0.5 * (material.mu1 + material.mu2)
     s_q = -(material.mu1 - material.mu2)
@@ -278,40 +235,43 @@ def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
     w_minus = s_p - half_mu * s_q
 
     # the weights xi [U] s_p + xi <U> s_q and kappa xi Phi^- s_p + xi <U> s_q
-    # through <U> = -(mu_*/2) [U] and kappa xi Phi^- = -(xi |xi| / mu0) [U];
-    # [U] and dw1/dy are transforms of real functions, so the integrand at
-    # -u is the conjugate of the one at u and the whole line folds onto
-    # u > 0 as twice the real part
-    def folded(u):
-        t_minus, t_plus = layer.pair(u)
+    # through <U> = -(mu_*/2) [U] and kappa xi Phi^- = -(xi |xi| / mu0) [U]
+    # give X_q(u) = u [U] (w_minus D^-(q) + w_plus D^+(q)) for the pole
+    # 1/(x - q)^2; [U] and dw1/dy are transforms of real functions, so the
+    # integrand at -u is the conjugate of the one at u and the line folds
+    # onto u > 0 as 2 Re[(iV/4pi) X_p + conj(iV/4pi) X_pbar] = Re(V K)
+    def response(u):
         weight = u * field.jump_u(u)
-        f = weight * (w_minus * t_minus
-                      + (-u * s_p / mu0 - half_mu * s_q) * t_plus)
-        return 2.0 * f.real
+        w_plus = -u * s_p / mu0 - half_mu * s_q
+        m_p, p_p = _double_pole_transforms(p, u)
+        m_c, p_c = _double_pole_transforms(p.conjugate(), u)
+        return (0.5j / math.pi) * (weight * (w_minus * m_p + w_plus * p_p)
+                                   + np.conj(weight * (w_minus * m_c
+                                                       + w_plus * p_c)))
 
-    xi_c = min(mu0, 1.0 / math.hypot(*Y))
+    xi_c = min(mu0, 1.0 / math.hypot(cx, cy))
     # past x_cut the layer transforms are in their boundary 1/(i xi) regime
     # (pole parts ~ e^{-|xi cy|} dead) and the weight factors in theirs
-    x_cut = max(120.0 / abs(layer.cy) + 120.0 / math.hypot(*Y),
+    x_cut = max(120.0 / abs(cy) + 120.0 / math.hypot(cx, cy),
                 20.0 * mu0, 4.0 * xi_c) * max(1.0, spec.truncation_radius / 1e4)
     seeds = []
-    if abs(layer.cx) > 1e-12:
-        width = math.pi / (2.0 * abs(layer.cx))
-        top = min(x_cut, 60.0 / abs(layer.cy))
+    if abs(cx) > 1e-12:
+        width = math.pi / (2.0 * abs(cx))
+        top = min(x_cut, 60.0 / abs(cy))
         n_osc = int(min((top - xi_c) / width, 3000.0))
         seeds = [xi_c + (k + 1) * width for k in range(n_osc)]
 
-    total, est = half_line(folded, xi_c, x_cut, spec, seeds)
+    total, est = half_line(response, xi_c, x_cut, spec, seeds)
 
-    # tail: the folded integrand decays like (a ln u + b)/u^2 + c/u^3 even
-    # where each half-line alone is O(1/u) (the kappa xi Phi^- Pbar^+ term);
-    # fit the three-term model and integrate it in closed form, with the
-    # half-scale refit as residual
+    # tail: K decays like (a ln u + b)/u^2 + c/u^3 even where each
+    # half-line alone is O(1/u) (the kappa xi Phi^- Pbar^+ term); fit the
+    # three-term model and integrate it in closed form, with the half-scale
+    # refit as residual
     def fitted_tail(anchor):
         us = anchor * np.array([0.5, 1.0 / math.sqrt(2.0), 1.0])
         basis = np.column_stack([np.log(us) / us ** 2, 1.0 / us ** 2,
                                  1.0 / us ** 3])
-        abc = np.linalg.solve(basis, folded(us))
+        abc = np.linalg.solve(basis, response(us))
         return (abc[0] * (1.0 + math.log(x_cut)) / x_cut
                 + abc[1] / x_cut + abc[2] / (2.0 * x_cut ** 2))
 
@@ -319,7 +279,13 @@ def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
     est += abs(tail - fitted_tail(0.5 * x_cut))
 
     front = -0.5 * math.sqrt(mu0 / math.pi)
-    return float(front * (total.real + tail)), float(abs(front) * est)
+    L = front * (total + tail)
+    v = np.asarray(v, dtype=float)
+    delta = v[0] * L.real - v[1] * L.imag
+    err = abs(front) * np.hypot(v[0], v[1]) * est
+    if v.ndim == 1:
+        return float(delta), float(err)
+    return delta, err
 
 
 def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
@@ -338,11 +304,8 @@ def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     Y = inclusion_centre(inc)
     G = solution.grad_u0(Y, min_angle_deg=min_angle_deg)
     M = dipole_for(inc)
-    v = M @ np.asarray(G, dtype=float)
-    if np.any(v):
-        delta, est = _delta_from_v(field, material, v, Y, spec)
-    else:
-        delta, est = 0.0, 0.0  # a neutral inclusion leaves no boundary layer
+    delta, est = _delta_from_v(field, material, M @ np.asarray(G, dtype=float),
+                               Y, spec)
     # sigma0 depends on the load and the material, not on the inclusion, so
     # calls that share a field share it; CrackLoad and QuadratureSpec are
     # frozen, so any other load or spec misses and is computed afresh
@@ -375,8 +338,8 @@ def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     """delta_sigma0 sign over a (phi, alpha) grid for the inclusion inc; the
     grids replace inc.phi and inc.alpha, its distance and shape stay.
 
-    The pipeline is linear in v = M G: per phi the two basis responses
-    (v = e1, e2) are integrated once and every alpha is a dot product."""
+    delta is real-linear in v = M G: per phi the complex response L is
+    integrated once and every alpha is Re(V L)."""
     spec = spec or QuadratureSpec()
     phi_grid = np.asarray(phi_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
@@ -390,11 +353,8 @@ def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
         at = replace(inc, phi=phi)
         Y = inclusion_centre(at)
         G = np.asarray(solution.grad_u0(Y, min_angle_deg=min_angle_deg))
-        l1, e1 = _delta_from_v(field, material, np.array([1.0, 0.0]), Y, spec)
-        l2, e2 = _delta_from_v(field, material, np.array([0.0, 1.0]), Y, spec)
-        for j, alpha in enumerate(alpha_grid):
-            v = dipole_for(replace(at, alpha=alpha)) @ G
-            delta[i, j] = l1 * v[0] + l2 * v[1]
-            est[i, j] = abs(e1 * v[0]) + abs(e2 * v[1])
+        v = np.column_stack([dipole_for(replace(at, alpha=alpha)) @ G
+                             for alpha in alpha_grid])
+        delta[i], est[i] = _delta_from_v(field, material, v, Y, spec)
     return SignMapResult(phi=phi_grid, alpha=alpha_grid, delta=delta,
                          est_error=est, sign=_classify(delta, est, base))

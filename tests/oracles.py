@@ -2,9 +2,9 @@
 rules for the Cauchy integral of ln Xi_* and for the Cauchy transform of the
 load right-hand side g, direct half-line Fourier transforms with explicit
 tail treatment, the effective tractions of the boundary layer computed by
-those transforms, and the one-sided exponential-integral pole transforms
-with the layer transforms built from them. Each cross-checks a faster or
-closed-form route of the library."""
+those transforms, the one-sided exponential-integral pole transforms, and
+the layer transforms assembled from the library's closed-form double
+poles. Each cross-checks a faster or closed-form route of the library."""
 
 import math
 
@@ -14,7 +14,8 @@ from interfrac.errors import DomainError, TailBoundExceeded
 from interfrac.model import Bimaterial
 from interfrac.numerics import (QuadratureSpec, _vectorized, algebraic_tail,
                                 integrate_err, oscillatory_tail)
-from interfrac.perturbation import _dy_from_v, _scaled_e1
+from interfrac.perturbation import (_double_pole_transforms, _dy_from_v,
+                                    _scaled_e1)
 
 
 def pv_integral_even_logkernel(g, xi, spec):
@@ -257,27 +258,12 @@ def pole_transform_pos(q, xi):
     return out
 
 
-def layer_transforms_separate(layer, xi, plus_side):
-    """One side of a _LayerTransforms at xi, from pole_transform_pos: the
-    plus side at (q, xi) and the minus side at (-q, -xi), each with its own
-    exponential integrals."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-    out = np.zeros(xi.shape, dtype=complex)
-    tiny = np.abs(xi) * layer.scale < 1e-9
-    out[tiny] = -layer._t_minus_0 if plus_side else layer._t_minus_0
-    live = ~tiny
-    if np.any(live):
-        w = xi[live]
-        acc = np.zeros(w.shape, dtype=complex)
-        a1, b1, a2, b2 = layer.coeffs
-        for q, alpha, beta in ((layer.poles[0], a1, b1),
-                               (layer.poles[1], a2, b2)):
-            if plus_side:
-                j = pole_transform_pos(q, w)
-                k = -1.0 / q + 1j * w * j
-            else:
-                j = -pole_transform_pos(-q, -w)
-                k = pole_transform_pos(-q, -w) * (-1j * w) + (-1.0 / (-q))
-            acc += alpha * j + beta * k
-        out[live] = acc
-    return out
+def _layer_pair(v, Y, xi):
+    """The transforms of dw1/dy over x < 0 and over x > 0 at xi for the
+    strengths v at Y, assembled from the closed-form double poles:
+    dw1/dy = a/(x - p)^2 + conj(a)/(x - conj(p))^2, a = iV/(4 pi)."""
+    a = 1j * complex(v[0], v[1]) / (4.0 * math.pi)
+    p = complex(Y[0], Y[1])
+    m_p, p_p = _double_pole_transforms(p, xi)
+    m_c, p_c = _double_pole_transforms(p.conjugate(), xi)
+    return a * m_p + a.conjugate() * m_c, a * p_p + a.conjugate() * p_c

@@ -42,6 +42,24 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def point_cfg_with_a(a):
+    """POINT_CFG with the point triple's spacing a."""
+    return dict(POINT_CFG, load=dict(POINT_CFG["load"], a=a))
+
+
+def run_cli_process(tmp_path, command, cfg_data):
+    """The CLI in a child process, so that its stderr is exactly what a
+    user sees (pytest would capture numpy's warnings in this process)."""
+    import interfrac
+    cfg = write_cfg(tmp_path, cfg_data)
+    argv = command.split()
+    src = os.path.dirname(os.path.dirname(interfrac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "interfrac.cli", argv[0],
+                           "--config", cfg] + argv[1:], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 class TestSigma0Command:
     def test_json_output(self, tmp_path):
         cfg = write_cfg(tmp_path, POINT_CFG)
@@ -137,23 +155,25 @@ class TestSigma0Command:
         ("sigma0", dict(POINT_CFG, load={"kind": "smooth-exponential",
                                          "a": 1e-300})),
         ("sigma0", dict(POINT_CFG, numerics={"truncation_radius": 1e300})),
-        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1.35e154)),
+        ("sigma0", point_cfg_with_a(4.5e61)),
+        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e200)),
     ], ids=["point_a_huge", "smooth_a_tiny", "truncation_radius_huge",
-            "map_d_overflow"])
+            "point_a_4.5e61", "map_d_overflow"])
     def test_numerical_failure_one_line(self, tmp_path, command, cfg_data):
         # in a child process: pytest would capture the numpy warnings that
-        # used to reach stderr here; d^2 overflows a Python float in map
-        import interfrac
-        cfg = write_cfg(tmp_path, cfg_data)
-        argv = command.split()
-        src = os.path.dirname(os.path.dirname(interfrac.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "interfrac.cli", argv[0],
-                               "--config", cfg] + argv[1:], capture_output=True,
-                              text=True, env=env, timeout=120)
+        # used to reach stderr here; at d = 1e200 the layer integrand is no
+        # longer finite
+        proc = run_cli_process(tmp_path, command, cfg_data)
         assert proc.returncode == 3
         err = proc.stderr.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("numerical failure:")
+
+    def test_wide_point_triple_is_silent(self, tmp_path):
+        # the oscillatory tail's Taylor stencil is solved in stencil units,
+        # so a large spacing leaves no numpy warning on stderr
+        proc = run_cli_process(tmp_path, "sigma0", point_cfg_with_a(1e30))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 class TestSweepCommand:

@@ -12,14 +12,14 @@ from interfrac import perturbation
 from interfrac.model import (Bimaterial, InclusionSpec, point_triple,
                              smooth_exponential)
 from interfrac.numerics import QuadratureSpec
-from interfrac.perturbation import (_LayerTransforms, _delta_from_v,
-                                    _pole_transforms, boundary_layer_dy,
-                                    delta_sigma0, dipole_elliptic, dipole_for,
-                                    dipole_rigid, sign_map)
+from interfrac.perturbation import (_delta_from_v, _pole_transforms,
+                                    boundary_layer_dy, delta_sigma0,
+                                    dipole_elliptic, dipole_for, dipole_rigid,
+                                    sign_map)
 from interfrac.unperturbed import UnperturbedSolution
 from interfrac.weightfn import WeightField, sigma0
-from oracles import (effective_traction_transforms, halfline_fourier,
-                     layer_transforms_separate, pole_transform_pos)
+from oracles import (_layer_pair, effective_traction_transforms,
+                     halfline_fourier, pole_transform_pos)
 
 SPEC = QuadratureSpec()
 MATERIAL = Bimaterial(3.0, 1.0, 0.25)  # mu* = 0.5, kappa* = 1 at a = 1
@@ -145,13 +145,13 @@ class TestEffectiveTractions:
         # direct half-line Fourier operation
         from interfrac.perturbation import _dy_from_v
         v = np.array([0.4, -0.9])
-        layer = _LayerTransforms(v, Y)
         dy = lambda x: _dy_from_v(x, v, Y)
-        for xi in (0.0, 0.37, -2.2, 31.0):
+        for xi in (0.37, -2.2, 31.0):
+            minus, plus = _layer_pair(v, Y, xi)
             tm = halfline_fourier(dy, "negative-axis", xi, SPEC)
             tp = halfline_fourier(dy, "positive-axis", xi, SPEC)
-            assert abs(layer.minus(xi) - tm) < 1e-10
-            assert abs(layer.plus(xi) - tp) < 1e-10
+            assert abs(minus[0] - tm) < 1e-10
+            assert abs(plus[0] - tp) < 1e-10
 
     SHARED_Y = [(0.0, 1.0), (0.0, -1.0), (0.4, 0.9), (0.4, -0.9), (-0.7, 1.3)]
 
@@ -168,18 +168,6 @@ class TestEffectiveTractions:
                               (neg, pole_transform_pos(-q, -xi))):
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
-    @pytest.mark.parametrize("Y", SHARED_Y)
-    def test_shared_layer_evaluation(self, Y):
-        # both sides from one pass, against each side from its own
-        # exponential integrals, with xi = 0 and the tiny branch included
-        layer = _LayerTransforms(np.array([0.4, -0.9]), Y)
-        xi = np.geomspace(1e-6, 1e4, 61)
-        xi = np.concatenate([xi, -xi, [0.0, 1e-12, -3e-11]])
-        minus, plus = layer.pair(xi)
-        for got, plus_side in ((minus, False), (plus, True)):
-            want = layer_transforms_separate(layer, xi, plus_side)
-            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
 
 class TestDeltaSigma0:
     def test_linear_in_dipole(self, pipeline):
@@ -188,6 +176,15 @@ class TestDeltaSigma0:
         d1, _ = _delta_from_v(field, MATERIAL, v, (0.0, 1.0), SPEC)
         d2, _ = _delta_from_v(field, MATERIAL, 2.0 * v, (0.0, 1.0), SPEC)
         assert d2 == pytest.approx(2.0 * d1, rel=1e-8)
+        # a (2, k) stack of strengths shares one response: each column is
+        # its own call, bitwise, and V = 0 is exactly neutral
+        vs = np.array([[0.3, 0.6, 1.0, 0.0], [-0.7, -1.4, 0.0, 0.0]])
+        deltas, ests = _delta_from_v(field, MATERIAL, vs, (0.4, 0.9), SPEC)
+        assert deltas.shape == ests.shape == (4,)
+        for j in range(vs.shape[1]):
+            assert (deltas[j], ests[j]) == _delta_from_v(
+                field, MATERIAL, vs[:, j], (0.4, 0.9), SPEC)
+        assert (deltas[3], ests[3]) == (0.0, 0.0)
 
     def test_one_jump_u_per_node(self, pipeline, monkeypatch):
         # work guard: one kernel-factor evaluation per layer-transform node
@@ -212,23 +209,25 @@ class TestDeltaSigma0:
     def _count_points(field, monkeypatch, Y):
         points = {"xi0_minus": 0, "layer": 0, "e1": 0}
         xi0_minus = field.kernel.xi0_minus
-        layer_pair = _LayerTransforms.pair
+        double_pole = perturbation._double_pole_transforms
         scaled_e1 = perturbation._scaled_e1
 
         def counted_xi0(z):
             points["xi0_minus"] += np.size(z)
             return xi0_minus(z)
 
-        def counted_pair(self, xi):
-            points["layer"] += np.size(xi)
-            return layer_pair(self, xi)
+        def counted_double_pole(q, u):
+            # two calls per node, one per pole
+            points["layer"] += 0.5 * np.size(u)
+            return double_pole(q, u)
 
         def counted_e1(z):
             points["e1"] += np.size(z)
             return scaled_e1(z)
 
         monkeypatch.setattr(field.kernel, "xi0_minus", counted_xi0)
-        monkeypatch.setattr(_LayerTransforms, "pair", counted_pair)
+        monkeypatch.setattr(perturbation, "_double_pole_transforms",
+                            counted_double_pole)
         monkeypatch.setattr(perturbation, "_scaled_e1", counted_e1)
         _delta_from_v(field, MATERIAL, np.array([0.3, -0.7]), Y, SPEC)
         return points
@@ -477,6 +476,22 @@ class TestSignMap:
         assert small_map.delta.shape == (3, 2)
         for s in small_map.sign.ravel():
             assert s in ("shielding", "neutral", "amplifying")
+
+    def test_one_betti_pass_per_phi(self, monkeypatch):
+        # work guard: every alpha of one phi shares one complex response
+        shapes = []
+        real = perturbation._delta_from_v
+
+        def counting(field, material, v, Y, spec):
+            shapes.append(np.shape(v))
+            return real(field, material, v, Y, spec)
+
+        monkeypatch.setattr(perturbation, "_delta_from_v", counting)
+        inc = InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0, ell_a=0.2,
+                            ell_b=0.1, nu_star=5.0)
+        sign_map(LOAD, MATERIAL, inc, phi_grid=np.radians([30.0, 90.0, 150.0]),
+                 alpha_grid=[0.4, 1.3], spec=SPEC)
+        assert shapes == [(2, 2)] * 3
 
     def test_circle_constant_along_alpha(self):
         phi = np.radians([60.0])

@@ -11,8 +11,7 @@ from .model import (Bimaterial, CrackLoad, DerivedParams, InclusionSpec,
                     bimaterial_from_dimensionless, custom_transform,
                     derive_params, inclusion_centre, point_load_transforms,
                     point_triple, smooth_exponential, smooth_load_transforms)
-from .numerics import (QuadratureSpec, SpectralSample, integrate_adaptive,
-                       log_gamma)
+from .numerics import QuadratureSpec, integrate_adaptive, log_gamma
 from .perturbation import (PerturbationResult, SignMapResult,
                            boundary_layer_dy, delta_sigma0, dipole_elliptic,
                            dipole_for, dipole_rigid, sign_map)
@@ -28,8 +27,8 @@ __all__ = [
     "KernelFactors", "NonConvergence", "NonFiniteSample",
     "PerturbationResult", "PoleError", "QuadratureSpec",
     "SelfBalanceViolation", "Sigma0Result", "SignMapResult",
-    "SpectralSample", "TailBoundExceeded", "UnperturbedSolution",
-    "UnsupportedLoad", "WeightField", "bimaterial_from_dimensionless",
+    "TailBoundExceeded", "UnperturbedSolution", "UnsupportedLoad",
+    "WeightField", "bimaterial_from_dimensionless",
     "boundary_layer_dy", "custom_transform", "delta_sigma0",
     "derive_params", "dipole_elliptic", "dipole_for", "dipole_rigid",
     "inclusion_centre", "integrate_adaptive", "k3_perfect", "log_gamma",

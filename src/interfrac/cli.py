@@ -82,7 +82,8 @@ def _parse_load(cfg):
     t = _section(cfg, "load", {"kind": "smooth-exponential"})
     kind = t.get("kind", "point-triple")
     if kind not in _LOAD_KINDS:
-        raise ConfigError(f"load.kind must be one of {_LOAD_KINDS}, got {kind!r}")
+        raise ConfigError(f"unknown load kind {kind!r}, expected one of "
+                          f"{_LOAD_KINDS}")
     if kind == "point-triple":
         F = _number(t, "load", "F", 1.0)
         a = _number(t, "load", "a")

@@ -102,11 +102,12 @@ def smooth_load_transforms(xi):
 class CrackLoad:
     """Self-balanced crack-face loading, described by its two transforms.
 
-    osc_avg / osc_jump list the bounded-oscillation components
-    sum_k c_k e^{-i s_k xi} of each transform (point loads); transforms
-    without such components must instead decay like |xi|^{-(1+decay_exponent)}
-    so spectral tails can be bounded. phase_scale is the largest oscillation
-    shift s_k (sets panel widths), reference_length feeds kappa_star.
+    oscillations is the point-force table of a point load: one row
+    (s_k, a_k, j_k) per force position x = -s_k, sorted by shift, so that
+    <p> = sum_k a_k e^{-i s_k xi} and [p] = sum_k j_k e^{-i s_k xi}. Loads
+    with an empty table must instead decay like |xi|^{-(1+decay_exponent)}
+    so spectral tails can be bounded. phase_scale is the largest shift
+    (sets panel widths), reference_length feeds kappa_star.
     """
 
     kind: str
@@ -117,8 +118,7 @@ class CrackLoad:
     b: Optional[float] = None
     reference_length: float = 1.0
     decay_exponent: Optional[float] = None
-    osc_avg: Optional[Tuple[Tuple[complex, float], ...]] = None
-    osc_jump: Optional[Tuple[Tuple[complex, float], ...]] = None
+    oscillations: Tuple[Tuple[float, float, float], ...] = ()
     phase_scale: float = 1.0
     x_avg: Optional[Callable] = None
     x_jump: Optional[Callable] = None
@@ -148,14 +148,12 @@ def point_triple(F, a, b):
     def jump(xi):
         return point_load_transforms(F, a, b, xi)[1]
 
-    quarter = 0.25 * F
-    osc_avg = ((quarter, a - b), (2.0 * quarter, a), (quarter, a + b))
-    osc_jump = ((-0.5 * F, a - b), (F, a), (-0.5 * F, a + b))
-
+    oscillations = ((a - b, 0.25 * F, -0.5 * F), (a, 0.5 * F, F),
+                    (a + b, 0.25 * F, -0.5 * F))
     return CrackLoad(
         kind="point-triple", transform_avg=avg, transform_jump=jump,
         F=F, a=a, b=b, reference_length=a,
-        osc_avg=osc_avg, osc_jump=osc_jump, phase_scale=a + b)
+        oscillations=oscillations, phase_scale=a + b)
 
 
 def smooth_exponential(reference_length=1.0):

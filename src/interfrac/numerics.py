@@ -10,7 +10,6 @@ their arguments and safe to call concurrently.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +40,6 @@ class QuadratureSpec:
 
     def tolerance(self, magnitude):
         return max(self.abs_tol, self.rel_tol * abs(magnitude))
-
-
-class SpectralSample(NamedTuple):
-    """One (xi, value) record of a transform-domain function."""
-
-    xi: float
-    value: complex
 
 
 def _vectorized(f):

@@ -20,13 +20,18 @@ built on the PCHIP phase table of the kernel, is not resolved. Each target
 sums the plain rule over the panels far from it and Helsing-Ojala product
 weights (Helsing & Ojala, J. Comput. Phys. 227, 2008) over the panels
 around it. Past the cut, point loads get integration-by-parts tails per
-oscillation component; an algebraically decaying g is carried on further
-ratio-2 panels until what is left is negligible.
+row of their point-force table; an algebraically decaying g is carried on
+further ratio-2 panels until what is left is negligible.
 
 Gradients off the interface line come from the inverse transform, folded to
 xi > 0 by conjugate symmetry. A PCHIP table of phi^+ over a log grid (exact
 at its nodes, filled by one batched transform) serves the gradient and
 displacement quadratures; the identity checks evaluate phi^+ directly.
+Below its low end 1e-6 scale, with scale = min(mu0, 1/a), the table holds
+phi^+ constant, which shifts a field at distance r by up to about
+(1e-6 scale r)^{3/2} relative (measured on the smooth load: 4e-7 at
+r = 1e2/scale, 1e-2 at 1e5/scale, 0.3 at 1e6/scale), so positions past the
+reach 1e2/scale raise GeometryError.
 """
 
 import math
@@ -87,8 +92,10 @@ class UnperturbedSolution:
         self.spec = spec or QuadratureSpec()
         self.kernel = kernel or KernelFactors(self.params.mu0)
         self.kappa = material.kappa
+        # the phi^+ table's unit: its low end is 1e-6 scale, and the field
+        # is reconstructed out to the reach 1e2 / scale
+        self._scale = min(self.kernel.mu0, 1.0 / load.reference_length)
         self._phi_interp = None
-        self._phi_interp_hi = 0.0
 
     # -- building blocks -------------------------------------------------------
 
@@ -98,40 +105,19 @@ class UnperturbedSolution:
         out = 0.5 * (1.0 - self.params.mu_star * self.kernel.mu0 / np.abs(arr))
         return out if np.ndim(xi) else float(out)
 
+    def _g(self, beta, avg, jump):
+        """g at the array beta for the load parts avg = <p>, jump = [p]: the
+        transforms there, or one point-force row's (a_k, j_k), whose term of
+        g is _g(beta, a_k, j_k) e^{-i s_k beta}."""
+        return self.kappa * (
+            self.lambda_factor(beta) * jump / self.kernel.b_minus(beta)
+            + math.pi * self.kernel.mu0 * self.kernel.b_plus(beta) * avg)
+
     def g_rhs(self, beta):
         """Right-hand side whose Cauchy transform defines L^+/-."""
         arr = self.kernel._checked(beta)
-        avg_p, jump_p = self.load.transforms(arr)
-        mu0 = self.kernel.mu0
-        out = self.kappa * (
-            self.lambda_factor(arr) * jump_p / self.kernel.b_minus(arr)
-            + math.pi * mu0 * self.kernel.b_plus(arr) * avg_p)
+        out = self._g(arr, *self.load.transforms(arr))
         return out if np.ndim(beta) else complex(out)
-
-    def _osc_shifts(self):
-        if not (self.load.osc_avg or self.load.osc_jump):
-            return None
-        return sorted({s for _, s in self.load.osc_avg + self.load.osc_jump})
-
-    def _g_envelope(self, coeff_avg, coeff_jump):
-        """Smooth prefactor of one e^{-i c beta} component of g."""
-        mu0 = self.kernel.mu0
-
-        def env(beta):
-            return self.kappa * (
-                self.lambda_factor(beta) * coeff_jump / self.kernel.b_minus(beta)
-                + math.pi * mu0 * self.kernel.b_plus(beta) * coeff_avg)
-
-        return env
-
-    def _g_components(self):
-        """[(shift, envelope)] such that g = sum envelope_k e^{-i shift_k b}."""
-        table = {}
-        for c, s in self.load.osc_avg or ():
-            table.setdefault(s, [0.0, 0.0])[0] += c
-        for c, s in self.load.osc_jump or ():
-            table.setdefault(s, [0.0, 0.0])[1] += c
-        return [(s, self._g_envelope(ca, cj)) for s, (ca, cj) in sorted(table.items())]
 
     # -- Cauchy transform and the L decomposition ------------------------------
 
@@ -150,11 +136,11 @@ class UnperturbedSolution:
         B^+/- bends, most of all at its extremum. An oscillatory mesh of more
         than _PV_MAX_PANELS panels per half-line raises NonConvergence.
         """
-        shifts = self._osc_shifts()
-        top = cut if shifts else cut * 2.0 ** 40
+        table = self.load.oscillations
+        top = cut if table else cut * 2.0 ** 40
         edges = np.geomspace(_PV_LO, top, math.ceil(math.log2(top / _PV_LO)) + 1)
-        if shifts:
-            width = math.pi / max(shifts)
+        if table:
+            width = math.pi / table[-1][0]
             pieces = np.ceil(np.diff(edges) / width).astype(int)
             if pieces.sum() > _PV_MAX_PANELS:
                 raise NonConvergence(
@@ -200,8 +186,9 @@ class UnperturbedSolution:
         those samples: by the plain rule on panels far from it, and by
         Helsing-Ojala product weights (PV int z^k/(z - z0) dz by recurrence,
         then a Vandermonde solve) on the panels within 1.5 half-widths of it.
-        Oscillatory loads add integration-by-parts tails past the cut per
-        e^{-i c b} component. The estimate sums |weight| times the two
+        Point loads add integration-by-parts tails past the cut, one per
+        row (s_k, a_k, j_k) of their table and half-line, each of the term
+        _g(b, a_k, j_k) e^{-i s_k b}. The estimate sums |weight| times the two
         highest Legendre modes of g over every panel, plus the tail residuals
         and bounds for the parts of the line left unmeshed.
         """
@@ -263,38 +250,31 @@ class UnperturbedSolution:
         end = float(hi.max())
         g_end = np.abs(self.g_rhs(np.array([-_PV_LO, _PV_LO, -end, end])))
         est += 2.0 * _PV_LO * (g_end[0] + g_end[1]) / np.abs(xs)
-        if self._osc_shifts():
-            for shift, env in self._g_components():
-                v, r = oscillatory_tail(
-                    lambda u, env=env: env(u)[:, None] / (u[:, None] - xs),
-                    -shift, end, self.spec)
-                total += v
-                est += r
-                v, r = oscillatory_tail(
-                    lambda u, env=env: -env(-u)[:, None] / (u[:, None] + xs),
-                    shift, end, self.spec)
-                total += v
-                est += r
-        else:
+        if not self.load.oscillations:
             est += g_end[2] + g_end[3]
+        for shift, a, j in self.load.oscillations:
+            v, r = oscillatory_tail(
+                lambda u, a=a, j=j: self._g(u, a, j)[:, None] / (u[:, None] - xs),
+                -shift, end, self.spec)
+            total += v
+            est += r
+            v, r = oscillatory_tail(
+                lambda u, a=a, j=j: -self._g(-u, a, j)[:, None] / (u[:, None] + xs),
+                shift, end, self.spec)
+            total += v
+            est += r
         total = total.reshape(np.shape(x))
         est = est.reshape(np.shape(x))
         return (total, est) if np.ndim(x) else (complex(total), float(est))
 
-    def l_pm(self, xi, side):
-        """Real-axis boundary values L^{+/-}(xi) by the Plemelj formula, for
-        real xi != 0 (scalar or array)."""
-        if side not in ("plus", "minus"):
-            raise DomainError("side must be 'plus' or 'minus'")
-        sgn = 1.0 if side == "plus" else -1.0
-        cauchy, _ = self.cauchy_pv(xi)
-        return sgn * 0.5 * self.g_rhs(xi) + cauchy / (2.0j * math.pi)
-
     def l_plus(self, xi):
-        return self.l_pm(xi, "plus")
+        """Real-axis boundary value L^+(xi) = g/2 + PV/(2 pi i) by the
+        Plemelj formula, for real xi != 0 (scalar or array)."""
+        return 0.5 * self.g_rhs(xi) + self.cauchy_pv(xi)[0] / (2.0j * math.pi)
 
     def l_minus(self, xi):
-        return self.l_pm(xi, "minus")
+        """L^-(xi) = -g/2 + PV/(2 pi i), as l_plus."""
+        return -0.5 * self.g_rhs(xi) + self.cauchy_pv(xi)[0] / (2.0j * math.pi)
 
     # -- load-problem transform functions --------------------------------------
 
@@ -332,10 +312,9 @@ class UnperturbedSolution:
     # -- phi^+ interpolation (exact at nodes) for gradient quadratures --------
 
     def _phi_table(self, hi_needed):
-        if self._phi_interp is None or hi_needed > self._phi_interp_hi:
-            scale = min(self.kernel.mu0, 1.0 / self.load.reference_length)
-            hi = max(hi_needed * 2.0, 1e2 * scale)
-            lo = 1e-6 * scale
+        if self._phi_interp is None or hi_needed > self._phi_interp[3]:
+            hi = max(hi_needed * 2.0, 1e2 * self._scale)
+            lo = 1e-6 * self._scale
             n = max(48, int(48 * math.log10(hi / lo)))
             grid = np.geomspace(lo, hi, n)
             vals = self.phi_plus_load(grid)
@@ -343,17 +322,14 @@ class UnperturbedSolution:
             self._phi_interp = (
                 PchipInterpolator(lg, vals.real, extrapolate=False),
                 PchipInterpolator(lg, vals.imag, extrapolate=False),
-                float(lo), float(hi),
-                complex(vals[0]), complex(vals[-1]))
-            self._phi_interp_hi = hi
+                float(lo), float(hi))
         return self._phi_interp
 
-    def phi_plus_cached(self, xi, hi_hint=None):
+    def phi_plus_cached(self, xi):
         """phi^+ on an array of real xi via the log-grid table; negative xi
         by conjugate symmetry, clamped ends (integrands there are damped)."""
         arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        re, im, lo, hi, v_lo, v_hi = self._phi_table(
-            hi_hint if hi_hint else np.abs(arr).max())
+        re, im, lo, hi = self._phi_table(np.abs(arr).max())
         mag = np.clip(np.abs(arr), lo, hi)
         lg = np.log(mag)
         out = re(lg) + 1j * im(lg)
@@ -361,6 +337,12 @@ class UnperturbedSolution:
         return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
 
     # -- physical-domain reconstruction ----------------------------------------
+
+    def _check_reach(self, x, y):
+        r, reach = math.hypot(x, y), 1e2 / self._scale
+        if r > reach:
+            raise GeometryError(f"position at distance {r:.4g} lies past the "
+                                f"phi^+ table's reach {reach:.4g}")
 
     def _check_position(self, Y, min_angle_deg):
         yx, yy = float(Y[0]), float(Y[1])
@@ -374,6 +356,7 @@ class UnperturbedSolution:
             raise GeometryError(
                 f"position angle {math.degrees(angle):.2f} deg below the "
                 f"{min_angle_deg} deg guard near the intact interface")
+        self._check_reach(yx, yy)
         return yx, yy
 
     def _grad_integrals(self, yx, yy, spec):
@@ -385,7 +368,7 @@ class UnperturbedSolution:
         self._phi_table(cut)
 
         def a_j(xi):
-            return self.a_coeff(j, xi, self.phi_plus_cached(xi, hi_hint=cut))
+            return self.a_coeff(j, xi, self.phi_plus_cached(xi))
 
         val, err = integrate_err(
             lambda xi: -xi * a_j(xi) * np.exp(-xi * abs(yy) - 1j * xi * yx),
@@ -418,13 +401,15 @@ class UnperturbedSolution:
         rx, ry = float(ref[0]), float(ref[1])
         if ry * y <= 0.0:
             raise GeometryError("reference point must lie in the same half-plane")
+        self._check_reach(x, y)
+        self._check_reach(rx, ry)
         j = 1 if y > 0 else 2
         y_min = min(abs(y), abs(ry))
         cut = 40.0 / y_min
         self._phi_table(cut)
 
         def f(xi):
-            aj = self.a_coeff(j, xi, self.phi_plus_cached(xi, hi_hint=cut))
+            aj = self.a_coeff(j, xi, self.phi_plus_cached(xi))
             kernel_here = np.exp(-xi * abs(y) - 1j * xi * x)
             kernel_ref = np.exp(-xi * abs(ry) - 1j * xi * rx)
             return aj * (kernel_here - kernel_ref)

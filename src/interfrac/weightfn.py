@@ -17,22 +17,20 @@ over the real line, so the weight function enters through one [U]
 evaluation per node. The integrand is O(xi_+^{-1/2}) at 0 and O(1/xi) times
 the load oscillation at infinity. Each half-line is integrated by
 numerics.half_line (the xi = s^2 head and the seeded mid); the oscillatory
-tail past X is summed by integration-by-parts asymptotics per load
-component, smooth-load tails decay algebraically and are bounded from the
-declared decay exponent.
+tail past X is summed by integration-by-parts asymptotics per row of the
+load's point-force table; smooth-load tails decay algebraically and are
+bounded from the declared decay exponent.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import UnsupportedLoad
 from .kernel import KernelFactors, xi_minus_half, xi_plus_half
 from .model import Bimaterial, CrackLoad, derive_params
-from .numerics import (QuadratureSpec, SpectralSample, half_line,
-                       integrate_err, oscillatory_tail)
+from .numerics import QuadratureSpec, half_line, integrate_err, oscillatory_tail
 
 
 class WeightField:
@@ -41,8 +39,6 @@ class WeightField:
     sigma0_memo is the (load, spec, sigma0) of the last sigma0 that
     perturbation.delta_sigma0 computed on this field, or None; it is
     replaced whole, in one assignment."""
-
-    normalization = 1.0  # the weight function is defined up to this scalar
 
     def __init__(self, material: Bimaterial, a=1.0, spec=None, kernel=None):
         self.material = material
@@ -105,17 +101,11 @@ class Sigma0Result:
     sigma0: float
     est_error: float
     integral: complex
-    integrand_profile: Optional[Sequence[SpectralSample]] = None
 
 
-def _combined_components(load: CrackLoad, mu_star):
-    """Oscillation components of <p> - (mu_*/2)[p] (the jump_u prefactor)."""
-    weights = {}
-    for coeff, shift in load.osc_avg or ():
-        weights[shift] = weights.get(shift, 0.0) + coeff
-    for coeff, shift in load.osc_jump or ():
-        weights[shift] = weights.get(shift, 0.0) - 0.5 * mu_star * coeff
-    return sorted(weights.items())
+def _point_weights(load: CrackLoad, mu_star):
+    """[(s_k, w_k)]: <p> - (mu_*/2)[p] = sum_k w_k e^{-i s_k xi}."""
+    return [(s, a - 0.5 * mu_star * j) for s, a, j in load.oscillations]
 
 
 def _betti_integrand(field: WeightField, load: CrackLoad):
@@ -139,10 +129,8 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
 
     xi_c = min(mu0, math.pi / load.phase_scale)
     stretch = max(1.0, spec.truncation_radius / 1e4)
-    oscillatory = bool(load.osc_avg or load.osc_jump)
-    if oscillatory:
-        shifts = [s for _, s in load.osc_avg + load.osc_jump]
-        c_min, c_max = min(shifts), max(shifts)
+    if load.oscillations:
+        c_min, c_max = load.oscillations[0][0], load.oscillations[-1][0]
         x_cut = max(4.0 * xi_c, 100.0 / c_min) * stretch
         width = max(math.pi / c_max, (x_cut - xi_c) / 3000.0)
         body, e_body = half_line(f_signed, xi_c, x_cut, spec,
@@ -154,7 +142,7 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
 
         tail = 0.0 + 0.0j
         e_tail = 0.0
-        for shift, w in _combined_components(load, field.mu_star):
+        for shift, w in _point_weights(load, field.mu_star):
             if w == 0.0:
                 continue
             v, r = oscillatory_tail(envelope, -shift * sign, x_cut, spec)
@@ -170,8 +158,8 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
     return body + tail, e_body + e_tail
 
 
-def sigma0(load: CrackLoad, material: Bimaterial, spec=None, *, field=None,
-           profile=False) -> Sigma0Result:
+def sigma0(load: CrackLoad, material: Bimaterial, spec=None, *,
+           field=None) -> Sigma0Result:
     """Crack-tip traction constant of the unperturbed problem via the Betti
     identity.
 
@@ -192,35 +180,30 @@ def sigma0(load: CrackLoad, material: Bimaterial, spec=None, *, field=None,
     front = 0.5 * math.sqrt(field.kernel.mu0 / math.pi)
     total = front * (pos + neg)
     est = front * (e_pos + e_neg) + abs(total.imag)
-    samples = None
-    if profile:
-        mu0 = field.kernel.mu0
-        grid = np.geomspace(1e-3 * mu0, max(1e3 * mu0, 200.0 / load.phase_scale), 400)
-        vals = _betti_integrand(field, load)(grid)
-        samples = [SpectralSample(float(x), complex(v)) for x, v in zip(grid, vals)]
     return Sigma0Result(sigma0=float(total.real), est_error=float(est),
-                        integral=complex(total), integrand_profile=samples)
+                        integral=complex(total))
 
 
 def k3_perfect(load: CrackLoad, material: Bimaterial, spec=None):
     """Perfect-interface stress intensity factor for the same loading:
     -sqrt(2/pi) int_0^inf {<p>(-r) - (mu_*/2)[p](-r)} r^{-1/2} dr,
-    closed form for the point triple, quadrature for smooth loads.
+    closed form for point loads, quadrature for smooth loads. A point
+    force at x = -s has the moment s^{-1/2}, so a load with a point-force
+    table gets -sqrt(2/pi) sum_k w_k s_k^{-1/2} with the sigma0 tail
+    weights w_k.
 
     The -mu_*/2 jump weight makes the bracket the exact kappa->0 limit
     functional of sigma0 (sigma0 -> sqrt(mu0/pi) * bracket moment), and is
     fixed independently by the rigid-lower-half-plane limit: at mu_* = -1
     the bracket must reduce to the upper-face load alone.
     """
-    c = -material.mu_star
-    if load.kind == "point-triple":
-        F, a, b = load.F, load.a, load.b
-        avg_m = 0.5 * F * (a ** -0.5 + 0.5 * ((a + b) ** -0.5 + (a - b) ** -0.5))
-        jump_m = F * (a ** -0.5 - 0.5 * ((a + b) ** -0.5 + (a - b) ** -0.5))
-        return -math.sqrt(2.0 / math.pi) * (avg_m + 0.5 * c * jump_m)
+    if load.oscillations:
+        return -math.sqrt(2.0 / math.pi) * sum(
+            w * s ** -0.5 for s, w in _point_weights(load, material.mu_star))
     if load.x_avg is None or load.x_jump is None:
         raise UnsupportedLoad(
             "k3_perfect needs an x-domain form (point-triple or smooth loads)")
+    c = -material.mu_star
     spec = spec or QuadratureSpec()
 
     def f(s):

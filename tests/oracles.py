@@ -63,13 +63,13 @@ def cauchy_pv_adaptive(sol, x, spec=None):
     g = sol.g_rhs
     gx = sol.g_rhs(x)
     s = abs(x)
-    shifts = sol._osc_shifts()
-    c_max = max(shifts) if shifts else 1.0 / sol.load.reference_length
-    c_min = min(shifts) if shifts else None
+    table = sol.load.oscillations
+    c_max = table[-1][0] if table else 1.0 / sol.load.reference_length
+    c_min = table[0][0] if table else None
 
-    half_w = min(0.5 * s, math.pi / (4.0 * c_max)) if shifts else 0.5 * s
+    half_w = min(0.5 * s, math.pi / (4.0 * c_max)) if table else 0.5 * s
     zone = min(mu0, 0.25 * s, math.pi / c_max)
-    x_cut = (max(60.0 / c_min, 3.0 * s, 4.0 * zone) if shifts
+    x_cut = (max(60.0 / c_min, 3.0 * s, 4.0 * zone) if table
              else max(2e3 / sol.load.reference_length, 3.0 * s, 20.0 * mu0))
 
     total = 0.0 + 0.0j
@@ -119,20 +119,20 @@ def cauchy_pv_adaptive(sol, x, spec=None):
             if lo < q < hi:
                 seeds.add(q)
             q *= 2.0
-        if shifts:
+        if table:
             width = max(math.pi / c_max, (hi - lo) / 2000.0)
             seeds.update(np.arange(lo + width, hi, width).tolist())
         val, err = integrate_err(plain, lo, hi, spec, breakpoints=sorted(seeds))
         total += val
         est += err
 
-    if shifts:
-        for shift, env in sol._g_components():
-            def upper(u, env=env):
-                return env(u) / (u - x)
+    if table:
+        for shift, a, j in table:
+            def upper(u, a=a, j=j):
+                return sol._g(u, a, j) / (u - x)
 
-            def lower(u, env=env):
-                return -env(-u) / (u + x)
+            def lower(u, a=a, j=j):
+                return -sol._g(-u, a, j) / (u + x)
 
             v, r = oscillatory_tail(upper, -shift, x_cut, spec)
             total += v

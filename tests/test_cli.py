@@ -157,12 +157,13 @@ class TestSigma0Command:
         ("sigma0", dict(POINT_CFG, numerics={"truncation_radius": 1e300})),
         ("sigma0", point_cfg_with_a(4.5e61)),
         ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e200)),
+        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e12)),
     ], ids=["point_a_huge", "smooth_a_tiny", "truncation_radius_huge",
-            "point_a_4.5e61", "map_d_overflow"])
+            "point_a_4.5e61", "map_d_overflow", "map_d_past_reach"])
     def test_numerical_failure_one_line(self, tmp_path, command, cfg_data):
         # in a child process: pytest would capture the numpy warnings that
-        # used to reach stderr here; at d = 1e200 the layer integrand is no
-        # longer finite
+        # used to reach stderr here; d = 1e200 and d = 1e12 lie past the
+        # reach of the phi^+ table behind grad_u0
         proc = run_cli_process(tmp_path, command, cfg_data)
         assert proc.returncode == 3
         err = proc.stderr.strip().split("\n")

@@ -77,9 +77,11 @@ class TestPointLoadTransforms:
 
     def test_oscillation_components_reconstruct(self):
         load = point_triple(2.0, 1.0, 0.75)
+        shifts = [s for s, _, _ in load.oscillations]
+        assert shifts == sorted(set(shifts))
         xi = np.linspace(-20, 20, 41)
-        avg = sum(c * np.exp(-1j * s * xi) for c, s in load.osc_avg)
-        jump = sum(c * np.exp(-1j * s * xi) for c, s in load.osc_jump)
+        avg = sum(a * np.exp(-1j * s * xi) for s, a, _ in load.oscillations)
+        jump = sum(j * np.exp(-1j * s * xi) for s, _, j in load.oscillations)
         a_ref, j_ref = load.transforms(xi)
         assert np.allclose(avg, a_ref, atol=1e-14)
         assert np.allclose(jump, j_ref, atol=1e-14)

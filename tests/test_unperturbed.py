@@ -104,6 +104,15 @@ class TestBatchedCauchy:
             beside = sol_smooth.cauchy_pv(np.array([x * side, 1.0]))[0][0]
             assert abs(on_edge - beside) <= 1e-9 * abs(on_edge)
 
+    def test_g_is_the_sum_of_its_point_force_terms(self, sol):
+        # the tails past the cut integrate g one table row at a time
+        b = np.geomspace(1e-2, 1e2, 20)
+        b = np.concatenate([b, -b])
+        g = sol.g_rhs(b)
+        terms = sum(sol._g(b, a, j) * np.exp(-1j * s * b)
+                    for s, a, j in sol.load.oscillations)
+        assert np.all(np.abs(terms - g) <= 1e-13 * np.abs(g))
+
     def test_too_far_for_the_oscillatory_mesh(self, sol):
         # 1e6 needs ~1.4e6 half-period panels per half-line; refused before
         # any sampling
@@ -266,6 +275,23 @@ class TestGradient:
         g = math.radians(4.9)
         with pytest.raises(GeometryError):
             sol_smooth.grad_u0((1.3 * math.cos(g), 1.3 * math.sin(g)))
+
+    def test_far_field_reach(self, sol_smooth):
+        # below its low end 1e-6 scale the phi^+ table holds phi^+
+        # constant, which shifts the field at distance r by about
+        # (1e-6 scale r)^1.5; positions past r = 1e2 / scale are refused
+        s = UnperturbedSolution(sol_smooth.load, sol_smooth.material)
+        reach = 1e2 / s._scale
+        c, t = math.cos(math.radians(30.0)), math.sin(math.radians(30.0))
+        inside, outside = reach * (1.0 - 1e-9), reach * (1.0 + 1e-9)
+        assert all(map(math.isfinite, s.grad_u0((inside * c, inside * t))))
+        assert math.isfinite(s.u0(inside * c, inside * t))
+        with pytest.raises(GeometryError, match="reach"):
+            s.grad_u0((outside * c, outside * t))
+        with pytest.raises(GeometryError, match="reach"):
+            s.u0(outside * c, outside * t)
+        with pytest.raises(GeometryError, match="reach"):
+            s.u0(0.0, 1.0, ref=(outside * c, outside * t))
 
     def test_gradient_against_finite_differences(self, sol_smooth):
         Y = (0.5, 0.8)

@@ -142,12 +142,6 @@ class TestSigma0:
         sigma0(load, material, field=field)
         assert points["xi0_minus"] <= 1.05 * points["load"]
 
-    def test_profile_samples(self):
-        m = Bimaterial(1.0, 1.0, 0.5)
-        r = sigma0(point_triple(1.0, 1.0, 0.75), m, profile=True)
-        assert len(r.integrand_profile) > 100
-        assert all(np.isfinite(s.value) for s in r.integrand_profile)
-
     def test_custom_transform_load_matches_builtin(self):
         # wrapping the smooth transforms as a custom pair must reproduce
         # the built-in result through the declared-decay tail route

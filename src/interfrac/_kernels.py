@@ -8,7 +8,10 @@ Cauchy principal-value rule
     H(s) = PV int_0^inf ln_xi_star(t) / (t^2 - s^2) dt,   s > 0,
 
 evaluated with a fixed composite Gauss-Legendre scheme (pole subtracted on
-[0, 2s], the tail mapped to u = 2s/t).
+[0, 2s], the tail mapped to u = 2s/t). The targets are evaluated in one
+pass per block of _BLOCK: each keeps its own panels, padded to a common
+count with zero-width panels, and is summed on its own, so its value is
+bitwise that of a single-target call.
 """
 
 import math
@@ -20,6 +23,8 @@ BACKEND = "numpy"
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _LN3 = math.log(3.0)
+# targets per pass of pv_cauchy_batch: its node arrays stay near 1e6 values
+_BLOCK = 512
 
 # principal-branch log-gamma, no pole guarding (see numerics.log_gamma)
 log_gamma_raw = loggamma
@@ -31,49 +36,79 @@ def _ln_xi_star(x):
     lo = x <= 1e-3
     hi = x >= 30.0
     mid = ~(lo | hi)
-    if np.any(lo):
+    if lo.any():
         xl = x[lo]
         r = xl * xl * (-1.0 / 3.0 + xl * xl * (2.0 / 15.0))  # tanh(x)/x - 1
         out[lo] = np.log1p(xl) + np.log1p(r)
-    if np.any(hi):
+    if hi.any():
         out[hi] = np.log1p(1.0 / x[hi])
-    if np.any(mid):
+    if mid.any():
         xm = x[mid]
         out[mid] = np.log(np.tanh(xm)) + np.log1p(1.0 / xm)
     return out
 
 
 def _pv_edges_main(s, mu0):
-    # panel edges in t on [0, 2s]: geometric chain over both scales (at most
-    # 158 doublings) plus dyadic refinement toward the subtracted pole at t = s
-    q = min(mu0, s) / 64.0
-    n = min(158, math.ceil(math.log2(2.0 * s / q)) + 1)
-    pts = [0.0, 2.0 * s] + [p for p in (q * 2.0 ** k for k in range(n)) if p < 2.0 * s]
-    for k in range(1, 6):
-        pts += [s * (1.0 - 0.5 ** k), s * (1.0 + 0.5 ** k)]
-    out = []
-    for p in sorted(pts):
-        if not out or p - out[-1] > 1e-12 * (p + s):
-            out.append(p)
-    return np.array(out)
+    # panel edges in t on [0, 2s], one row per target s: geometric chain over
+    # both scales (at most 158 doublings) plus dyadic refinement toward the
+    # subtracted pole at t = s; an edge within 1e-12 (t + s) of the last edge
+    # kept is dropped. Rows are padded with 2s; returns (edges, count per row)
+    q = np.minimum(mu0, s) / 64.0
+    n = np.minimum(158, np.ceil(np.log2(2.0 * s / q)) + 1)
+    k = np.arange(int(n.max()))
+    two_s = (2.0 * s)[:, None]
+    chain = q[:, None] * 2.0 ** k
+    chain[(k >= n[:, None]) | (chain >= two_s)] = np.inf
+    half = 0.5 ** np.arange(1, 6)
+    pts = np.hstack([np.zeros_like(two_s), two_s, chain,
+                     s[:, None] * (1.0 - half), s[:, None] * (1.0 + half)])
+    pts.sort(axis=1)
+    last = pts[:, 0]
+    for c in range(1, pts.shape[1]):
+        p = pts[:, c]
+        keep = p - last > 1e-12 * (p + s)
+        last = np.where(keep, p, last)
+        p[~keep] = np.inf
+    pts.sort(axis=1)
+    count = np.isfinite(pts).sum(axis=1)
+    pts = pts[:, :count.max()]
+    return np.where(np.isinf(pts), two_s, pts), count
 
 
 def _pv_edges_tail(s, mu0):
-    # panel edges in u on (0, 1] for t = 2s/u; dyadic chain deep enough to
-    # resolve the kernel knee at t = mu0 (u = 2s/mu0) when s << mu0
-    jmax = 24
-    r = 2.0 * s / mu0
-    if r < 1.0:
-        jmax = max(24, min(160, int(-math.log(r) / math.log(2.0)) + 12))
-    return np.concatenate(([0.0], np.ldexp(1.0, np.arange(-jmax, 1))))
+    # panel edges in u on (0, 1] for t = 2s/u, one row per target s: a dyadic
+    # chain deep enough to resolve the kernel knee at t = mu0 (u = 2s/mu0)
+    # when s << mu0. Rows are padded with 1; returns (edges, count per row)
+    r = np.minimum(2.0 * s / mu0, 1.0)
+    jmax = np.clip((-np.log(r) / math.log(2.0)).astype(int) + 12, 24, 160)
+    k = np.arange(jmax.max() + 1)
+    chain = np.ldexp(1.0, np.minimum(k - jmax[:, None], 0))
+    return np.hstack([np.zeros((s.size, 1)), chain]), jmax + 2
 
 
-def _gl_sum(f, edges):
-    # composite GL12 of f over consecutive panels [edges[k], edges[k+1]]
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + hw[:, None] * _GL_NODES[None, :]
-    return float(np.dot(f(x) @ _GL_WEIGHTS, hw))
+def _gl_rows(f, edges, count):
+    # composite GL12 of f over the panels [edges[i, k], edges[i, k+1]],
+    # k < count[i] - 1, of each row i. f is evaluated on all rows at once;
+    # each row is then summed by the same two BLAS calls as on its own
+    # (a stacked sum reorders the additions), so that a row's value does not
+    # depend on the rows beside it or on the padding
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    hw = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    fx = f(mid[:, :, None] + hw[:, :, None] * _GL_NODES)
+    return np.array([float(np.dot(fx[i, :m] @ _GL_WEIGHTS, hw[i, :m]))
+                     for i, m in enumerate((count - 1).tolist())])
+
+
+def _pv_block(s, mu0):
+    # H at the targets s (1-d), all panels of all targets in one pass
+    col = s[:, None, None]
+    gs = _ln_xi_star(s / mu0)
+    gcol = gs[:, None, None]
+    near = _gl_rows(lambda t: (_ln_xi_star(t / mu0) - gcol) / ((t - col) * (t + col)),
+                    *_pv_edges_main(s, mu0))
+    tail = _gl_rows(lambda u: 2.0 * _ln_xi_star(2.0 * col / u / mu0)
+                    / (col * (4.0 - u * u)), *_pv_edges_tail(s, mu0))
+    return near - gs * _LN3 / (2.0 * s) + tail
 
 
 def ln_xi_star(t, mu0):
@@ -83,15 +118,11 @@ def ln_xi_star(t, mu0):
 
 
 def pv_cauchy_batch(s, mu0):
-    """H(s) = PV int_0^inf ln Xi_*(t)/(t^2-s^2) dt for an array of s > 0."""
+    """H(s) = PV int_0^inf ln Xi_*(t)/(t^2-s^2) dt for an array of s > 0,
+    evaluated _BLOCK targets per pass."""
     mu0 = float(mu0)
     a = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
     out = np.empty(a.shape[0])
-    for i, si in enumerate(a.tolist()):
-        gs = float(_ln_xi_star(np.array([si / mu0]))[0])
-        near = _gl_sum(lambda t: (_ln_xi_star(t / mu0) - gs) / ((t - si) * (t + si)),
-                       _pv_edges_main(si, mu0))
-        tail = _gl_sum(lambda u: 2.0 * _ln_xi_star(2.0 * si / u / mu0)
-                       / (si * (4.0 - u * u)), _pv_edges_tail(si, mu0))
-        out[i] = near - gs * _LN3 / (2.0 * si) + tail
+    for lo in range(0, a.shape[0], _BLOCK):
+        out[lo:lo + _BLOCK] = _pv_block(a[lo:lo + _BLOCK], mu0)
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])

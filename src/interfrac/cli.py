@@ -20,6 +20,7 @@ from .model import (Bimaterial, InclusionSpec, bimaterial_from_dimensionless,
 from .numerics import QuadratureSpec
 # delta_sigma0 has no caller here; perfbench/tracer.py patches it by name
 from .perturbation import delta_sigma0, sign_map
+from .unperturbed import UnperturbedSolution
 from .weightfn import ratio_r, sigma0
 
 _LOAD_KINDS = ("point-triple", "smooth-exponential")
@@ -246,16 +247,21 @@ def cmd_map(args):
     with _building():
         inc = InclusionSpec(d=d, phi=phi[0], alpha=alpha[0], ell_a=ell_a,
                             ell_b=ell_b, nu_star=nu_star, rigid=rigid)
-    result = sign_map(load, material, inc, phi, alpha, spec=spec)
+    solution = UnperturbedSolution(load, material, spec=spec)
+    if d > solution.reach:
+        raise ConfigError(f"inclusion.d = {d:.4g} lies past the field's "
+                          f"reach {solution.reach:.4g}")
+    result = sign_map(load, material, inc, phi, alpha, spec=spec,
+                      solution=solution)
     rows = []
     for i, p in enumerate(result.phi):
         for j, al in enumerate(result.alpha):
-            rows.append((math.degrees(p), math.degrees(al),
-                         result.delta[i, j], str(result.sign[i, j])))
+            rows.append((math.degrees(p), math.degrees(al), result.delta[i, j],
+                         result.est_error[i, j], str(result.sign[i, j])))
     meta = {"command": "map", "d": d, "nu_star": nu_star, "e": ell_b / ell_a,
             "ell_a": ell_a, "rigid": rigid, "config": cfg}
     _write_csv(args.out, meta, ("phi_deg", "alpha_deg", "delta_sigma0",
-                                "sign"), rows)
+                                "est_error", "sign"), rows)
     if args.pgm:
         _write_pgm(args.pgm, result)
     return 0
@@ -284,20 +290,25 @@ def cmd_residual(args):
     return 0
 
 
+def _position(text, reach):
+    """An --at value 'x,y': finite, off the interface and within reach."""
+    try:
+        x, y = (float(p) for p in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--at expects 'x,y', got {text!r}")
+    if not (math.isfinite(x) and math.isfinite(y)) or y == 0.0:
+        raise ConfigError(f"--at needs finite x and y != 0, got {text!r}")
+    if math.hypot(x, y) > reach:
+        raise ConfigError(f"--at {text} lies past the field's reach {reach:.4g}")
+    return x, y
+
+
 def cmd_field(args):
     """Unperturbed displacement and gradient samples off the interface."""
-    from .unperturbed import UnperturbedSolution
-
     cfg, material, load, spec = _read_run(args.config)
     solution = UnperturbedSolution(load, material, spec=spec)
     rows = []
-    for spec_at in args.at:
-        try:
-            x, y = (float(p) for p in spec_at.split(","))
-        except ValueError:
-            raise ConfigError(f"--at expects 'x,y', got {spec_at!r}")
-        if not (math.isfinite(x) and math.isfinite(y)) or y == 0.0:
-            raise ConfigError(f"--at needs finite x and y != 0, got {spec_at!r}")
+    for x, y in [_position(text, solution.reach) for text in args.at]:
         sample = solution.field_sample(x, y, min_angle_deg=args.min_angle)
         rows.append((sample.x, sample.y, sample.u, sample.gx, sample.gy))
     meta = {"command": "field", "config": cfg}

@@ -333,17 +333,19 @@ class SignMapResult:
 
 
 def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
-             phi_grid, alpha_grid, spec=None,
+             phi_grid, alpha_grid, spec=None, solution=None,
              min_angle_deg=5.0) -> SignMapResult:
     """delta_sigma0 sign over a (phi, alpha) grid for the inclusion inc; the
-    grids replace inc.phi and inc.alpha, its distance and shape stay.
+    grids replace inc.phi and inc.alpha, its distance and shape stay. A
+    prebuilt solution for (load, material) may be passed, as to delta_sigma0.
 
     delta is real-linear in v = M G: per phi the complex response L is
     integrated once and every alpha is Re(V L)."""
     spec = spec or QuadratureSpec()
     phi_grid = np.asarray(phi_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    solution = UnperturbedSolution(load, material, spec=spec)
+    if solution is None:
+        solution = UnperturbedSolution(load, material, spec=spec)
     field = WeightField(material, a=load.reference_length, spec=spec,
                         kernel=solution.kernel)
     base = _sigma0(load, material, spec, field=field).sigma0

@@ -93,8 +93,9 @@ class UnperturbedSolution:
         self.kernel = kernel or KernelFactors(self.params.mu0)
         self.kappa = material.kappa
         # the phi^+ table's unit: its low end is 1e-6 scale, and the field
-        # is reconstructed out to the reach 1e2 / scale
+        # is reconstructed out to the distance `reach` from the tip
         self._scale = min(self.kernel.mu0, 1.0 / load.reference_length)
+        self.reach = 1e2 / self._scale
         self._phi_interp = None
 
     # -- building blocks -------------------------------------------------------
@@ -339,10 +340,10 @@ class UnperturbedSolution:
     # -- physical-domain reconstruction ----------------------------------------
 
     def _check_reach(self, x, y):
-        r, reach = math.hypot(x, y), 1e2 / self._scale
-        if r > reach:
+        r = math.hypot(x, y)
+        if r > self.reach:
             raise GeometryError(f"position at distance {r:.4g} lies past the "
-                                f"phi^+ table's reach {reach:.4g}")
+                                f"phi^+ table's reach {self.reach:.4g}")
 
     def _check_position(self, Y, min_angle_deg):
         yx, yy = float(Y[0]), float(Y[1])

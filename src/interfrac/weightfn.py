@@ -95,6 +95,10 @@ class Sigma0Result:
     half-lines) plus the imaginary residue of the integral. It does not
     cover the PCHIP phase table (Hhat) that the kernel factors read; until
     that table is evaluated exactly, the estimate says nothing about it.
+    The gap is measured: for the point triple with b/a = 0.678 at
+    mu* = 0.50, kappa* = 0.113, a piecewise Chebyshev Hhat (36 panels of 20
+    nodes, within 2e-12 of the direct rule) moves sigma0 by 1.3e-8
+    relative, 4.7 times the est_error of 2.8e-9 relative reported there.
     (The other PCHIP table, phi^+, enters delta_sigma0 only.)
     """
 

@@ -4,16 +4,20 @@ load right-hand side g, direct half-line Fourier transforms with explicit
 tail treatment, the effective tractions of the boundary layer computed by
 those transforms, the one-sided exponential-integral pole transforms, and
 the layer transforms assembled from the library's closed-form double
-poles. Each cross-checks a faster or closed-form route of the library."""
+poles, the per-target loop of the direct Cauchy rule behind the phase
+table, and the kernel factors composed through the checked public
+methods. Each cross-checks a faster or closed-form route of the library."""
 
 import math
 
 import numpy as np
 
+from interfrac._kernels import _GL_NODES, _GL_WEIGHTS, _LN3, _ln_xi_star
 from interfrac.errors import DomainError, TailBoundExceeded
+from interfrac.kernel import xi_minus_half, xi_plus_half
 from interfrac.model import Bimaterial
 from interfrac.numerics import (QuadratureSpec, _vectorized, algebraic_tail,
-                                integrate_err, oscillatory_tail)
+                                integrate_err, log_gamma, oscillatory_tail)
 from interfrac.perturbation import (_double_pole_transforms, _dy_from_v,
                                     _scaled_e1)
 
@@ -46,6 +50,80 @@ def pv_integral_even_logkernel(g, xi, spec):
     ib, eb = integrate_err(mapped_tail, 0.0, 1.0, spec, breakpoints=useeds)
     value = ia + ib - gxi * math.log(3.0) / (2.0 * xi)
     return float(value.real)
+
+
+def _pv_edges_main(s, mu0):
+    # panel edges in t on [0, 2s] for one target s
+    q = min(mu0, s) / 64.0
+    n = min(158, math.ceil(math.log2(2.0 * s / q)) + 1)
+    pts = [0.0, 2.0 * s] + [p for p in (q * 2.0 ** k for k in range(n)) if p < 2.0 * s]
+    for k in range(1, 6):
+        pts += [s * (1.0 - 0.5 ** k), s * (1.0 + 0.5 ** k)]
+    out = []
+    for p in sorted(pts):
+        if not out or p - out[-1] > 1e-12 * (p + s):
+            out.append(p)
+    return np.array(out)
+
+
+def _pv_edges_tail(s, mu0):
+    # panel edges in u on (0, 1] for t = 2s/u for one target s
+    jmax = 24
+    r = 2.0 * s / mu0
+    if r < 1.0:
+        jmax = max(24, min(160, int(-math.log(r) / math.log(2.0)) + 12))
+    return np.concatenate(([0.0], np.ldexp(1.0, np.arange(-jmax, 1))))
+
+
+def _gl_sum(f, edges):
+    # composite GL12 of f over consecutive panels [edges[k], edges[k+1]]
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    hw = 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + hw[:, None] * _GL_NODES[None, :]
+    return float(np.dot(f(x) @ _GL_WEIGHTS, hw))
+
+
+def pv_cauchy_per_target(s, mu0):
+    """_kernels.pv_cauchy_batch one target at a time: the same panels and
+    GL12 rule, with the edges built by scalar code and two sums per target."""
+    mu0 = float(mu0)
+    a = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+    out = np.empty(a.shape[0])
+    for i, si in enumerate(a.tolist()):
+        gs = float(_ln_xi_star(np.array([si / mu0]))[0])
+        near = _gl_sum(lambda t: (_ln_xi_star(t / mu0) - gs) / ((t - si) * (t + si)),
+                       _pv_edges_main(si, mu0))
+        tail = _gl_sum(lambda u: 2.0 * _ln_xi_star(2.0 * si / u / mu0)
+                       / (si * (4.0 - u * u)), _pv_edges_tail(si, mu0))
+        out[i] = near - gs * _LN3 / (2.0 * si) + tail
+    return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
+
+
+def _gamma_ratio_guarded(w):
+    # Gamma(1 + w) / Gamma(1/2 + w) through the pole-guarded log_gamma
+    return np.exp(log_gamma(1.0 + w) - log_gamma(0.5 + w))
+
+
+def factors_checked(kernel, x):
+    """The kernel factors at real x != 0, each composed through checked
+    public methods: Xi_*^+ from kernel.xi_star and kernel.cauchy_integral,
+    Xi_0^+- through the pole-guarded log_gamma, in the library's order of
+    operations. A dict of xi_star_plus, xi0_plus, xi0_minus, b_plus, b_minus
+    and jump_u (that of a WeightField on this kernel)."""
+    arr = np.asarray(x, dtype=float)
+    z = np.asarray(arr, dtype=complex)
+    c = math.pi * kernel.mu0
+    star_plus = np.sqrt(kernel.xi_star(arr)) * np.exp(
+        -1j * arr * kernel.cauchy_integral(arr) / math.pi)
+    star_minus = np.conjugate(star_plus)
+    xi0_plus = _gamma_ratio_guarded(-1j * z / c)
+    xi0_minus = _gamma_ratio_guarded(1j * z / c)
+    return {
+        "xi_star_plus": star_plus, "xi0_plus": xi0_plus, "xi0_minus": xi0_minus,
+        "b_plus": xi0_plus * star_plus / xi_plus_half(arr),
+        "b_minus": xi0_minus * star_minus / xi_minus_half(arr),
+        "jump_u": 1.0 / (math.pi * star_minus * xi0_minus * xi_plus_half(arr) * arr),
+    }
 
 
 def cauchy_pv_adaptive(sol, x, spec=None):

@@ -156,14 +156,11 @@ class TestSigma0Command:
                                          "a": 1e-300})),
         ("sigma0", dict(POINT_CFG, numerics={"truncation_radius": 1e300})),
         ("sigma0", point_cfg_with_a(4.5e61)),
-        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e200)),
-        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e12)),
     ], ids=["point_a_huge", "smooth_a_tiny", "truncation_radius_huge",
-            "point_a_4.5e61", "map_d_overflow", "map_d_past_reach"])
+            "point_a_4.5e61"])
     def test_numerical_failure_one_line(self, tmp_path, command, cfg_data):
         # in a child process: pytest would capture the numpy warnings that
-        # used to reach stderr here; d = 1e200 and d = 1e12 lie past the
-        # reach of the phi^+ table behind grad_u0
+        # used to reach stderr here
         proc = run_cli_process(tmp_path, command, cfg_data)
         assert proc.returncode == 3
         err = proc.stderr.strip().split("\n")
@@ -261,9 +258,9 @@ class TestMapCommand:
                      "--alpha-steps", "2", "--out", str(out),
                      "--pgm", str(pgm)]) == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[1] == "phi_deg,alpha_deg,delta_sigma0,sign"
+        assert lines[1] == "phi_deg,alpha_deg,delta_sigma0,est_error,sign"
         assert len(lines) == 2 + 3 * 2
-        signs = {line.split(",")[3] for line in lines[2:]}
+        signs = {line.split(",")[4] for line in lines[2:]}
         assert signs <= {"shielding", "neutral", "amplifying"}
         pgm_lines = pgm.read_text().strip().split("\n")
         assert pgm_lines[0] == "P2"
@@ -293,6 +290,40 @@ class TestMapCommand:
         assert main(["field", "--config", cfg, "--at", at]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("config error:")
+
+    @pytest.mark.parametrize("nu_star,neutral", [(5.0, False), (1.0, True)])
+    def test_est_error_column(self, tmp_path, nu_star, neutral):
+        # the label is neutral exactly when |delta_sigma0| <= est_error; an
+        # inclusion as stiff as its matrix (nu_star = 1) leaves delta and
+        # est_error 0, a neutral row
+        cfg = write_cfg(tmp_path, map_cfg(nu_star=nu_star))
+        out = tmp_path / "map.csv"
+        assert main(["map", "--config", cfg, "--phi-steps", "3",
+                     "--alpha-steps", "2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+        assert len(rows) == 6
+        for _, _, delta, est, sign in rows:
+            assert math.isfinite(float(est)) and float(est) >= 0.0
+            assert (sign == "neutral") == (abs(float(delta)) <= float(est))
+            assert (sign == "neutral") == neutral
+
+    @pytest.mark.parametrize("command,cfg_data", [
+        ("field --at 200,200", MAP_CFG),
+        ("field --at 0.5,0.8 --at 200,200", MAP_CFG),
+        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=500)),
+        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e12)),
+        ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e200)),
+    ], ids=["field_at_200_200", "field_second_at", "map_d_500", "map_d_1e12",
+            "map_d_1e200"])
+    def test_past_reach_exit_2(self, tmp_path, capsys, command, cfg_data):
+        # Bimaterial(3, 1, 0.25) and the smooth load reach 1e2 from the tip;
+        # a position past it is input, rejected before any solve
+        cfg = write_cfg(tmp_path, cfg_data)
+        argv = command.split()
+        assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "reach 100" in err[0]
 
     @pytest.mark.parametrize("d", [0.1, 0.4, 1.3, 2.6])
     def test_guard_edge_rows(self, tmp_path, d):

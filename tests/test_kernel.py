@@ -9,8 +9,11 @@ import pytest
 from interfrac import _kernels
 from interfrac.errors import DomainError
 from interfrac.kernel import KernelFactors
+from interfrac.model import Bimaterial
 from interfrac.numerics import QuadratureSpec
-from oracles import pv_integral_even_logkernel
+from interfrac.weightfn import WeightField
+from oracles import (factors_checked, pv_cauchy_per_target,
+                     pv_integral_even_logkernel)
 
 # frozen: Gamma(1 + 1/pi) / Gamma(1/2 + 1/pi), mpmath at 40 digits
 XI0_PLUS_AT_I = 0.78203543087545788394
@@ -49,9 +52,13 @@ class TestKernelValues:
         assert kf.xi_star(x) == pytest.approx(1.0 + 1.0 / x, rel=1e-12)
 
     def test_zero_rejected(self, kf):
-        for fn in (kf.xi, kf.xi_star, kf.xi_star_plus, kf.b_plus):
-            with pytest.raises(DomainError):
-                fn(0.0)
+        # every public method with a checked input, scalar and array
+        for fn in (kf.xi, kf.ln_xi_star, kf.xi_star, kf.cauchy_integral,
+                   kf.xi_star_plus, kf.xi_star_minus, kf.b_plus, kf.b_minus,
+                   kf.factorization_residual):
+            for x in (0.0, np.array([1.0, 0.0, -2.0])):
+                with pytest.raises(DomainError):
+                    fn(x)
 
 
 class TestGammaFactor:
@@ -80,6 +87,20 @@ class TestGammaFactor:
             kf.xi0_plus(-2j * math.pi)
         with pytest.raises(DomainError):
             kf.xi0_minus(2j * math.pi)
+
+    @pytest.mark.parametrize("mu0", [1.0, 0.01, 4e4])
+    def test_guard_on_complex_input(self, mu0):
+        # real input skips the guard (Re(1 + w) = 1); complex input keeps it,
+        # from the edge Im z = +-pi mu0 / 2 on
+        k = KernelFactors(mu0)
+        edge = 0.5 * math.pi * mu0
+        for z in (0.3 * mu0 + 1j * edge, np.array([1.0, 2.0 + 1j * edge]),
+                  np.array([0.5 + 3j * edge])):
+            with pytest.raises(DomainError):
+                k.xi0_minus(z)
+            with pytest.raises(DomainError):
+                k.xi0_plus(np.conjugate(z))
+        assert np.isfinite(k.xi0_minus(0.3 * mu0 + 0.99j * edge))
 
     def test_coth_identity(self, kf):
         x = np.geomspace(1e-2, 50.0, 60)
@@ -124,6 +145,67 @@ class TestPlemeljFactor:
                 lambda t: _kernels.ln_xi_star(t, mu0), x, spec)
             batch = _kernels.pv_cauchy_batch(x, mu0)
             assert batch == pytest.approx(adaptive, abs=1e-10 * max(1, abs(adaptive)))
+
+
+class TestBatchRule:
+    # every fourth node of the phase table's grid: three blocks of targets
+    GRID = np.geomspace(1e-9, 1e9, 4501)[::4]
+
+    @pytest.mark.parametrize("mu0", [1.0, 4e4, 0.01])
+    def test_batch_matches_per_target_loop(self, mu0):
+        s = self.GRID * mu0
+        batch = _kernels.pv_cauchy_batch(s, mu0)
+        loop = pv_cauchy_per_target(s, mu0)
+        assert np.max(np.abs(batch - loop) / np.abs(loop)) <= 1e-13
+
+    @pytest.mark.parametrize("mu0", [1.0, 4e4, 0.01])
+    def test_scalar_and_zero_d(self, mu0):
+        for x in (3.7e-8, 0.9, 2.0e6):
+            s = x * mu0
+            ref = pv_cauchy_per_target(s, mu0)
+            for arg in (s, np.array(s)):
+                out = _kernels.pv_cauchy_batch(arg, mu0)
+                assert isinstance(out, float)
+                assert out == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_shapes(self):
+        s = np.array([[0.5, 1.0], [2.0, 3.0]])
+        assert _kernels.pv_cauchy_batch(s, 1.0).shape == (2, 2)
+        assert _kernels.pv_cauchy_batch(np.array([]), 1.0).shape == (0,)
+
+
+class TestCheckOnce:
+    """The factors check their input once and compose from unchecked
+    internals; the values must be those composed through the checked public
+    methods, bit for bit, including outside the table's [1e-9, 1e9] mu0."""
+
+    @staticmethod
+    def points(mu0):
+        half = np.concatenate([np.geomspace(1e-13, 1e13, 211),
+                               [1e-9, 1e9, 0.5e-9, 2e9]]) * mu0
+        return np.concatenate([-half[::-1], half])
+
+    @pytest.mark.parametrize("mu0", [1.0, 0.01, 4e4])
+    def test_factors_bitwise(self, mu0):
+        k = KernelFactors(mu0)
+        x = self.points(mu0)
+        ref = factors_checked(k, x)
+        for name in ("xi_star_plus", "xi0_plus", "xi0_minus", "b_plus", "b_minus"):
+            assert np.array_equal(getattr(k, name)(x), ref[name]), name
+
+    def test_jump_u_bitwise(self):
+        field = WeightField(Bimaterial(3.0, 1.0, 0.25))
+        x = self.points(field.kernel.mu0)
+        assert np.array_equal(field.jump_u(x),
+                              factors_checked(field.kernel, x)["jump_u"])
+
+    def test_scalar_bitwise(self, kf):
+        for x in (-2e10, -0.3, 4e-11, 7.0):
+            ref = factors_checked(kf, np.array(x))
+            for name in ("xi_star_plus", "b_plus", "b_minus"):
+                out = getattr(kf, name)(x)
+                assert isinstance(out, complex)
+                assert out == complex(ref[name]), name
 
 
 class TestCombinedFactors:

@@ -12,8 +12,9 @@ so |Xi_*^+|^2 = Xi_* holds identically and only the phase depends on H.
 H is scale covariant, H(xi; mu0) = Hhat(xi/mu0)/mu0, so a single
 dimensionless table serves every mu0: a PCHIP interpolant in ln x through
 4501 nodes. It is built once per process, with every node evaluated in one
-batched pass of _kernels.pv_cauchy_batch, the direct rule (0.15-0.26 s on a
-shared 2-core x86-64 host, numpy backend). The combined factors are
+batched pass of _kernels.pv_cauchy_batch, the direct rule: 0.15-0.23 s on a
+shared 2-core x86-64 host (numpy backend), against 0.53-0.92 s for one
+target at a time. The combined factors are
 B^+/- = Xi_0^+/- Xi_*^+/- / xi_+/-^{1/2} with pi mu0 B^+ B^- = Xi.
 
 Each public KernelFactors method checks its input once, at entry; the

@@ -2,8 +2,9 @@
 
 The innermost loops of the package live here: the log of the auxiliary
 factorization kernel ln[tanh(t/mu0)(1+mu0/t)], principal-branch complex
-log-gamma (scipy.special.loggamma, Hare's algorithm), and the batched
-Cauchy principal-value rule
+log-gamma (scipy.special.loggamma, Hare's algorithm), the scaled
+exponential integral e^z E1(z) of the inclusion's pole transforms, and the
+batched Cauchy principal-value rule
 
     H(s) = PV int_0^inf ln_xi_star(t) / (t^2 - s^2) dt,   s > 0,
 
@@ -12,8 +13,19 @@ evaluated with a fixed composite Gauss-Legendre scheme (pole subtracted on
 pass per block of _BLOCK: each keeps its own panels, padded to a common
 count with zero-width panels, and is summed on its own, so its value is
 bitwise that of a single-target call.
+
+scaled_e1 picks its form per point from |z| and Re z alone (DLMF 6.6.2 and
+6.9.1): the power series where |z| + Re z <= 4 and |z| < 38, which holds the
+small |z| and the sector around the E1 cut, where the terms do not cancel
+and the branch part 2 pi i e^z still counts; the continued fraction
+everywhere else, evaluated backward from a depth that falls with |z| and
+with the distance Re sqrt(z) = sqrt((|z| + Re z)/2) from the cut. Both run
+as a fixed number of numpy passes over the whole batch, whatever its size,
+and stay within 7e-15 relative of 30-digit values from |z| = 1e-6 to 1e5,
+all around the cut.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -28,6 +40,17 @@ _BLOCK = 512
 
 # principal-branch log-gamma, no pole guarding (see numerics.log_gamma)
 log_gamma_raw = loggamma
+
+_EULER = 0.57721566490153286061
+# 1/(k k!), the coefficients of the E1 power series in -z (0 at k = 0), in
+# columns of _E1_BLOCK: column j holds the terms of (-z)^(16 j). Two blocks
+# reach full precision up to |z| = 3.5, one more up to each further entry of
+# _E1_SERIES_REACH (measured need: 31, 46, 59, 78, 90 and 103 terms)
+_E1_BLOCK = 16
+_E1_BLOCKS = np.array([0.0] + [1.0 / (k * math.factorial(k))
+                               for k in range(1, 7 * _E1_BLOCK)]
+                      ).reshape(-1, _E1_BLOCK).T.copy()
+_E1_SERIES_REACH = (3.5, 7.0, 14.0, 22.0, 30.0)
 
 
 def _ln_xi_star(x):
@@ -126,3 +149,68 @@ def pv_cauchy_batch(s, mu0):
     for lo in range(0, a.shape[0], _BLOCK):
         out[lo:lo + _BLOCK] = _pv_block(a[lo:lo + _BLOCK], mu0)
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
+
+
+def _e1_series(z, r_max):
+    # e^z (-gamma - ln z - sum_k (-z)^k/(k k!)) with the sum in blocks of
+    # _E1_BLOCK terms: Horner in -z over the columns of all blocks at once,
+    # then Horner in (-z)^16 over the blocks
+    blocks = 2 + bisect.bisect_left(_E1_SERIES_REACH, r_max)
+    coef = _E1_BLOCKS[:, :blocks]
+    x = -z
+    part = np.ones((z.size, 1), dtype=complex) * coef[-1]
+    for c in coef[-2::-1]:
+        part *= x[:, None]
+        part += c
+    y = x * x
+    for _ in range(3):
+        y *= y
+    acc = part[:, -1]
+    for j in range(blocks - 2, -1, -1):
+        acc = acc * y + part[:, j]
+    return np.exp(z) * (-_EULER - np.log(z) - acc)
+
+
+def _e1_fraction(z, r, edge):
+    # 1/(z+1- 1/(z+3- 4/(z+5- ...))) to a depth per point: below |z| = 38 the
+    # points lie off the series' sector, Re sqrt(z) > sqrt(2), and the depth
+    # follows that distance (at most 49); from 38 on, 10 levels or fewer, as
+    # deeper ones lose digits near the cut. The points are sorted by depth so
+    # that each level updates one contiguous tail of the array.
+    near = np.minimum(44.0 / np.maximum(np.sqrt(0.5 * edge) - 0.5, 0.9),
+                      52.0 - 1.1 * r)
+    depth = np.ceil(np.where(r < 38.0, near, np.minimum(10.0, 2.0 + 300.0 / r)))
+    order = np.argsort(depth, kind="stable")
+    zs = z[order]
+    depth = depth[order].astype(int)
+    t = zs + (2 * depth + 1)
+    first = np.searchsorted(depth, np.arange(depth[-1] + 1)).tolist()
+    for k in range(depth[-1], 0, -1):
+        tail = t[first[k]:]
+        np.divide(-k * k, tail, out=tail)
+        tail += zs[first[k]:]
+        tail += 2 * k - 1
+    out = np.empty_like(z)
+    out[order] = 1.0 / t
+    return out
+
+
+def scaled_e1(z):
+    """e^z E1(z) (principal branch) for complex z != 0, any shape. On the
+    negative real axis the sign of the imaginary part, zero included, picks
+    the side of the cut, as for np.log."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    r = np.abs(flat)
+    edge = r + flat.real
+    series = (edge <= 4.0) & (r < 38.0)
+    out = np.empty_like(flat)
+    # the term count follows the largest |z| it serves: two blocks serve
+    # |z| <= 3.5, most of the points, and the rest of the sector goes apart
+    for part in (series & (r <= 3.5), series & (r > 3.5)):
+        if part.any():
+            out[part] = _e1_series(flat[part], float(r[part].max()))
+    rest = ~series
+    if rest.any():
+        out[rest] = _e1_fraction(flat[rest], r[rest], edge[rest])
+    return out.reshape(z.shape)

@@ -11,12 +11,14 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InterfracError
+from .errors import ConfigError, DomainError, GeometryError, InterfracError
 from .model import (Bimaterial, InclusionSpec, bimaterial_from_dimensionless,
-                    derive_params, point_triple, smooth_exponential)
+                    derive_params, inclusion_centre, point_triple,
+                    smooth_exponential)
 from .numerics import QuadratureSpec
 # delta_sigma0 has no caller here; perfbench/tracer.py patches it by name
 from .perturbation import delta_sigma0, sign_map
@@ -248,9 +250,11 @@ def cmd_map(args):
         inc = InclusionSpec(d=d, phi=phi[0], alpha=alpha[0], ell_a=ell_a,
                             ell_b=ell_b, nu_star=nu_star, rigid=rigid)
     solution = UnperturbedSolution(load, material, spec=spec)
-    if d > solution.reach:
-        raise ConfigError(f"inclusion.d = {d:.4g} lies past the field's "
-                          f"reach {solution.reach:.4g}")
+    try:
+        for p in phi:
+            solution.check_position(inclusion_centre(replace(inc, phi=p)))
+    except GeometryError as exc:
+        raise ConfigError(f"inclusion.d = {d:.4g}: {exc}") from exc
     result = sign_map(load, material, inc, phi, alpha, spec=spec,
                       solution=solution)
     rows = []
@@ -290,17 +294,18 @@ def cmd_residual(args):
     return 0
 
 
-def _position(text, reach):
-    """An --at value 'x,y': finite, off the interface and within reach."""
+def _position(text, solution, min_angle):
+    """An --at value 'x,y' that the solution's gradient can serve (finite,
+    off the interface, outside the angle guard, within reach and within the
+    Cauchy mesh's panel cap)."""
     try:
         x, y = (float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"--at expects 'x,y', got {text!r}")
-    if not (math.isfinite(x) and math.isfinite(y)) or y == 0.0:
-        raise ConfigError(f"--at needs finite x and y != 0, got {text!r}")
-    if math.hypot(x, y) > reach:
-        raise ConfigError(f"--at {text} lies past the field's reach {reach:.4g}")
-    return x, y
+    try:
+        return solution.check_position((x, y), min_angle)
+    except GeometryError as exc:
+        raise ConfigError(f"--at {text}: {exc}") from exc
 
 
 def cmd_field(args):
@@ -308,7 +313,7 @@ def cmd_field(args):
     cfg, material, load, spec = _read_run(args.config)
     solution = UnperturbedSolution(load, material, spec=spec)
     rows = []
-    for x, y in [_position(text, solution.reach) for text in args.at]:
+    for x, y in [_position(text, solution, args.min_angle) for text in args.at]:
         sample = solution.field_sample(x, y, min_angle_deg=args.min_angle)
         rows.append((sample.x, sample.y, sample.u, sample.gx, sample.gy))
     meta = {"command": "field", "config": cfg}

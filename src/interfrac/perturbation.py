@@ -18,13 +18,14 @@ V = v_x + i v_y for v = M G and p = Y_x + i Y_y, has two double poles and no
 simple ones; the half-line transforms of 1/(x - q)^2 follow by parts from
 exponential-integral closed forms, and the x < 0 and x > 0 sides evaluate
 e^z E1(z) at the same z = i xi q, so both come from one e^z E1(z) per pole
-per node. [U] and dw1/dy are transforms of real functions, so the whole
-integrand at -xi is the conjugate of the one at xi: the line folds onto
-xi > 0 as twice its real part, which is Re(V K) for a K that depends on the
-position Y alone. So dsigma0 = Re(V L) with one complex response L per
-position, integrated in one numerics.half_line pass (the xi = s^2 head and
-the seeded mid) whatever the dipole; sign_map serves every orientation at
-one position from it. The conditionally convergent kappa xi Phi^- Pbar^+
+per node; both poles of a node batch share one call of the vectorised
+_kernels.scaled_e1. [U] and dw1/dy are transforms of real functions, so the
+whole integrand at -xi is the conjugate of the one at xi: the line folds
+onto xi > 0 as twice its real part, which is Re(V K) for a K that depends
+on the position Y alone. So dsigma0 = Re(V L) with one complex response L
+per position, integrated in one numerics.half_line pass (the xi = s^2 head
+and the seeded mid) whatever the dipole; sign_map serves every orientation
+at one position from it. The conditionally convergent kappa xi Phi^- Pbar^+
 tail is absolutely convergent once folded and is closed with a
 log-augmented algebraic fit integrated exactly.
 """
@@ -34,8 +35,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import exp1
 
+from . import _kernels
 from .errors import DomainError, GeometryError
 from .model import Bimaterial, CrackLoad, InclusionSpec, inclusion_centre
 # integrate_err has no caller here; perfbench/tracer.py patches it by name
@@ -116,28 +117,11 @@ def _dy_from_v(x, v, Y):
     return out if np.ndim(x) else float(out)
 
 
-def _scaled_e1(z):
-    """e^z E1(z): direct product for moderate z, asymptotic series beyond
-    (the product form overflows once |Im z| is large)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
-    big = np.abs(z) >= 40.0
-    if np.any(~big):
-        out[~big] = np.exp(z[~big]) * exp1(z[~big])
-    if np.any(big):
-        zz = z[big]
-        acc = np.ones_like(zz)
-        term = np.ones_like(zz)
-        for k in range(1, 15):
-            term *= -k / zz
-            acc += term
-        out[big] = acc / zz
-    return out
-
-
 def _pole_transforms(q, xi):
     """(J(q, xi), J(-q, -xi)) with J(q, xi) = int_0^inf e^{i xi x}/(x - q) dx,
-    for complex q off the real axis and xi != 0.
+    for complex q off the real axis and xi != 0. q may be one pole or a 1-d
+    array of poles, one row of the result each, so that one
+    _kernels.scaled_e1 call serves every pole of a node batch.
 
     Both are e^z E1(z) at the same z = i xi q, continued across the E1 cut,
     so one e^z E1(z) serves the pair and only the continuations differ. The
@@ -145,35 +129,40 @@ def _pole_transforms(q, xi):
     > 0 as Re q changes sign): J(q, xi) gains sign(xi) 2 pi i e^z where
     Re q > 0, and J(-q, -xi) loses it where Re q < 0. Where z is real
     (Re q == 0) the two sides are the opposite limits onto the cut, so
-    J(-q, -xi) is J(q, xi) minus that jump wherever z < 0. Checked against
-    the two separate continuations and direct quadrature in tests."""
+    J(-q, -xi) is J(q, xi) minus that jump wherever z < 0. e^z is computed
+    only where a jump or a residue applies; elsewhere it may overflow.
+    Checked against the two separate continuations and direct quadrature in
+    tests."""
+    q = np.asarray(q, dtype=complex)[..., None]
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    sgn = np.sign(xi)
     z = 1j * xi * q
+    sgn = np.broadcast_to(np.sign(xi), z.shape)
     on_cut = z.imag == 0.0
     if np.any(on_cut):
-        z = np.where(on_cut, z - 1j * sgn * 1e-290, z)
-    pos = _scaled_e1(z)
+        # the sign of a zero imaginary part picks the side of the cut
+        z.imag[on_cut] = np.copysign(0.0, -sgn[on_cut])
+    pos = _kernels.scaled_e1(z)
     neg = pos.copy()
     jump = on_cut & (z.real < 0.0)
     if np.any(jump):
         neg[jump] -= sgn[jump] * 2j * math.pi * np.exp(z[jump])
     res = ~on_cut & (xi * q.imag > 0.0)
     if np.any(res):
-        r = sgn[res] * 2j * math.pi * np.exp(1j * xi[res] * q)
-        if q.real > 0.0:
-            pos[res] += r
-        else:
-            neg[res] -= r
+        r = sgn[res] * 2j * math.pi * np.exp(z[res])
+        right = np.broadcast_to(q.real > 0.0, z.shape)[res]
+        pos[res] += np.where(right, r, 0.0)
+        neg[res] -= np.where(right, 0.0, r)
     return pos, neg
 
 
 def _double_pole_transforms(q, u):
     """The transforms of 1/(x - q)^2 over x < 0 and over x > 0 at u != 0,
     by parts from _pole_transforms: 1/q - iu J(-q, -u) and iu J(q, u) - 1/q,
-    so both cost one e^z E1(z) per node."""
+    so both cost one e^z E1(z) per pole per node. q is one pole or a 1-d
+    array of them, as in _pole_transforms."""
     j_pos, j_neg = _pole_transforms(q, u)
-    return 1.0 / q - 1j * u * j_neg, 1j * u * j_pos - 1.0 / q
+    inv = 1.0 / np.asarray(q, dtype=complex)[..., None]
+    return inv - 1j * u * j_neg, 1j * u * j_pos - inv
 
 
 # ----------------------------------------------------------------------
@@ -240,14 +229,14 @@ def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
     # 1/(x - q)^2; [U] and dw1/dy are transforms of real functions, so the
     # integrand at -u is the conjugate of the one at u and the line folds
     # onto u > 0 as 2 Re[(iV/4pi) X_p + conj(iV/4pi) X_pbar] = Re(V K)
+    poles = np.array([p, p.conjugate()])
+
     def response(u):
         weight = u * field.jump_u(u)
         w_plus = -u * s_p / mu0 - half_mu * s_q
-        m_p, p_p = _double_pole_transforms(p, u)
-        m_c, p_c = _double_pole_transforms(p.conjugate(), u)
-        return (0.5j / math.pi) * (weight * (w_minus * m_p + w_plus * p_p)
-                                   + np.conj(weight * (w_minus * m_c
-                                                       + w_plus * p_c)))
+        minus, plus = _double_pole_transforms(poles, u)
+        x = weight * (w_minus * minus + w_plus * plus)
+        return (0.5j / math.pi) * (x[0] + np.conj(x[1]))
 
     xi_c = min(mu0, 1.0 / math.hypot(cx, cy))
     # past x_cut the layer transforms are in their boundary 1/(i xi) regime

@@ -55,6 +55,8 @@ _GL16_TOP = (_LEG_TOP * np.array([14.5, 15.5])) @ (_LEG_TOP * _GL16_W[:, None]).
 _PV_LO = 1e-40  # innermost panel edge; |g| ~ |b|^{-1/2} below it
 _PV_SPLITS = 12  # bisection rounds of the shared mesh
 _PV_MAX_PANELS = 2 ** 15  # half-period panels per half-line: |x| up to ~2.5e4/c_max
+# the gradient and u0 integrands decay like e^{-xi |y|}: cut at _DECAY / |y|
+_DECAY = 40.0
 
 
 def _seed_ladder(cut, y, x):
@@ -137,19 +139,16 @@ class UnperturbedSolution:
         B^+/- bends, most of all at its extremum. An oscillatory mesh of more
         than _PV_MAX_PANELS panels per half-line raises NonConvergence.
         """
-        table = self.load.oscillations
-        top = cut if table else cut * 2.0 ** 40
-        edges = np.geomspace(_PV_LO, top, math.ceil(math.log2(top / _PV_LO)) + 1)
-        if table:
-            width = math.pi / table[-1][0]
-            pieces = np.ceil(np.diff(edges) / width).astype(int)
+        edges, pieces = self._half_line_edges(cut)
+        if pieces is not None:
             if pieces.sum() > _PV_MAX_PANELS:
                 raise NonConvergence(
-                    f"the cut {top:.4g} needs {pieces.sum()} panels of width "
-                    f"{width:.4g} per half-line, above {_PV_MAX_PANELS}")
+                    f"the cut {cut:.4g} needs {pieces.sum()} half-period "
+                    f"panels per half-line, above {_PV_MAX_PANELS}")
             edges = np.concatenate(
                 [np.linspace(a, b, k, endpoint=False)
-                 for a, b, k in zip(edges[:-1], edges[1:], pieces)] + [[top]])
+                 for a, b, k in zip(edges[:-1], edges[1:], pieces)]
+                + [edges[-1:]])
         lo = np.concatenate([-edges[:0:-1], edges[:-1]])
         hi = np.concatenate([-edges[-2::-1], edges[1:]])
         g = self._g_on_panels(lo, hi)
@@ -174,6 +173,24 @@ class UnperturbedSolution:
             hi = np.concatenate([hi[~split], new_hi])
         return lo, hi, g
 
+    def _half_line_edges(self, cut):
+        """The ratio-2 edges of the shared mesh on one half-line, from _PV_LO
+        to the cut (to 2^40 cut for an algebraically decaying g), and for a
+        point load the number of half-period panels pi/c_max that each of
+        its panels takes (None otherwise)."""
+        table = self.load.oscillations
+        top = cut if table else cut * 2.0 ** 40
+        edges = np.geomspace(_PV_LO, top, math.ceil(math.log2(top / _PV_LO)) + 1)
+        if not table:
+            return edges, None
+        width = math.pi / table[-1][0]
+        return edges, np.ceil(np.diff(edges) / width).astype(int)
+
+    def _pv_cut(self, x_max):
+        # the cut of the shared mesh for targets up to |x| = x_max
+        return max(2e3 / self.load.reference_length, 20.0 * self.kernel.mu0,
+                   4.0 * x_max)
+
     def _g_on_panels(self, lo, hi):
         nodes = 0.5 * ((lo + hi)[:, None] + (hi - lo)[:, None] * _GL16_Z)
         return self.g_rhs(nodes.ravel()).reshape(nodes.shape)
@@ -197,9 +214,7 @@ class UnperturbedSolution:
         if np.any(xs == 0.0) or not np.all(np.isfinite(xs)):
             raise DomainError("Cauchy boundary values need finite xi != 0")
         x_max = float(np.abs(xs).max())
-        cut = max(2e3 / self.load.reference_length, 20.0 * self.kernel.mu0,
-                  4.0 * x_max)
-        lo, hi, g = self._pv_samples(cut, x_max)
+        lo, hi, g = self._pv_samples(self._pv_cut(x_max), x_max)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = (mid[:, None] + half[:, None] * _GL16_Z).ravel()
@@ -312,17 +327,23 @@ class UnperturbedSolution:
 
     # -- phi^+ interpolation (exact at nodes) for gradient quadratures --------
 
+    def _table_hi(self, hi_needed):
+        # the high end of a phi^+ table built for xi up to hi_needed
+        return max(hi_needed * 2.0, 1e2 * self._scale)
+
     def _phi_table(self, hi_needed):
-        if self._phi_interp is None or hi_needed > self._phi_interp[3]:
-            hi = max(hi_needed * 2.0, 1e2 * self._scale)
+        if self._phi_interp is None or hi_needed > self._phi_interp[2]:
+            hi = self._table_hi(hi_needed)
             lo = 1e-6 * self._scale
             n = max(48, int(48 * math.log10(hi / lo)))
             grid = np.geomspace(lo, hi, n)
             vals = self.phi_plus_load(grid)
-            lg = np.log(grid)
+            # one interpolant over the real and imaginary columns: PCHIP
+            # treats each column alone, as two interpolants would
             self._phi_interp = (
-                PchipInterpolator(lg, vals.real, extrapolate=False),
-                PchipInterpolator(lg, vals.imag, extrapolate=False),
+                PchipInterpolator(np.log(grid),
+                                  np.column_stack([vals.real, vals.imag]),
+                                  extrapolate=False),
                 float(lo), float(hi))
         return self._phi_interp
 
@@ -330,10 +351,10 @@ class UnperturbedSolution:
         """phi^+ on an array of real xi via the log-grid table; negative xi
         by conjugate symmetry, clamped ends (integrands there are damped)."""
         arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        re, im, lo, hi = self._phi_table(np.abs(arr).max())
+        table, lo, hi = self._phi_table(np.abs(arr).max())
         mag = np.clip(np.abs(arr), lo, hi)
-        lg = np.log(mag)
-        out = re(lg) + 1j * im(lg)
+        cols = table(np.log(mag))
+        out = cols[..., 0] + 1j * cols[..., 1]
         out = np.where(arr < 0, np.conjugate(out), out)
         return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
 
@@ -345,7 +366,14 @@ class UnperturbedSolution:
             raise GeometryError(f"position at distance {r:.4g} lies past the "
                                 f"phi^+ table's reach {self.reach:.4g}")
 
-    def _check_position(self, Y, min_angle_deg):
+    def check_position(self, Y, min_angle_deg=5.0):
+        """(x, y) of a position Y that grad_u0 can serve, or GeometryError:
+        Y must be finite, off the interface, at least min_angle_deg from
+        it, within the reach and, for a point load, close enough to the
+        interface that the phi^+ table it needs keeps its Cauchy mesh
+        within _PV_MAX_PANELS panels per half-line (|y| above about 5e-3
+        for point_triple(1, 1, 0.5) on Bimaterial(3, 1, 0.25)). Nothing is
+        sampled."""
         yx, yy = float(Y[0]), float(Y[1])
         if not (math.isfinite(yx) and math.isfinite(yy)):
             raise GeometryError("field evaluation requires a finite position")
@@ -358,6 +386,13 @@ class UnperturbedSolution:
                 f"position angle {math.degrees(angle):.2f} deg below the "
                 f"{min_angle_deg} deg guard near the intact interface")
         self._check_reach(yx, yy)
+        cut = self._pv_cut(self._table_hi(_DECAY / abs(yy)))
+        _, pieces = self._half_line_edges(cut)
+        if pieces is not None and pieces.sum() > _PV_MAX_PANELS:
+            raise GeometryError(
+                f"position at height {yy:.4g} needs a phi^+ table whose "
+                f"Cauchy mesh takes {pieces.sum()} panels per half-line, "
+                f"above {_PV_MAX_PANELS}")
         return yx, yy
 
     def _grad_integrals(self, yx, yy, spec):
@@ -365,7 +400,7 @@ class UnperturbedSolution:
         (gx, gy) in length. The gx integrand is i times the gy one, so a
         single integral H gives gx = -Im H / pi and gy = sign(y) Re H / pi."""
         j = 1 if yy > 0 else 2
-        cut = 40.0 / abs(yy)
+        cut = _DECAY / abs(yy)
         self._phi_table(cut)
 
         def a_j(xi):
@@ -383,7 +418,7 @@ class UnperturbedSolution:
     def grad_u0(self, Y, min_angle_deg=5.0, spec=None):
         """(du/dx, du/dy) of the unperturbed field at Y = (x, y), |y| > 0,
         folded to xi > 0 through A_j(-xi) = conj(A_j(xi))."""
-        yx, yy = self._check_position(Y, min_angle_deg)
+        yx, yy = self.check_position(Y, min_angle_deg)
         spec = spec or self.spec
         gx, gy, _ = self._grad_integrals(yx, yy, spec)
         return gx, gy
@@ -406,7 +441,7 @@ class UnperturbedSolution:
         self._check_reach(rx, ry)
         j = 1 if y > 0 else 2
         y_min = min(abs(y), abs(ry))
-        cut = 40.0 / y_min
+        cut = _DECAY / y_min
         self._phi_table(cut)
 
         def f(xi):

@@ -12,14 +12,14 @@ import math
 
 import numpy as np
 
-from interfrac._kernels import _GL_NODES, _GL_WEIGHTS, _LN3, _ln_xi_star
+from interfrac._kernels import (_GL_NODES, _GL_WEIGHTS, _LN3, _ln_xi_star,
+                                scaled_e1)
 from interfrac.errors import DomainError, TailBoundExceeded
-from interfrac.kernel import xi_minus_half, xi_plus_half
+from interfrac.kernel import _gamma_ratio, xi_minus_half, xi_plus_half
 from interfrac.model import Bimaterial
 from interfrac.numerics import (QuadratureSpec, _vectorized, algebraic_tail,
-                                integrate_err, log_gamma, oscillatory_tail)
-from interfrac.perturbation import (_double_pole_transforms, _dy_from_v,
-                                    _scaled_e1)
+                                integrate_err, oscillatory_tail)
+from interfrac.perturbation import _double_pole_transforms, _dy_from_v
 
 
 def pv_integral_even_logkernel(g, xi, spec):
@@ -99,16 +99,11 @@ def pv_cauchy_per_target(s, mu0):
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
 
 
-def _gamma_ratio_guarded(w):
-    # Gamma(1 + w) / Gamma(1/2 + w) through the pole-guarded log_gamma
-    return np.exp(log_gamma(1.0 + w) - log_gamma(0.5 + w))
-
-
 def factors_checked(kernel, x):
     """The kernel factors at real x != 0, each composed through checked
     public methods: Xi_*^+ from kernel.xi_star and kernel.cauchy_integral,
-    Xi_0^+- through the pole-guarded log_gamma, in the library's order of
-    operations. A dict of xi_star_plus, xi0_plus, xi0_minus, b_plus, b_minus
+    Xi_0^+- through the library's gamma ratio for real arguments, in the
+    library's order of operations. A dict of xi_star_plus, xi0_plus, xi0_minus, b_plus, b_minus
     and jump_u (that of a WeightField on this kernel)."""
     arr = np.asarray(x, dtype=float)
     z = np.asarray(arr, dtype=complex)
@@ -116,8 +111,8 @@ def factors_checked(kernel, x):
     star_plus = np.sqrt(kernel.xi_star(arr)) * np.exp(
         -1j * arr * kernel.cauchy_integral(arr) / math.pi)
     star_minus = np.conjugate(star_plus)
-    xi0_plus = _gamma_ratio_guarded(-1j * z / c)
-    xi0_minus = _gamma_ratio_guarded(1j * z / c)
+    xi0_plus = _gamma_ratio(-1j * z / c, True)
+    xi0_minus = _gamma_ratio(1j * z / c, True)
     return {
         "xi_star_plus": star_plus, "xi0_plus": xi0_plus, "xi0_minus": xi0_minus,
         "b_plus": xi0_plus * star_plus / xi_plus_half(arr),
@@ -329,7 +324,7 @@ def pole_transform_pos(q, xi):
         on_cut = z.imag == 0.0
         if np.any(on_cut):
             z = np.where(on_cut, z - 1j * np.sign(xi) * 1e-290, z)
-    out = _scaled_e1(z)
+    out = scaled_e1(z)
     corr = (xi * q.imag > 0.0) & (q.real > 0.0)
     if np.any(corr):
         out[corr] += np.sign(xi[corr]) * 2j * math.pi * np.exp(1j * xi[corr] * q)

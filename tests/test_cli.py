@@ -325,6 +325,30 @@ class TestMapCommand:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "reach 100" in err[0]
 
+    @pytest.mark.parametrize("command,inclusion", [
+        ("field --at 0,1e-3", {}),
+        ("field --at 0.5,0.8 --at 0,1e-4", {}),
+        ("map --phi-steps 3 --alpha-steps 1", {"d": 0.03}),
+    ], ids=["field_at_0_1e-3", "field_second_at_0_1e-4", "map_d_0.03"])
+    def test_panel_cap_exit_2(self, tmp_path, capsys, command, inclusion):
+        # a point load's Cauchy mesh keeps half-period panels, so below
+        # |y| of about 5e-3 the phi^+ table a position needs would take more
+        # than 2^15 of them per half-line: input, rejected before sampling
+        cfg = write_cfg(tmp_path, dict(
+            MAP_CFG, load={"kind": "point-triple", "F": 1.0, "a": 1.0,
+                           "b": 0.5}, inclusion=inclusion))
+        argv = command.split()
+        assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "panels per half-line, above 32768" in err[0]
+
+    def test_angle_guard_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MAP_CFG)
+        assert main(["field", "--config", cfg, "--at", "1,0.01"]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and "deg guard" in err[0]
+
     @pytest.mark.parametrize("d", [0.1, 0.4, 1.3, 2.6])
     def test_guard_edge_rows(self, tmp_path, d):
         # (d cos 5deg, d sin 5deg) comes back from atan2 an ulp below 5 deg

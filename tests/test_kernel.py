@@ -18,6 +18,102 @@ from oracles import (factors_checked, pv_cauchy_per_target,
 # frozen: Gamma(1 + 1/pi) / Gamma(1/2 + 1/pi), mpmath at 40 digits
 XI0_PLUS_AT_I = 0.78203543087545788394
 
+# frozen: (Re z, Re, Im) of Xi_0^+(z) = Gamma(1 - iz/pi) / Gamma(1/2 - iz/pi)
+# at mu0 = 1, mpmath at 40 digits at the w = -iz/pi the library forms; out
+# to |w| = 1e10, where the difference of two log-gammas lost 2e-6
+RATIO_FROZEN = [
+    (0.003, 0.5641899354657115, -0.0007468815652484773),
+    (-0.003, 0.5641899354657115, 0.0007468815652484773),
+    (1.5, 0.6394156011804955, -0.34445133589903226),
+    (-1.5, 0.6394156011804955, 0.34445133589903226),
+    (9.0, 1.2481562140844777, -1.1431951400166889),
+    (-9.0, 1.2481562140844777, 1.1431951400166889),
+    (24.5, 2.0060809352831575, -1.9427381430847352),
+    (-24.5, 2.0060809352831575, 1.9427381430847352),
+    (25.5, 2.0453632112698865, -1.9832779511884864),
+    (-25.5, 2.0453632112698865, 1.9832779511884864),
+    (60.0, 3.1103548519894795, -3.0698999765029713),
+    (-60.0, 3.1103548519894795, 3.0698999765029713),
+    (300.0, 6.918922123853812, -6.900832014995255),
+    (-300.0, 6.918922123853812, 6.900832014995255),
+    (30000.0, 69.09973438991574, -69.09792538677857),
+    (-30000.0, 69.09973438991574, 69.09792538677857),
+    (3000000.0, 690.9883893928219, -690.9882084925083),
+    (-3000000.0, 690.9883893928219, 690.9882084925083),
+    (300000000.0, 6909.882998471726, -6909.882980381694),
+    (-300000000.0, 6909.882998471726, 6909.882980381694),
+    (30000000000.0, 69098.8298951716, -69098.82989336259),
+    (-30000000000.0, 69098.8298951716, 69098.82989336259),
+    (31000000000.0, 70241.0366948962, -70241.03669311662),
+    (-31000000000.0, 70241.0366948962, 70241.03669311662),
+]
+
+# frozen: (Re z, Im z, Re, Im) of e^z E1(z), mpmath at 30 digits: |z| from
+# 1e-6 to 1e5 on either side of the series/fraction switches (|z| = 38,
+# |z| + Re z = 4) and at arg z = +-(pi - 1e-9), beside the E1 cut
+E1_FROZEN = [
+    (1e-06, 0.0, 13.238309131365003, 0.0),
+    (5.403023058681398e-07, 8.414709848078964e-07, 13.238303427514676, -0.9999885591833713),
+    (-4.161468365471424e-07, -9.092974268256817e-07, 13.238290786430644, 1.9999862208663417),
+    (-1e-06, 1.0000002052050508e-15, 13.23828065477522, -3.141589510998697),
+    (-1e-06, -1.0000002052050508e-15, 13.23828065477522, 3.141589510998697),
+    (0.5, 0.0, 0.9229106324837305, 0.0),
+    (0.2701511529340699, 0.42073549240394825, 0.8247427132556241, -0.5419345493150954),
+    (-0.2080734182735712, -0.45464871341284085, 0.5026911366877836, 1.1108485826865448),
+    (-0.5, 5.000001026025254e-10, -0.27549829759853395, -1.905472263867929),
+    (-0.5, -5.000001026025254e-10, -0.27549829759853395, 1.905472263867929),
+    (2.0, 0.0, 0.3613286168882226, 0.0),
+    (1.0806046117362795, 1.682941969615793, 0.27583882913359475, -0.26850557986969065),
+    (-0.8322936730942848, -1.8185948536513634, -0.0009666277992570149, 0.47320345027277944),
+    (-2.0, 2.0000004104101018e-09, -0.6704827089397365, -0.4251683319286018),
+    (-2.0, -2.0000004104101018e-09, -0.6704827089397365, 0.4251683319286018),
+    (3.0, 0.0, 0.2620837402553185, 0.0),
+    (1.6209069176044193, 2.5244129544236893, 0.1889156808239886, -0.2031261177526497),
+    (-1.2484405096414273, -2.727892280477045, -0.038015529100646685, 0.3306605139600916),
+    (-3.0, 3.0000006156151526e-09, -0.4945764008794091, -0.15641068871198344),
+    (-3.0, -3.0000006156151526e-09, -0.4945764008794091, 0.15641068871198344),
+    (5.0, 0.0, 0.1704221762847322, 0.0),
+    (2.701511529340699, 4.207354924039483, 0.11441007402067775, -0.13699262301272544),
+    (-2.080734182735712, -4.546487134128409, -0.04672452169474698, 0.2001952611107741),
+    (-5.0, 5.000001026025255e-09, -0.27076625538521776, -0.021167885146435646),
+    (-5.0, -5.000001026025255e-09, -0.27076625538521776, 0.021167885146435646),
+    (8.0, 0.0, 0.1122796392534993, 0.0),
+    (4.322418446945118, 6.731767878463172, 0.0711022325998007, -0.09212140905732234),
+    (-3.3291746923771393, -7.274379414605454, -0.038578829409483664, 0.12297658183846605),
+    (-8.0, 8.000001641640407e-09, -0.1477309983649699, -0.001053887109220482),
+    (-8.0, -8.000001641640407e-09, -0.1477309983649699, 0.001053887109220482),
+    (20.0, 0.0, 0.04771854549596084, 0.0),
+    (10.806046117362795, 16.82941969615793, 0.02783322961993474, -0.039857512012568964),
+    (-8.322936730942848, -18.185948536513635, -0.01893532214706663, 0.04724738098547355),
+    (-20.0, 2.000000410410102e-08, -0.052797795279648, -6.53126099524836e-09),
+    (-20.0, -2.000000410410102e-08, -0.052797795279648, 6.53126099524836e-09),
+    (37.9, 0.0, 0.02572314580032149, 0.0),
+    (20.477457392402496, 31.891750324219277, 0.014511294367319526, -0.021576471297898994),
+    (-15.771965105136697, -34.46237247669333, -0.010489665918033905, 0.024505606411615494),
+    (-37.9, 3.790000777727143e-08, -0.02712140539687437, -2.790137925761036e-11),
+    (-37.9, -3.790000777727143e-08, -0.02712140539687437, 2.790137925761036e-11),
+    (38.1, 0.0, 0.025591408640389335, 0.0),
+    (20.585517853576125, 32.060044521180856, 0.014433955041128155, -0.021466431970996687),
+    (-15.855194472446126, -34.64423196205848, -0.010437346120370087, 0.02437437130689779),
+    (-38.1, 3.810000781831244e-08, -0.0269749648660855, -2.7746256325458905e-11),
+    (-38.1, -3.810000781831244e-08, -0.0269749648660855, 2.7746256325458905e-11),
+    (40.0, 0.0, 0.024404115079628575, 0.0),
+    (21.61209223472559, 33.65883939231586, 0.013738285797048779, -0.020474433123907624),
+    (-16.645873461885696, -36.37189707302727, -0.009965017277328762, 0.023194279332498107),
+    (-40.0, 4.000000820820204e-08, -0.025658862785975144, -2.635453019368319e-11),
+    (-40.0, -4.000000820820204e-08, -0.025658862785975144, 2.635453019368319e-11),
+    (1000.0, 0.0, 0.0009990019940238808, 0.0),
+    (540.3023058681398, 841.4709848078965, 0.0005407164766482487, -0.0008405619741389216),
+    (-416.1468365471424, -909.2974268256817, -0.0004154912717329442, 0.0009100536645408523),
+    (-1000.0, 1.000000205205051e-06, -0.0010010020060241206, -1.0020062297374222e-12),
+    (-1000.0, -1.000000205205051e-06, -0.0010010020060241206, 1.0020062297374222e-12),
+    (100000.0, 0.0, 9.99990000199994e-06, 0.0),
+    (54030.230586813974, 84147.09848078965, 5.403064671385106e-06, -8.414618918618568e-06),
+    (-41614.68365471424, -90929.74268256818, -4.1614029991889875e-06, 9.093049947947456e-06),
+    (-100000.0, 0.00010000002052050509, -1.000010000200006e-05, -1.0000202058091791e-14),
+    (-100000.0, -0.00010000002052050509, -1.000010000200006e-05, 1.0000202058091791e-14),
+]
+
 
 @pytest.fixture(scope="module")
 def kf():
@@ -102,11 +198,49 @@ class TestGammaFactor:
                 k.xi0_plus(np.conjugate(z))
         assert np.isfinite(k.xi0_minus(0.3 * mu0 + 0.99j * edge))
 
+    def test_real_axis_ratio_frozen(self, kf):
+        # the asymptotic log-ratio from |w| = 8 on; below it the two
+        # log-gammas, within their own rounding
+        z = np.array([r[0] for r in RATIO_FROZEN])
+        want = np.array([complex(r[1], r[2]) for r in RATIO_FROZEN])
+        got = kf.xi0_plus(z)
+        tol = np.where(np.abs(z) / math.pi >= 8.0, 1e-15, 4e-15)
+        assert np.all(np.abs(got - want) <= tol * np.abs(want))
+        assert kf.xi0_minus(-z[-1]) == kf.xi0_plus(z[-1]) == got[-1]
+
     def test_coth_identity(self, kf):
         x = np.geomspace(1e-2, 50.0, 60)
         lhs = kf.xi0_plus(x) * kf.xi0_minus(x) * (math.pi * kf.mu0 / x)
         rhs = 1.0 / np.tanh(x / kf.mu0)
         assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-8
+
+
+class TestScaledE1:
+    def test_frozen_values(self):
+        z = np.array([complex(a, b) for a, b, _, _ in E1_FROZEN])
+        want = np.array([complex(c, d) for _, _, c, d in E1_FROZEN])
+        got = _kernels.scaled_e1(z)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_shapes_and_points_alone(self):
+        # a point's value does not depend on the batch around it, beyond
+        # the rounding of numpy's vector loops
+        z = np.array([complex(a, b) for a, b, _, _ in E1_FROZEN])
+        batch = _kernels.scaled_e1(z.reshape(6, 10))
+        assert batch.shape == (6, 10)
+        alone = np.array([_kernels.scaled_e1(v) for v in z])
+        assert _kernels.scaled_e1(z[0]).shape == ()
+        assert np.all(np.abs(alone - batch.ravel()) <= 1e-14 * np.abs(alone))
+
+    @pytest.mark.parametrize("x", [0.5, 5.0, 30.0, 37.9])
+    def test_signed_zero_picks_the_side(self, x):
+        # E1(-x + i0) - E1(-x - i0) = -2 pi i, so the scaled values differ
+        # by -2 pi i e^-x and are conjugate
+        above, below = _kernels.scaled_e1(np.array([complex(-x, 0.0),
+                                                    complex(-x, -0.0)]))
+        assert below == np.conj(above)
+        jump = -2j * math.pi * math.exp(-x)
+        assert abs((above - below) - jump) <= 1e-12 * abs(jump)
 
 
 class TestPlemeljFactor:

@@ -276,6 +276,24 @@ class TestGradient:
         with pytest.raises(GeometryError):
             sol_smooth.grad_u0((1.3 * math.cos(g), 1.3 * math.sin(g)))
 
+    @pytest.mark.parametrize("y,panels", [(1e-3, 152930), (-1e-4, 1528033)])
+    def test_panel_cap_refused_before_sampling(self, monkeypatch, y, panels):
+        # the phi^+ table for |y| = 1e-3 would put the Cauchy mesh of
+        # point_triple(1, 1, 0.5) at 152930 half-period panels per
+        # half-line, above the 32768 cap: a geometry error, with no g sampled
+        s = UnperturbedSolution(point_triple(1.0, 1.0, 0.5),
+                                Bimaterial(3.0, 1.0, 0.25))
+
+        def unsampled(lo, hi):
+            raise AssertionError("g sampled for a refused position")
+
+        monkeypatch.setattr(s, "_g_on_panels", unsampled)
+        with pytest.raises(GeometryError, match=f"{panels} panels"):
+            s.grad_u0((0.0, y))
+        with pytest.raises(GeometryError, match=f"{panels} panels"):
+            s.check_position((0.0, y))
+        assert s._phi_interp is None
+
     def test_far_field_reach(self, sol_smooth):
         # below its low end 1e-6 scale the phi^+ table holds phi^+
         # constant, which shifts the field at distance r by about

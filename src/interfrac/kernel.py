@@ -65,23 +65,25 @@ def _gamma_ratio(w, real):
         return np.exp(log_gamma(1.0 + w) - log_gamma(0.5 + w))
     shape = np.shape(w)
     w = np.atleast_1d(w)
-    big = np.abs(w) >= 8.0
-    if not big.any():
+    big = np.abs(w.imag) >= 8.0
+    if not np.count_nonzero(big):
         return np.exp(_kernels.log_gamma_raw(1.0 + w)
                       - _kernels.log_gamma_raw(0.5 + w)).reshape(shape)
     out = np.empty(w.shape, dtype=complex)
     small = ~big
-    if small.any():
-        ws = w[small]
-        out[small] = np.exp(_kernels.log_gamma_raw(1.0 + ws)
-                            - _kernels.log_gamma_raw(0.5 + ws))
+    ws = w[small]
+    out[small] = np.exp(_kernels.log_gamma_raw(1.0 + ws)
+                        - _kernels.log_gamma_raw(0.5 + ws))
+    # w = iy: sum_n d_n w^-n = -(i/y) sum_k d_(2k+1) t^k with t = -1/y^2,
+    # a real polynomial in t
     wb = w[big]
-    inv2 = 1.0 / (wb * wb)
-    acc = np.full(wb.shape, _RATIO_SERIES[-1], dtype=complex)
-    for d in _RATIO_SERIES[-2::-1]:
-        acc *= inv2
+    y = wb.imag
+    t = -1.0 / (y * y)
+    acc = _RATIO_SERIES[-1] * t
+    for d in _RATIO_SERIES[-2:0:-1]:
         acc += d
-    out[big] = np.sqrt(wb) * np.exp(acc / wb)
+        acc *= t
+    out[big] = np.sqrt(wb) * np.exp(-1j * (acc + _RATIO_SERIES[0]) / y)
     return out.reshape(shape)
 
 

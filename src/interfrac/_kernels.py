@@ -207,7 +207,8 @@ def scaled_e1(z):
     out = np.empty_like(flat)
     # the term count follows the largest |z| it serves: two blocks serve
     # |z| <= 3.5, most of the points, and the rest of the sector goes apart
-    for part in (series & (r <= 3.5), series & (r > 3.5)):
+    two = r <= _E1_SERIES_REACH[0]
+    for part in (series & two, series & ~two):
         if part.any():
             out[part] = _e1_series(flat[part], float(r[part].max()))
     rest = ~series

@@ -386,13 +386,14 @@ class UnperturbedSolution:
                 f"position angle {math.degrees(angle):.2f} deg below the "
                 f"{min_angle_deg} deg guard near the intact interface")
         self._check_reach(yx, yy)
-        cut = self._pv_cut(self._table_hi(_DECAY / abs(yy)))
-        _, pieces = self._half_line_edges(cut)
-        if pieces is not None and pieces.sum() > _PV_MAX_PANELS:
-            raise GeometryError(
-                f"position at height {yy:.4g} needs a phi^+ table whose "
-                f"Cauchy mesh takes {pieces.sum()} panels per half-line, "
-                f"above {_PV_MAX_PANELS}")
+        if self.load.oscillations:
+            _, pieces = self._half_line_edges(
+                self._pv_cut(self._table_hi(_DECAY / abs(yy))))
+            if pieces.sum() > _PV_MAX_PANELS:
+                raise GeometryError(
+                    f"position at height {yy:.4g} needs a phi^+ table whose "
+                    f"Cauchy mesh takes {pieces.sum()} panels per half-line, "
+                    f"above {_PV_MAX_PANELS}")
         return yx, yy
 
     def _grad_integrals(self, yx, yy, spec):

@@ -314,8 +314,8 @@ def cmd_field(args):
     solution = UnperturbedSolution(load, material, spec=spec)
     rows = []
     for x, y in [_position(text, solution, args.min_angle) for text in args.at]:
-        sample = solution.field_sample(x, y, min_angle_deg=args.min_angle)
-        rows.append((sample.x, sample.y, sample.u, sample.gx, sample.gy))
+        gx, gy = solution.grad_u0((x, y), min_angle_deg=args.min_angle)
+        rows.append((x, y, solution.u0(x, y), gx, gy))
     meta = {"command": "field", "config": cfg}
     _write_csv(args.out, meta, ("x", "y", "u", "gx", "gy"), rows)
     return 0

@@ -22,10 +22,6 @@ class NonFiniteSample(InterfracError, ValueError):
     """An integrand returned nan/inf at an interior quadrature node."""
 
 
-class TailBoundExceeded(InterfracError, RuntimeError):
-    """A semi-infinite integral's tail bound cannot meet the requested tolerance."""
-
-
 class PoleError(DomainError):
     """log-gamma evaluated at a non-positive integer."""
 

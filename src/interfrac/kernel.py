@@ -17,6 +17,10 @@ shared 2-core x86-64 host (numpy backend), against 0.53-0.92 s for one
 target at a time. The combined factors are
 B^+/- = Xi_0^+/- Xi_*^+/- / xi_+/-^{1/2} with pi mu0 B^+ B^- = Xi.
 
+Xi is real and even, so each minus factor has one formula, its plus
+partner's: Xi_0^-(z) = Xi_0^+(-z), and on the real axis Xi_*^- and
+B^- = conj B^+ are the conjugates of Xi_*^+ and B^+.
+
 Each public KernelFactors method checks its input once, at entry; the
 factors compose from unchecked internals (_cauchy, the _kernels entry
 points), and for real xi the gamma ratio needs no pole guard.
@@ -90,11 +94,6 @@ def _gamma_ratio(w, real):
 def xi_plus_half(x):
     """xi_+^{1/2} = sqrt(-i xi), branch cut on the negative real axis."""
     return np.sqrt(-1j * np.asarray(x, dtype=complex))
-
-
-def xi_minus_half(x):
-    """xi_-^{1/2} = sqrt(+i xi)."""
-    return np.sqrt(1j * np.asarray(x, dtype=complex))
 
 
 class KernelFactors:
@@ -179,18 +178,14 @@ class KernelFactors:
         arr = np.asarray(z, dtype=complex)
         real = not np.iscomplexobj(z)
         if not real and (arr.imag <= -0.5 * math.pi * self.mu0).any():
-            raise DomainError("xi0_plus is defined for Im z > -pi mu0/2")
+            raise DomainError("Xi_0^+(z) is defined for Im z > -pi mu0/2, "
+                              "Xi_0^-(z) = Xi_0^+(-z) for Im z < pi mu0/2")
         out = _gamma_ratio(-1j * arr / (math.pi * self.mu0), real)
         return out if np.ndim(z) else complex(out)
 
     def xi0_minus(self, z):
         """Xi_0^-(z) = Xi_0^+(-z), regular for Im z < pi mu0 / 2."""
-        arr = np.asarray(z, dtype=complex)
-        real = not np.iscomplexobj(z)
-        if not real and (arr.imag >= 0.5 * math.pi * self.mu0).any():
-            raise DomainError("xi0_minus is defined for Im z < pi mu0/2")
-        out = _gamma_ratio(1j * arr / (math.pi * self.mu0), real)
-        return out if np.ndim(z) else complex(out)
+        return self.xi0_plus(-np.asarray(z))
 
     # -- combined factors ------------------------------------------------------
 
@@ -201,9 +196,8 @@ class KernelFactors:
         return out if np.ndim(x) else complex(out)
 
     def b_minus(self, x):
-        """B^- = Xi_0^- Xi_*^- / xi_-^{1/2} on the real axis."""
-        arr = self._checked(x)
-        out = self.xi0_minus(arr) * self.xi_star_minus(arr) / xi_minus_half(arr)
+        """B^- = Xi_0^- Xi_*^- / xi_-^{1/2} = conj B^+ on the real axis."""
+        out = np.conjugate(self.b_plus(x))
         return out if np.ndim(x) else complex(out)
 
     def factorization_residual(self, x):

@@ -131,12 +131,6 @@ def integrate_err(f, lo, hi, spec, breakpoints=None):
         splits += take.size
 
 
-def integrate_adaptive(f, lo, hi, spec, breakpoints=None):
-    """Adaptive integral of a (possibly complex) integrand over [lo, hi]."""
-    value, _ = integrate_err(f, lo, hi, spec, breakpoints=breakpoints)
-    return value
-
-
 def half_line(f, xi_c, x_cut, spec, seeds=()):
     """int_0^x_cut f(u) du for an f that may grow like u^{-1/2} at 0;
     returns (value, error estimate).
@@ -207,9 +201,8 @@ def algebraic_tail(f, x_start, spec):
         return ab[0] / x + ab[1] / (2.0 * x * x)
 
     t1 = fit_tail(x_start)
-    t2 = fit_tail(x_start / 2.0) - integrate_adaptive(
-        fv, x_start / 2.0, x_start, spec,
-        breakpoints=[0.75 * x_start])
+    t2 = fit_tail(x_start / 2.0) - integrate_err(
+        fv, x_start / 2.0, x_start, spec, breakpoints=[0.75 * x_start])[0]
     return complex(t1), float(abs(t1 - t2))
 
 

@@ -93,29 +93,8 @@ def dipole_for(inc: InclusionSpec):
 
 
 # ----------------------------------------------------------------------
-# boundary layer on the crack line
+# transforms of the boundary layer on the crack line
 # ----------------------------------------------------------------------
-
-def boundary_layer_dy(x, G, M, Y):
-    """dw1/dy on the line y=0 for gradient G, dipole M, centre Y:
-    -(1/2pi) v_y/rho^2 - Y_y (v_x (x-Y_x) - v_y Y_y)/(pi rho^4), v = M G."""
-    v = np.asarray(M, dtype=float) @ np.asarray(G, dtype=float)
-    return _dy_from_v(x, v, Y)
-
-
-def _dy_from_v(x, v, Y):
-    cx, cy = float(Y[0]), float(Y[1])
-    if cy == 0.0:
-        raise GeometryError("inclusion centre must lie off the interface line")
-    x = np.asarray(x, dtype=float)
-    dx = x - cx
-    rho2 = dx * dx + cy * cy
-    if np.any(rho2 == 0.0):
-        raise GeometryError("evaluation point coincides with the inclusion centre")
-    out = (-v[1] / (2.0 * math.pi * rho2)
-           - cy * (v[0] * dx - v[1] * cy) / (math.pi * rho2 * rho2))
-    return out if np.ndim(x) else float(out)
-
 
 def _pole_transforms(q, xi):
     """(J(q, xi), J(-q, -xi)) with J(q, xi) = int_0^inf e^{i xi x}/(x - q) dx,

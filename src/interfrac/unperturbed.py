@@ -1,15 +1,16 @@
 """The load-driven (unperturbed) problem: Wiener-Hopf solution of the
 crack-face loading equation and physical-domain gradients.
 
-With B^+/- the combined kernel factors, the right-hand side
+With B^+/- the combined kernel factors (B^- = conj B^+ on the real axis,
+so g evaluates B^+ alone), the right-hand side
 
     g(b) = kappa Lambda(b) [p](b) / B^-(b) + kappa pi mu0 B^+(b) <p>(b),
     Lambda(b) = (1 - mu_* mu0 / |b|) / 2,
 
 is decomposed into plus/minus parts by its Cauchy transform, with real-axis
 boundary values L^+/-(xi) = +/- g(xi)/2 + (1/(2 pi i)) PV int g/(b - xi) db.
-Then phi^+ = -L^+/(kappa pi mu0 B^+), phi_1^- = L^- B^-, and the transform
-coefficients A_j of u_j(xi, y) = A_j(xi) e^{-|xi y|} follow from the load.
+Then phi^+ = -L^+/(kappa pi mu0 B^+), and the transform coefficients A_j of
+u_j(xi, y) = A_j(xi) e^{-|xi y|} follow from phi^+ and the load.
 
 The Cauchy transform is batched over its targets (cauchy_pv): g is sampled
 once on a composite 16-point Gauss-Legendre mesh shared by every target.
@@ -26,7 +27,7 @@ further ratio-2 panels until what is left is negligible.
 Gradients off the interface line come from the inverse transform, folded to
 xi > 0 by conjugate symmetry. A PCHIP table of phi^+ over a log grid (exact
 at its nodes, filled by one batched transform) serves the gradient and
-displacement quadratures; the identity checks evaluate phi^+ directly.
+displacement quadratures; phi_plus_load evaluates phi^+ directly.
 Below its low end 1e-6 scale, with scale = min(mu0, 1/a), the table holds
 phi^+ constant, which shifts a field at distance r by up to about
 (1e-6 scale r)^{3/2} relative (measured on the smooth load: 4e-7 at
@@ -35,7 +36,6 @@ reach 1e2/scale raise GeometryError.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -71,17 +71,6 @@ def _seed_ladder(cut, y, x):
     return sorted(seeds)
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """One physical-domain sample of the unperturbed solution (y != 0)."""
-
-    x: float
-    y: float
-    u: float
-    gx: float
-    gy: float
-
-
 class UnperturbedSolution:
     """Spectral solution of the loaded problem for one (load, material)."""
 
@@ -111,10 +100,12 @@ class UnperturbedSolution:
     def _g(self, beta, avg, jump):
         """g at the array beta for the load parts avg = <p>, jump = [p]: the
         transforms there, or one point-force row's (a_k, j_k), whose term of
-        g is _g(beta, a_k, j_k) e^{-i s_k beta}."""
+        g is _g(beta, a_k, j_k) e^{-i s_k beta}. B^- = conj B^+ on the
+        real axis, so B^+ is evaluated once."""
+        b_plus = self.kernel.b_plus(beta)
         return self.kappa * (
-            self.lambda_factor(beta) * jump / self.kernel.b_minus(beta)
-            + math.pi * self.kernel.mu0 * self.kernel.b_plus(beta) * avg)
+            self.lambda_factor(beta) * jump / np.conjugate(b_plus)
+            + math.pi * self.kernel.mu0 * b_plus * avg)
 
     def g_rhs(self, beta):
         """Right-hand side whose Cauchy transform defines L^+/-."""
@@ -288,26 +279,12 @@ class UnperturbedSolution:
         Plemelj formula, for real xi != 0 (scalar or array)."""
         return 0.5 * self.g_rhs(xi) + self.cauchy_pv(xi)[0] / (2.0j * math.pi)
 
-    def l_minus(self, xi):
-        """L^-(xi) = -g/2 + PV/(2 pi i), as l_plus."""
-        return -0.5 * self.g_rhs(xi) + self.cauchy_pv(xi)[0] / (2.0j * math.pi)
-
     # -- load-problem transform functions --------------------------------------
 
     def phi_plus_load(self, xi):
         """phi^+ = -L^+ / (kappa pi mu0 B^+): the extra interface traction."""
         return -self.l_plus(xi) / (
             self.kappa * math.pi * self.kernel.mu0 * self.kernel.b_plus(xi))
-
-    def phi1_minus_load(self, xi):
-        """phi_1^- = L^- B^-."""
-        return self.l_minus(xi) * self.kernel.b_minus(xi)
-
-    def phi2_minus_load(self, xi):
-        """phi_2^- = phi_1^- + kappa [p]."""
-        _, jump_p = self.load.transforms(np.asarray(xi, dtype=float))
-        out = self.phi1_minus_load(xi) + self.kappa * jump_p
-        return out if np.ndim(xi) else complex(out)
 
     def a_coeff(self, j, xi, phi_plus):
         """Transform coefficient A_j of u_j = A_j e^{-|xi y|} given phi^+(xi);
@@ -317,13 +294,6 @@ class UnperturbedSolution:
         if j == 1:
             return -(core + 0.5 * jump_p) / (self.material.mu1 * np.abs(xi))
         return (core - 0.5 * jump_p) / (self.material.mu2 * np.abs(xi))
-
-    def a_coeffs(self, xi, phi_plus=None):
-        """Transform coefficients (A1, A2) of u_j = A_j e^{-|xi y|}."""
-        arr = self.kernel._checked(xi)
-        if phi_plus is None:
-            phi_plus = self.phi_plus_load(arr)
-        return self.a_coeff(1, arr, phi_plus), self.a_coeff(2, arr, phi_plus)
 
     # -- phi^+ interpolation (exact at nodes) for gradient quadratures --------
 
@@ -360,20 +330,14 @@ class UnperturbedSolution:
 
     # -- physical-domain reconstruction ----------------------------------------
 
-    def _check_reach(self, x, y):
-        r = math.hypot(x, y)
-        if r > self.reach:
-            raise GeometryError(f"position at distance {r:.4g} lies past the "
-                                f"phi^+ table's reach {self.reach:.4g}")
-
     def check_position(self, Y, min_angle_deg=5.0):
-        """(x, y) of a position Y that grad_u0 can serve, or GeometryError:
-        Y must be finite, off the interface, at least min_angle_deg from
-        it, within the reach and, for a point load, close enough to the
-        interface that the phi^+ table it needs keeps its Cauchy mesh
-        within _PV_MAX_PANELS panels per half-line (|y| above about 5e-3
-        for point_triple(1, 1, 0.5) on Bimaterial(3, 1, 0.25)). Nothing is
-        sampled."""
+        """(x, y) of a position Y that grad_u0 and u0 can serve, or
+        GeometryError: Y must be finite, off the interface, at least
+        min_angle_deg from it, within the reach and, for a point load, close
+        enough to the interface that the phi^+ table it needs keeps its
+        Cauchy mesh within _PV_MAX_PANELS panels per half-line (|y| above
+        about 5e-3 for point_triple(1, 1, 0.5) on Bimaterial(3, 1, 0.25)).
+        Nothing is sampled."""
         yx, yy = float(Y[0]), float(Y[1])
         if not (math.isfinite(yx) and math.isfinite(yy)):
             raise GeometryError("field evaluation requires a finite position")
@@ -385,7 +349,10 @@ class UnperturbedSolution:
             raise GeometryError(
                 f"position angle {math.degrees(angle):.2f} deg below the "
                 f"{min_angle_deg} deg guard near the intact interface")
-        self._check_reach(yx, yy)
+        r = math.hypot(yx, yy)
+        if r > self.reach:
+            raise GeometryError(f"position at distance {r:.4g} lies past the "
+                                f"phi^+ table's reach {self.reach:.4g}")
         if self.load.oscillations:
             _, pieces = self._half_line_edges(
                 self._pv_cut(self._table_hi(_DECAY / abs(yy))))
@@ -427,19 +394,16 @@ class UnperturbedSolution:
     def u0(self, x, y, ref=None, spec=None):
         """Unperturbed displacement at (x, y), y != 0, relative to the
         reference point ref (default (0, sign(y) * reference_length)); the
-        1/|xi| spectral weight makes only differences well defined."""
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise GeometryError("u0 needs a finite position")
-        if y == 0.0:
-            raise GeometryError("u0 is reconstructed off the interface line only")
+        1/|xi| spectral weight makes only differences well defined. Both
+        points pass check_position with no angle guard before anything is
+        sampled."""
+        x, y = self.check_position((x, y), 0.0)
         spec = spec or self.spec
         if ref is None:
             ref = (0.0, math.copysign(self.load.reference_length, y))
-        rx, ry = float(ref[0]), float(ref[1])
+        rx, ry = self.check_position(ref, 0.0)
         if ry * y <= 0.0:
             raise GeometryError("reference point must lie in the same half-plane")
-        self._check_reach(x, y)
-        self._check_reach(rx, ry)
         j = 1 if y > 0 else 2
         y_min = min(abs(y), abs(ry))
         cut = _DECAY / y_min
@@ -455,7 +419,3 @@ class UnperturbedSolution:
             f, 0.0, cut, spec,
             breakpoints=_seed_ladder(cut, y_min, max(abs(x), abs(rx))))
         return float(val.real) / math.pi
-
-    def field_sample(self, x, y, min_angle_deg=5.0) -> FieldSample:
-        gx, gy = self.grad_u0((x, y), min_angle_deg=min_angle_deg)
-        return FieldSample(x=x, y=y, u=self.u0(x, y), gx=gx, gy=gy)

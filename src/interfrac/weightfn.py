@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedLoad
-from .kernel import KernelFactors, xi_minus_half, xi_plus_half
+from .kernel import KernelFactors, xi_plus_half
 from .model import Bimaterial, CrackLoad, derive_params
 from .numerics import QuadratureSpec, half_line, integrate_err, oscillatory_tail
 
@@ -49,22 +49,6 @@ class WeightField:
         self.mu_star = self.params.mu_star
         self.sigma0_memo = None
 
-    def phi_minus(self, xi):
-        """Transform of the weight-function interface tractions (minus fn)."""
-        arr = self.kernel._checked(xi)
-        k = self.kernel
-        out = -xi_minus_half(arr) / (
-            self.kappa * math.pi * k.mu0 * k.xi_star_minus(arr)
-            * k.xi0_minus(arr) * arr)
-        return out if np.ndim(xi) else complex(out)
-
-    def phi_plus(self, xi):
-        """Transform of the x>0 part of the displacement jump (plus fn)."""
-        arr = self.kernel._checked(xi)
-        k = self.kernel
-        out = k.xi0_plus(arr) * k.xi_star_plus(arr) / (arr * xi_plus_half(arr))
-        return out if np.ndim(xi) else complex(out)
-
     def jump_u(self, xi):
         """Transform of the full displacement jump across the interface line."""
         arr = self.kernel._checked(xi)
@@ -72,19 +56,6 @@ class WeightField:
         out = 1.0 / (math.pi * k.xi_star_minus(arr) * k.xi0_minus(arr)
                      * xi_plus_half(arr) * arr)
         return out if np.ndim(xi) else complex(out)
-
-    def avg_u(self, xi):
-        """Transform of the mean displacement; equals -(mu_*/2) jump_u."""
-        out = -(0.5 * self.mu_star) * self.jump_u(xi)
-        return out if np.ndim(xi) else complex(out)
-
-    def wiener_hopf_residual(self, xi):
-        """|Phi^+ + kappa Xi Phi^-| / |Phi^+| (vanishes identically in theory)."""
-        arr = self.kernel._checked(xi)
-        p = self.phi_plus(arr)
-        res = np.abs(p + self.kappa * self.kernel.xi(arr) * self.phi_minus(arr))
-        out = res / np.abs(p)
-        return out if np.ndim(xi) else float(out)
 
 
 @dataclass

@@ -1,12 +1,15 @@
-"""Quadrature oracles used only by the tests: the adaptive principal-value
-rules for the Cauchy integral of ln Xi_* and for the Cauchy transform of the
-load right-hand side g, direct half-line Fourier transforms with explicit
-tail treatment, the effective tractions of the boundary layer computed by
-those transforms, the one-sided exponential-integral pole transforms, and
-the layer transforms assembled from the library's closed-form double
-poles, the per-target loop of the direct Cauchy rule behind the phase
-table, and the kernel factors composed through the checked public
-methods. Each cross-checks a faster or closed-form route of the library."""
+"""Oracles used only by the tests: the adaptive principal-value rules for
+the Cauchy integral of ln Xi_* and for the Cauchy transform of the load
+right-hand side g, direct half-line Fourier transforms with explicit tail
+treatment, the boundary layer's dw1/dy on the crack line and its effective
+tractions computed by those transforms, the one-sided exponential-integral
+pole transforms, and the layer transforms assembled from the library's
+closed-form double poles, the per-target loop of the direct Cauchy rule
+behind the phase table, the kernel factors composed through the checked
+public methods with their own minus formulas, the load problem's phi_1^-,
+and the weight-function transforms Phi^+/- of the Wiener-Hopf identity.
+Each cross-checks a faster or closed-form route of the library, or checks a
+paper identity through a function that the library does not need."""
 
 import math
 
@@ -14,12 +17,12 @@ import numpy as np
 
 from interfrac._kernels import (_GL_NODES, _GL_WEIGHTS, _LN3, _ln_xi_star,
                                 scaled_e1)
-from interfrac.errors import DomainError, TailBoundExceeded
-from interfrac.kernel import _gamma_ratio, xi_minus_half, xi_plus_half
+from interfrac.errors import DomainError, GeometryError, NonConvergence
+from interfrac.kernel import _gamma_ratio, xi_plus_half
 from interfrac.model import Bimaterial
 from interfrac.numerics import (QuadratureSpec, _vectorized, algebraic_tail,
                                 integrate_err, oscillatory_tail)
-from interfrac.perturbation import _double_pole_transforms, _dy_from_v
+from interfrac.perturbation import _double_pole_transforms
 
 
 def pv_integral_even_logkernel(g, xi, spec):
@@ -99,12 +102,20 @@ def pv_cauchy_per_target(s, mu0):
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
 
 
+def xi_minus_half(x):
+    """xi_-^{1/2} = sqrt(+i xi)."""
+    return np.sqrt(1j * np.asarray(x, dtype=complex))
+
+
 def factors_checked(kernel, x):
     """The kernel factors at real x != 0, each composed through checked
     public methods: Xi_*^+ from kernel.xi_star and kernel.cauchy_integral,
     Xi_0^+- through the library's gamma ratio for real arguments, in the
-    library's order of operations. A dict of xi_star_plus, xi0_plus, xi0_minus, b_plus, b_minus
-    and jump_u (that of a WeightField on this kernel)."""
+    library's order of operations. The minus factors keep their own
+    formulas (Xi_0^- from the ratio at +ix, B^- through xi_-^{1/2}), where
+    the library takes Xi_0^+(-x) and conj B^+. A dict of xi_star_plus,
+    xi0_plus, xi0_minus, b_plus, b_minus and jump_u (that of a WeightField on
+    this kernel)."""
     arr = np.asarray(x, dtype=float)
     z = np.asarray(arr, dtype=complex)
     c = math.pi * kernel.mu0
@@ -277,7 +288,7 @@ def _halfline_core(g, omega, spec):
         x_max *= 2.0
         tail_err = None
     if tail_err is None or tail_err > max(spec.abs_tol, 1e-3 * spec.rel_tol):
-        raise TailBoundExceeded(
+        raise NonConvergence(
             f"tail bound {tail_err} above abs_tol={spec.abs_tol} at "
             f"truncation x={x_max:.3e}")
 
@@ -295,6 +306,28 @@ def _halfline_core(g, omega, spec):
     return core + tail_val, core_err + tail_err
 
 
+def boundary_layer_dy(x, G, M, Y):
+    """dw1/dy on the line y=0 for gradient G, dipole M, centre Y:
+    -(1/2pi) v_y/rho^2 - Y_y (v_x (x-Y_x) - v_y Y_y)/(pi rho^4), v = M G."""
+    v = np.asarray(M, dtype=float) @ np.asarray(G, dtype=float)
+    return layer_dy(x, v, Y)
+
+
+def layer_dy(x, v, Y):
+    """boundary_layer_dy for the strengths v = M G."""
+    cx, cy = float(Y[0]), float(Y[1])
+    if cy == 0.0:
+        raise GeometryError("inclusion centre must lie off the interface line")
+    x = np.asarray(x, dtype=float)
+    dx = x - cx
+    rho2 = dx * dx + cy * cy
+    if np.any(rho2 == 0.0):
+        raise GeometryError("evaluation point coincides with the inclusion centre")
+    out = (-v[1] / (2.0 * math.pi * rho2)
+           - cy * (v[0] * dx - v[1] * cy) / (math.pi * rho2 * rho2))
+    return out if np.ndim(x) else float(out)
+
+
 def effective_traction_transforms(G, M, Y, material: Bimaterial, xi, spec=None):
     """(Pbar^-, Qbar^-, Pbar^+, Qbar^+) at one xi by direct half-line Fourier
     transforms of P = -(mu1+mu2)/2 dw1/dy and Q = -(mu1-mu2) dw1/dy."""
@@ -302,7 +335,7 @@ def effective_traction_transforms(G, M, Y, material: Bimaterial, xi, spec=None):
     v = np.asarray(M, dtype=float) @ np.asarray(G, dtype=float)
 
     def dy(x):
-        return _dy_from_v(x, v, Y)
+        return layer_dy(x, v, Y)
 
     t_minus, _ = halfline_fourier_err(dy, "negative-axis", xi, spec)
     t_plus, _ = halfline_fourier_err(dy, "positive-axis", xi, spec)
@@ -340,3 +373,32 @@ def _layer_pair(v, Y, xi):
     m_p, p_p = _double_pole_transforms(p, xi)
     m_c, p_c = _double_pole_transforms(p.conjugate(), xi)
     return a * m_p + a.conjugate() * m_c, a * p_p + a.conjugate() * p_c
+
+
+def weight_phi_minus(field, xi):
+    """Phi^- = -xi_-^{1/2} / (kappa pi mu0 Xi_*^- Xi_0^- xi), the transform
+    of the weight function's interface tractions, for real xi != 0."""
+    k = field.kernel
+    return -xi_minus_half(xi) / (field.kappa * math.pi * k.mu0
+                                 * k.xi_star_minus(xi) * k.xi0_minus(xi) * xi)
+
+
+def weight_phi_plus(field, xi):
+    """Phi^+ = Xi_0^+ Xi_*^+ / (xi xi_+^{1/2}), the transform of the x > 0
+    part of the weight function's displacement jump."""
+    k = field.kernel
+    return k.xi0_plus(xi) * k.xi_star_plus(xi) / (xi * xi_plus_half(xi))
+
+
+def wiener_hopf_residual(field, xi):
+    """|Phi^+ + kappa Xi Phi^-| / |Phi^+|, which vanishes identically."""
+    p = weight_phi_plus(field, xi)
+    return np.abs(p + field.kappa * field.kernel.xi(xi)
+                  * weight_phi_minus(field, xi)) / np.abs(p)
+
+
+def phi1_minus(sol, xi):
+    """phi_1^- = L^- B^- of the load problem at one real xi != 0, with
+    L^- = -g/2 + PV/(2 pi i) by the Plemelj formula."""
+    l_minus = -0.5 * sol.g_rhs(xi) + sol.cauchy_pv(xi)[0] / (2.0j * math.pi)
+    return l_minus * sol.kernel.b_minus(xi)

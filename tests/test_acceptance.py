@@ -16,6 +16,7 @@ from interfrac.perturbation import (_delta_from_v, delta_sigma0,
                                     dipole_elliptic, dipole_rigid, sign_map)
 from interfrac.unperturbed import UnperturbedSolution
 from interfrac.weightfn import WeightField, ratio_r, sigma0
+from oracles import phi1_minus, wiener_hopf_residual
 
 # regression anchors frozen from the dense-quadrature oracle
 # (rel_tol 1e-9, abs_tol 1e-13, truncation stretch x2)
@@ -83,18 +84,17 @@ def test_criterion_04_wiener_hopf_residuals():
     material = Bimaterial(3.0, 1.0, 0.25)
     field = WeightField(material, a=1.0)
     grid = acceptance_grid(field.kernel.mu0, 60)
-    weight_res = float(np.max(field.wiener_hopf_residual(grid)))
+    weight_res = float(np.max(wiener_hopf_residual(field, grid)))
 
     sol = UnperturbedSolution(point_triple(1.0, 1.0, 0.75), material)
     load_res = 0.0
     for xi in [0.05, 0.4, 1.3, 5.0, 21.0, -0.7, -3.3, -48.0]:
         avg_p, jump_p = sol.load.transforms(np.array([xi]))
         avg_p, jump_p = complex(avg_p[0]), complex(jump_p[0])
+        phi1 = phi1_minus(sol, xi)
         lhs = (-material.kappa * sol.kernel.xi(xi) * (sol.phi_plus_load(xi) + avg_p)
-               - sol.phi1_minus_load(xi)
-               - material.kappa * sol.lambda_factor(xi) * jump_p)
-        scale = (abs(material.kappa * sol.kernel.xi(xi) * avg_p)
-                 + abs(sol.phi1_minus_load(xi)))
+               - phi1 - material.kappa * sol.lambda_factor(xi) * jump_p)
+        scale = abs(material.kappa * sol.kernel.xi(xi) * avg_p) + abs(phi1)
         load_res = max(load_res, abs(lhs) / scale)
     verdict("4 Wiener-Hopf residuals", weight_res < 1e-8 and load_res < 1e-7,
             f"weight {weight_res:.2e}, load {load_res:.2e}")
@@ -262,11 +262,11 @@ def test_criterion_10_unperturbed_field_oracle(smooth_pipeline):
     for xi in (0.3, -1.1, 4.0):
         avg_p, jump_p = load.transforms(np.array([xi]))
         avg_p, jump_p = complex(avg_p[0]), complex(jump_p[0])
-        a1, a2 = solution.a_coeffs(xi)
-        a1, a2 = complex(a1), complex(a2)
         phi_p = solution.phi_plus_load(xi)
-        phi1 = solution.phi1_minus_load(xi)
-        phi2 = solution.phi2_minus_load(xi)
+        a1 = complex(solution.a_coeff(1, xi, phi_p))
+        a2 = complex(solution.a_coeff(2, xi, phi_p))
+        phi1 = phi1_minus(solution, xi)
+        phi2 = phi1 + material.kappa * jump_p
         jump_sigma = -abs(xi) * (material.mu1 * a1 + material.mu2 * a2)
         avg_sigma = 0.5 * abs(xi) * (material.mu2 * a2 - material.mu1 * a1)
         jump_u = (phi1 + material.kappa * (phi_p + avg_p)

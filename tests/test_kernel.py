@@ -311,7 +311,10 @@ class TestBatchRule:
 class TestCheckOnce:
     """The factors check their input once and compose from unchecked
     internals; the values must be those composed through the checked public
-    methods, bit for bit, including outside the table's [1e-9, 1e9] mu0."""
+    methods, bit for bit, including outside the table's [1e-9, 1e9] mu0.
+    The library's minus factors are Xi_0^+(-x) and conj B^+; the oracle
+    keeps the minus formulas of their own, so this also checks the
+    conjugate route."""
 
     @staticmethod
     def points(mu0):

@@ -13,13 +13,13 @@ from interfrac.model import (Bimaterial, InclusionSpec, point_triple,
                              smooth_exponential)
 from interfrac.numerics import QuadratureSpec
 from interfrac.perturbation import (_delta_from_v, _pole_transforms,
-                                    boundary_layer_dy, delta_sigma0,
-                                    dipole_elliptic, dipole_for, dipole_rigid,
-                                    sign_map)
+                                    delta_sigma0, dipole_elliptic, dipole_for,
+                                    dipole_rigid, sign_map)
 from interfrac.unperturbed import UnperturbedSolution
 from interfrac.weightfn import WeightField, sigma0
-from oracles import (_layer_pair, effective_traction_transforms,
-                     halfline_fourier, pole_transform_pos)
+from oracles import (_layer_pair, boundary_layer_dy,
+                     effective_traction_transforms, halfline_fourier,
+                     layer_dy, pole_transform_pos)
 
 SPEC = QuadratureSpec()
 MATERIAL = Bimaterial(3.0, 1.0, 0.25)  # mu* = 0.5, kappa* = 1 at a = 1
@@ -120,7 +120,7 @@ class TestEffectiveTractions:
         assert qm == 0.0 and qp == 0.0
 
     def test_zero_frequency_matches_plain_integrals(self):
-        from interfrac.numerics import integrate_adaptive
+        from interfrac.numerics import integrate_err
         G = (0.5, -0.2)
         M = np.diag([1.5, 0.7])
         Y = (0.3, 1.1)
@@ -132,10 +132,10 @@ class TestEffectiveTractions:
             return boundary_layer_dy(x, G, M, Y)
 
         big = 3e7  # plain truncation leaves an O(1/big) algebraic tail
-        left = integrate_adaptive(dy, -big, 0.0, SPEC,
-                                  breakpoints=[-big * 2.0 ** (-k) for k in range(1, 52)])
-        right = integrate_adaptive(dy, 0.0, big, SPEC,
-                                   breakpoints=[big * 2.0 ** (-k) for k in range(1, 52)])
+        left = integrate_err(dy, -big, 0.0, SPEC,
+                             breakpoints=[-big * 2.0 ** (-k) for k in range(1, 52)])[0]
+        right = integrate_err(dy, 0.0, big, SPEC,
+                              breakpoints=[big * 2.0 ** (-k) for k in range(1, 52)])[0]
         assert pm == pytest.approx(scale * left, abs=1e-8)
         assert pp == pytest.approx(scale * right, abs=1e-8)
 
@@ -143,9 +143,8 @@ class TestEffectiveTractions:
     def test_closed_form_matches_quadrature(self, Y):
         # dual route: the exponential-integral layer transforms against the
         # direct half-line Fourier operation
-        from interfrac.perturbation import _dy_from_v
         v = np.array([0.4, -0.9])
-        dy = lambda x: _dy_from_v(x, v, Y)
+        dy = lambda x: layer_dy(x, v, Y)
         for xi in (0.37, -2.2, 31.0):
             minus, plus = _layer_pair(v, Y, xi)
             tm = halfline_fourier(dy, "negative-axis", xi, SPEC)

@@ -11,7 +11,13 @@ from interfrac.model import (Bimaterial, CrackLoad, point_triple,
                              smooth_exponential)
 from interfrac.numerics import QuadratureSpec
 from interfrac.unperturbed import UnperturbedSolution
-from oracles import cauchy_pv_adaptive, phi_plus_adaptive
+from oracles import cauchy_pv_adaptive, phi1_minus, phi_plus_adaptive
+
+
+def a_pair(sol, xi):
+    """(A1, A2) at xi, both from phi_plus_load."""
+    phi_p = sol.phi_plus_load(xi)
+    return sol.a_coeff(1, xi, phi_p), sol.a_coeff(2, xi, phi_p)
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +57,8 @@ class TestPlemeljDecomposition:
     @pytest.mark.parametrize("xi", [0.3, -1.7, 5.0, -20.0, 0.01])
     def test_jump_identity(self, sol, xi):
         lp = sol.l_plus(xi)
-        lm = sol.l_minus(xi)
         g = sol.g_rhs(xi)
+        lm = -0.5 * g + sol.cauchy_pv(xi)[0] / (2.0j * math.pi)
         assert abs(lp - lm - g) < 1e-8 * abs(g)
 
     def test_decay_at_infinity(self, sol):
@@ -68,7 +74,7 @@ class TestPlemeljDecomposition:
                          decay_exponent=1.0)
         s = UnperturbedSolution(zero, Bimaterial(3.0, 1.0, 0.25))
         assert s.l_plus(0.7) == 0.0
-        a1, a2 = s.a_coeffs(0.7)
+        a1, a2 = a_pair(s, 0.7)
         assert a1 == 0.0 and a2 == 0.0
 
     def test_conjugate_symmetry(self, sol):
@@ -113,6 +119,25 @@ class TestBatchedCauchy:
                     for s, a, j in sol.load.oscillations)
         assert np.all(np.abs(terms - g) <= 1e-13 * np.abs(g))
 
+    @pytest.mark.parametrize("load", [smooth_exponential(),
+                                      point_triple(1.0, 1.0, 0.75)],
+                             ids=["smooth", "point-triple"])
+    def test_g_evaluates_b_plus_once(self, load, monkeypatch):
+        # work guard: B^- = conj B^+ on the real axis, so a node batch of g
+        # costs one B^+ evaluation and no B^-
+        s = UnperturbedSolution(load, Bimaterial(3.0, 1.0, 0.25))
+        seen = {"b_plus": [], "b_minus": []}
+        for name, sizes in seen.items():
+            def counted(x, fn=getattr(s.kernel, name), sizes=sizes):
+                sizes.append(np.size(x))
+                return fn(x)
+            monkeypatch.setattr(s.kernel, name, counted)
+        b = np.geomspace(1e-3, 1e3, 50)
+        s.g_rhs(np.concatenate([b, -b]))
+        assert seen == {"b_plus": [100], "b_minus": []}
+        s.phi_plus_load(np.array([0.5, 2.0]))
+        assert seen["b_minus"] == []
+
     def test_too_far_for_the_oscillatory_mesh(self, sol):
         # 1e6 needs ~1.4e6 half-period panels per half-line; refused before
         # any sampling
@@ -141,27 +166,19 @@ class TestLoadProblemIdentities:
         avg_p, jump_p = sol.load.transforms(np.array([xi]))
         avg_p, jump_p = complex(avg_p[0]), complex(jump_p[0])
         phi_p = sol.phi_plus_load(xi)
-        phi1_m = sol.phi1_minus_load(xi)
+        phi1_m = phi1_minus(sol, xi)
         kappa = sol.kappa
         lhs = (-kappa * sol.kernel.xi(xi) * (phi_p + avg_p)
                - phi1_m - kappa * sol.lambda_factor(xi) * jump_p)
         scale = abs(kappa * sol.kernel.xi(xi) * avg_p) + abs(phi1_m)
         assert abs(lhs) < 1e-7 * scale
 
-    def test_phi2_relation(self, sol):
-        # phi1 - phi2 = -kappa [p] exactly
-        xi = 1.9
-        _, jump_p = sol.load.transforms(np.array([xi]))
-        diff = sol.phi1_minus_load(xi) - sol.phi2_minus_load(xi)
-        assert diff == pytest.approx(-sol.kappa * complex(jump_p[0]), rel=1e-14)
-
     def test_phi_plus_decays(self, sol):
         assert abs(sol.phi_plus_load(500.0)) < abs(sol.phi_plus_load(5.0)) / 20.0
 
     @pytest.mark.parametrize("xi", [0.7, -3.0])
     def test_traction_identities(self, sol, xi):
-        a1, a2 = sol.a_coeffs(xi)
-        a1, a2 = complex(a1), complex(a2)
+        a1, a2 = map(complex, a_pair(sol, xi))
         avg_p, jump_p = sol.load.transforms(np.array([xi]))
         avg_p, jump_p = complex(avg_p[0]), complex(jump_p[0])
         m = sol.material
@@ -176,16 +193,16 @@ class TestLoadProblemIdentities:
         avg_p, jump_p = sol.load.transforms(np.array([xi]))
         avg_p, jump_p = complex(avg_p[0]), complex(jump_p[0])
         phi_p = sol.phi_plus_load(xi)
-        phi1 = sol.phi1_minus_load(xi)
-        phi2 = sol.phi2_minus_load(xi)
+        phi1 = phi1_minus(sol, xi)
+        phi2 = phi1 + sol.kappa * jump_p
         jump_u = phi1 + sol.kappa * (phi_p + avg_p) + 0.5 * sol.kappa * jump_p
         avg_sigma = avg_p + phi_p
         res = 2.0 * jump_u - 2.0 * sol.kappa * avg_sigma - phi1 - phi2
         assert abs(res) < 1e-8 * max(1.0, abs(jump_u))
 
     def test_a_conjugate_symmetry(self, sol):
-        a1p, a2p = sol.a_coeffs(2.4)
-        a1m, a2m = sol.a_coeffs(-2.4)
+        a1p, a2p = a_pair(sol, 2.4)
+        a1m, a2m = a_pair(sol, -2.4)
         assert complex(a1m) == pytest.approx(np.conj(complex(a1p)), abs=1e-10)
         assert complex(a2m) == pytest.approx(np.conj(complex(a2p)), abs=1e-10)
 
@@ -194,7 +211,7 @@ class TestLoadProblemIdentities:
         # multipliers: |xi A_j| stays bounded (in fact it vanishes like
         # sqrt(xi), since phi+(0) = -<p>(0) exactly)
         xs = np.array([1e-4, 1e-5, 1e-6])
-        vals = [abs(complex(sol.a_coeffs(x)[0])) * x for x in xs]
+        vals = [abs(complex(a_pair(sol, x)[0])) * x for x in xs]
         assert max(vals) < 1.0
         assert vals == sorted(vals, reverse=True)
         phi0 = sol.phi_plus_load(1e-8)
@@ -267,6 +284,8 @@ class TestGradient:
                 sol_smooth.grad_u0(bad)
             with pytest.raises(GeometryError):
                 sol_smooth.u0(*bad)
+            with pytest.raises(GeometryError):
+                sol_smooth.u0(0.4, 0.7, ref=bad)
         with pytest.raises(GeometryError):
             sol_smooth.grad_u0((1.0, 0.0))
         with pytest.raises(GeometryError):
@@ -280,18 +299,25 @@ class TestGradient:
     def test_panel_cap_refused_before_sampling(self, monkeypatch, y, panels):
         # the phi^+ table for |y| = 1e-3 would put the Cauchy mesh of
         # point_triple(1, 1, 0.5) at 152930 half-period panels per
-        # half-line, above the 32768 cap: a geometry error, with no g sampled
+        # half-line, above the 32768 cap: a geometry error, with no g
+        # sampled, for the gradient and for u0 at that position or with
+        # its reference point there
         s = UnperturbedSolution(point_triple(1.0, 1.0, 0.5),
                                 Bimaterial(3.0, 1.0, 0.25))
 
-        def unsampled(lo, hi):
+        def unsampled(*args):
             raise AssertionError("g sampled for a refused position")
 
         monkeypatch.setattr(s, "_g_on_panels", unsampled)
+        monkeypatch.setattr(s, "g_rhs", unsampled)
         with pytest.raises(GeometryError, match=f"{panels} panels"):
             s.grad_u0((0.0, y))
         with pytest.raises(GeometryError, match=f"{panels} panels"):
             s.check_position((0.0, y))
+        with pytest.raises(GeometryError, match=f"{panels} panels"):
+            s.u0(0.0, y)
+        with pytest.raises(GeometryError, match=f"{panels} panels"):
+            s.u0(0.0, math.copysign(1.0, y), ref=(0.0, y))
         assert s._phi_interp is None
 
     def test_far_field_reach(self, sol_smooth):

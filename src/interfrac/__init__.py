@@ -6,7 +6,7 @@ perturbation from a small elliptic (or rigid) inclusion."""
 from .errors import (ConfigError, DomainError, GeometryError, InterfracError,
                      NonConvergence, NonFiniteSample, PoleError,
                      SelfBalanceViolation, UnsupportedLoad)
-from .kernel import KernelFactors, xi_plus_half
+from .kernel import KernelFactors
 from .model import (Bimaterial, CrackLoad, DerivedParams, InclusionSpec,
                     bimaterial_from_dimensionless, custom_transform,
                     derive_params, inclusion_centre, point_load_transforms,
@@ -30,5 +30,5 @@ __all__ = [
     "derive_params", "dipole_elliptic", "dipole_for", "dipole_rigid",
     "inclusion_centre", "k3_perfect", "log_gamma", "point_load_transforms",
     "point_triple", "ratio_r", "sigma0", "sign_map", "smooth_exponential",
-    "smooth_load_transforms", "xi_plus_half",
+    "smooth_load_transforms",
 ]

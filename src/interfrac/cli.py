@@ -280,7 +280,9 @@ def _write_pgm(path, result):
 
 
 def cmd_residual(args):
-    """Factorization-identity diagnostic |pi mu0 B+ B-/Xi - 1| on a log grid."""
+    """Factorization-identity diagnostic |pi mu0 B+ B-/Xi - 1| on a log grid,
+    the polar B+ against the product-route B- (KernelFactors.
+    factorization_residual): the agreement of the two phases."""
     from .kernel import KernelFactors
 
     cfg, material, _, _ = _read_run(args.config)
@@ -363,7 +365,9 @@ def build_parser():
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("kernel-residual",
-                       help="factorization-identity residual table (CSV)")
+                       help="factorization-identity residual table (CSV): "
+                            "the polar B+ against the product-route B-, "
+                            "i.e. their phase agreement")
     p.add_argument("--config", required=True)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--out", default=None)

@@ -1,14 +1,16 @@
 """The load-driven (unperturbed) problem: Wiener-Hopf solution of the
 crack-face loading equation and physical-domain gradients.
 
-With B^+/- the combined kernel factors (B^- = conj B^+ on the real axis,
-so g evaluates B^+ alone), the right-hand side
+With B^+/- the combined kernel factors, the right-hand side
 
-    g(b) = kappa Lambda(b) [p](b) / B^-(b) + kappa pi mu0 B^+(b) <p>(b),
+    g(b) = kappa Lambda(b) [p](b) / B^-(b) + kappa pi mu0 B^+(b) <p>(b)
+         = kappa pi mu0 B^+(b) (Lambda(b) |b|/(|b| + mu0) [p](b) + <p>(b)),
     Lambda(b) = (1 - mu_* mu0 / |b|) / 2,
 
-is decomposed into plus/minus parts by its Cauchy transform, with real-axis
-boundary values L^+/-(xi) = +/- g(xi)/2 + (1/(2 pi i)) PV int g/(b - xi) db.
+(the second form by pi mu0 B^+ B^- = Xi, so g reads the kernel's polar B^+
+alone) is decomposed into plus/minus parts by its Cauchy transform, with
+real-axis boundary values
+L^+/-(xi) = +/- g(xi)/2 + (1/(2 pi i)) PV int g/(b - xi) db.
 Then phi^+ = -L^+/(kappa pi mu0 B^+), and the transform coefficients A_j of
 u_j(xi, y) = A_j(xi) e^{-|xi y|} follow from phi^+ and the load.
 
@@ -100,12 +102,12 @@ class UnperturbedSolution:
     def _g(self, beta, avg, jump):
         """g at the array beta for the load parts avg = <p>, jump = [p]: the
         transforms there, or one point-force row's (a_k, j_k), whose term of
-        g is _g(beta, a_k, j_k) e^{-i s_k beta}. B^- = conj B^+ on the
-        real axis, so B^+ is evaluated once."""
-        b_plus = self.kernel.b_plus(beta)
-        return self.kappa * (
-            self.lambda_factor(beta) * jump / np.conjugate(b_plus)
-            + math.pi * self.kernel.mu0 * b_plus * avg)
+        g is _g(beta, a_k, j_k) e^{-i s_k beta}. With 1/B^- = pi mu0 B^+/Xi,
+        g = kappa pi mu0 B^+ (Lambda |b|/(|b| + mu0) [p] + <p>), one B^+."""
+        mu0 = self.kernel.mu0
+        b = np.abs(beta)
+        return self.kappa * math.pi * mu0 * self.kernel.b_plus(beta) * (
+            self.lambda_factor(beta) * b / (b + mu0) * jump + avg)
 
     def g_rhs(self, beta):
         """Right-hand side whose Cauchy transform defines L^+/-."""

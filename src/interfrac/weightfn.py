@@ -14,12 +14,13 @@ and the Betti identity gives
            = (1/2) sqrt(mu0/pi) int xi [U] (<p> - (mu_*/2) [p]) dxi
 
 over the real line, so the weight function enters through one [U]
-evaluation per node. The integrand is O(xi_+^{-1/2}) at 0 and O(1/xi) times
-the load oscillation at infinity. Each half-line is integrated by
-numerics.half_line (the xi = s^2 head and the seeded mid); the oscillatory
-tail past X is summed by integration-by-parts asymptotics per row of the
-load's point-force table; smooth-load tails decay algebraically and are
-bounded from the declared decay exponent.
+evaluation per node: [U] = mu0 B^+ / (xi (|xi| + mu0)) reads the kernel's
+polar B^+, with no log-gamma. The integrand is O(xi_+^{-1/2}) at 0 and
+O(1/xi) times the load oscillation at infinity. Each half-line is
+integrated by numerics.half_line (the xi = s^2 head and the seeded mid);
+the oscillatory tail past X is summed by integration-by-parts asymptotics
+per row of the load's point-force table; smooth-load tails decay
+algebraically and are bounded from the declared decay exponent.
 """
 
 import math
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedLoad
-from .kernel import KernelFactors, xi_plus_half
+from .kernel import KernelFactors
 from .model import Bimaterial, CrackLoad, derive_params
 from .numerics import QuadratureSpec, half_line, integrate_err, oscillatory_tail
 
@@ -50,11 +51,12 @@ class WeightField:
         self.sigma0_memo = None
 
     def jump_u(self, xi):
-        """Transform of the full displacement jump across the interface line."""
-        arr = self.kernel._checked(xi)
+        """Transform of the full displacement jump across the interface line,
+        [U] = 1/(pi B^- xi_-^{1/2} xi_+^{1/2} xi) = mu0 B^+ / (xi (|xi| + mu0))
+        by pi mu0 B^+ B^- = Xi and xi_+^{1/2} xi_-^{1/2} = |xi|."""
+        arr = np.asarray(xi, dtype=float)
         k = self.kernel
-        out = 1.0 / (math.pi * k.xi_star_minus(arr) * k.xi0_minus(arr)
-                     * xi_plus_half(arr) * arr)
+        out = k.mu0 * k.b_plus(arr) / (arr * (np.abs(arr) + k.mu0))
         return out if np.ndim(xi) else complex(out)
 
 

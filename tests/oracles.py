@@ -18,7 +18,7 @@ import numpy as np
 from interfrac._kernels import (_GL_NODES, _GL_WEIGHTS, _LN3, _ln_xi_star,
                                 scaled_e1)
 from interfrac.errors import DomainError, GeometryError, NonConvergence
-from interfrac.kernel import _gamma_ratio, xi_plus_half
+from interfrac.kernel import _gamma_ratio
 from interfrac.model import Bimaterial
 from interfrac.numerics import (QuadratureSpec, _vectorized, algebraic_tail,
                                 integrate_err, oscillatory_tail)
@@ -102,6 +102,11 @@ def pv_cauchy_per_target(s, mu0):
     return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
 
 
+def xi_plus_half(x):
+    """xi_+^{1/2} = sqrt(-i xi), branch cut on the negative real axis."""
+    return np.sqrt(-1j * np.asarray(x, dtype=complex))
+
+
 def xi_minus_half(x):
     """xi_-^{1/2} = sqrt(+i xi)."""
     return np.sqrt(1j * np.asarray(x, dtype=complex))
@@ -110,12 +115,14 @@ def xi_minus_half(x):
 def factors_checked(kernel, x):
     """The kernel factors at real x != 0, each composed through checked
     public methods: Xi_*^+ from kernel.xi_star and kernel.cauchy_integral,
-    Xi_0^+- through the library's gamma ratio for real arguments, in the
-    library's order of operations. The minus factors keep their own
-    formulas (Xi_0^- from the ratio at +ix, B^- through xi_-^{1/2}), where
-    the library takes Xi_0^+(-x) and conj B^+. A dict of xi_star_plus,
-    xi0_plus, xi0_minus, b_plus, b_minus and jump_u (that of a WeightField on
-    this kernel)."""
+    Xi_0^+- through the library's gamma ratio for real arguments (log-gamma
+    below |w| = 8), in the library's order of operations. B^+- and [U]
+    follow the product route; the library evaluates B^+ in polar form and
+    reads B^- and [U] from it. The minus factors keep their own formulas
+    (Xi_0^- from the ratio at +ix, B^- through xi_-^{1/2}), where the
+    library takes Xi_0^+(-x) and conj B^+. A dict of xi_star_plus,
+    xi0_plus, xi0_minus, b_plus, b_minus and jump_u (that of a WeightField
+    on this kernel)."""
     arr = np.asarray(x, dtype=float)
     z = np.asarray(arr, dtype=complex)
     c = math.pi * kernel.mu0

@@ -189,10 +189,11 @@ class TestDeltaSigma0:
         # work guard: one kernel-factor evaluation per layer-transform node
         solution, field = pipeline
         points = self._count_points(field, monkeypatch, (0.4, 0.9))
-        assert points["xi0_minus"] <= 1.05 * points["layer"]
+        assert 0 < points["b_plus"] <= 1.05 * points["layer"]
 
-    # xi0_minus points of one _delta_from_v that integrates both half-lines
-    XI0_POINTS_UNFOLDED = {(0.4, 0.9): 7224}
+    # kernel-factor points of one _delta_from_v that integrates both
+    # half-lines (counted as xi0_minus points while [U] composed from it)
+    B_PLUS_POINTS_UNFOLDED = {(0.4, 0.9): 7224}
 
     @pytest.mark.parametrize("Y", [(0.4, 0.9), (0.0, 1.0), (1.2, 0.15)])
     def test_one_e1_per_pole_per_node(self, pipeline, monkeypatch, Y):
@@ -200,20 +201,20 @@ class TestDeltaSigma0:
         # per node, and the folded integrand visits u > 0 only
         solution, field = pipeline
         points = self._count_points(field, monkeypatch, Y)
-        assert points["e1"] <= 1.05 * 2 * points["xi0_minus"]
-        if Y in self.XI0_POINTS_UNFOLDED:
-            assert points["xi0_minus"] <= 0.5 * self.XI0_POINTS_UNFOLDED[Y]
+        assert points["e1"] <= 1.05 * 2 * points["b_plus"]
+        if Y in self.B_PLUS_POINTS_UNFOLDED:
+            assert points["b_plus"] <= 0.5 * self.B_PLUS_POINTS_UNFOLDED[Y]
 
     @staticmethod
     def _count_points(field, monkeypatch, Y):
-        points = {"xi0_minus": 0, "layer": 0, "e1": 0}
-        xi0_minus = field.kernel.xi0_minus
+        points = {"b_plus": 0, "layer": 0, "e1": 0}
+        b_plus = field.kernel.b_plus
         double_pole = perturbation._double_pole_transforms
         scaled_e1 = _kernels.scaled_e1
 
-        def counted_xi0(z):
-            points["xi0_minus"] += np.size(z)
-            return xi0_minus(z)
+        def counted_b_plus(x):
+            points["b_plus"] += np.size(x)
+            return b_plus(x)
 
         def counted_double_pole(q, u):
             # one call per node batch, for both poles
@@ -224,7 +225,7 @@ class TestDeltaSigma0:
             points["e1"] += np.size(z)
             return scaled_e1(z)
 
-        monkeypatch.setattr(field.kernel, "xi0_minus", counted_xi0)
+        monkeypatch.setattr(field.kernel, "b_plus", counted_b_plus)
         monkeypatch.setattr(perturbation, "_double_pole_transforms",
                             counted_double_pole)
         monkeypatch.setattr(_kernels, "scaled_e1", counted_e1)

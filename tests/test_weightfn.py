@@ -118,7 +118,7 @@ class TestSigma0:
         # work guard: the kernel factors are evaluated once per load node
         # (the oscillatory tails add a few envelope points of their own)
         field = WeightField(material, a=1.0)
-        points = {"xi0_minus": 0, "load": 0}
+        points = {"b_plus": 0, "load": 0}
 
         def counted(key, fn):
             def call(x):
@@ -126,12 +126,12 @@ class TestSigma0:
                 return fn(x)
             return call
 
-        monkeypatch.setattr(field.kernel, "xi0_minus",
-                            counted("xi0_minus", field.kernel.xi0_minus))
+        monkeypatch.setattr(field.kernel, "b_plus",
+                            counted("b_plus", field.kernel.b_plus))
         load = dataclasses.replace(
             load, transform_avg=counted("load", load.transform_avg))
         sigma0(load, material, field=field)
-        assert points["xi0_minus"] <= 1.05 * points["load"]
+        assert 0 < points["b_plus"] <= 1.05 * points["load"]
 
     def test_custom_transform_load_matches_builtin(self):
         # wrapping the smooth transforms as a custom pair must reproduce

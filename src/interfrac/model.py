@@ -3,7 +3,10 @@ with closed-form Fourier transforms, and inclusion geometry.
 
 Transform convention: f_bar(xi) = int f(x) e^{i xi x} dx. All loads act on
 the crack faces x < 0 and must be self-balanced (jump transform vanishes at
-xi = 0). Units are an abstract consistent system; only kappa_star, mu_star,
+xi = 0). A load carries its average and jump as one callable per domain,
+(<p>, [p]) = transforms(xi) and, for loads given in closed form in x,
+x_parts(x); the pair shares its exponentials and is evaluated once per
+node. Units are an abstract consistent system; only kappa_star, mu_star,
 nu_star and ratios are dimensionless.
 """
 
@@ -100,39 +103,41 @@ def smooth_load_transforms(xi):
 
 @dataclass(frozen=True)
 class CrackLoad:
-    """Self-balanced crack-face loading, described by its two transforms.
+    """Self-balanced crack-face loading, described by its transform pair.
 
+    transforms(xi) returns (<p>, [p]) in one call, so that every integrand
+    node evaluates the load once; x_parts(x), where given, returns the
+    x-domain pair (<p>(x), [p](x)) that k3_perfect integrates.
     oscillations is the point-force table of a point load: one row
     (s_k, a_k, j_k) per force position x = -s_k, sorted by shift, so that
     <p> = sum_k a_k e^{-i s_k xi} and [p] = sum_k j_k e^{-i s_k xi}. Loads
     with an empty table must instead decay like |xi|^{-(1+decay_exponent)}
-    so spectral tails can be bounded. phase_scale is the largest shift
-    (sets panel widths), reference_length feeds kappa_star.
+    so spectral tails can be bounded. reference_length feeds kappa_star.
     """
 
     kind: str
-    transform_avg: Callable
-    transform_jump: Callable
+    transforms: Callable
     F: float = 1.0
     a: Optional[float] = None
     b: Optional[float] = None
     reference_length: float = 1.0
     decay_exponent: Optional[float] = None
     oscillations: Tuple[Tuple[float, float, float], ...] = ()
-    phase_scale: float = 1.0
-    x_avg: Optional[Callable] = None
-    x_jump: Optional[Callable] = None
+    x_parts: Optional[Callable] = None
 
     def __post_init__(self):
         if not 0 < self.reference_length < math.inf:
             raise DomainError("reference length a must be positive and finite")
 
-    def transforms(self, xi):
-        return self.transform_avg(xi), self.transform_jump(xi)
+    @property
+    def phase_scale(self):
+        """The largest shift of the point-force table (it sets panel
+        widths), 1 for a load without one."""
+        return self.oscillations[-1][0] if self.oscillations else 1.0
 
-    def check_self_balance(self, tol=1e-12):
-        j0 = complex(np.asarray(self.transform_jump(np.array([0.0])))[0])
-        if abs(j0) > tol:
+    def check_self_balance(self):
+        j0 = complex(np.asarray(self.transforms(np.array([0.0]))[1])[0])
+        if abs(j0) > 1e-12:
             raise SelfBalanceViolation(
                 f"jump transform at xi=0 is {j0:.3e}, load is not self-balanced")
 
@@ -142,54 +147,51 @@ def point_triple(F, a, b):
     if not (0 < b < a):
         raise DomainError("point-load triple requires 0 < b < a")
 
-    def avg(xi):
-        return point_load_transforms(F, a, b, xi)[0]
-
-    def jump(xi):
-        return point_load_transforms(F, a, b, xi)[1]
+    # point_load_transforms is looked up at call time, so a wrapper bound
+    # to the module name sees every evaluation
+    def transforms(xi):
+        return point_load_transforms(F, a, b, xi)
 
     oscillations = ((a - b, 0.25 * F, -0.5 * F), (a, 0.5 * F, F),
                     (a + b, 0.25 * F, -0.5 * F))
     return CrackLoad(
-        kind="point-triple", transform_avg=avg, transform_jump=jump,
-        F=F, a=a, b=b, reference_length=a,
-        oscillations=oscillations, phase_scale=a + b)
+        kind="point-triple", transforms=transforms, F=F, a=a, b=b,
+        reference_length=a, oscillations=oscillations)
 
 
 def smooth_exponential(reference_length=1.0):
     """The smooth asymmetric exponential pair (see smooth_load_transforms)."""
 
-    def avg(xi):
-        return smooth_load_transforms(xi)[0]
+    # a closure, not the routine itself, for the reason given in point_triple
+    def transforms(xi):
+        return smooth_load_transforms(xi)
 
-    def jump(xi):
-        return smooth_load_transforms(xi)[1]
-
-    def x_avg(x):
+    def x_parts(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * (-(4.0 / 9.0) * x * np.exp(2.0 * x) - x * np.exp(3.0 * x))
-
-    def x_jump(x):
-        x = np.asarray(x, dtype=float)
-        return -(4.0 / 9.0) * x * np.exp(2.0 * x) + x * np.exp(3.0 * x)
+        p_plus = -(4.0 / 9.0) * x * np.exp(2.0 * x)
+        p_minus = -x * np.exp(3.0 * x)
+        return 0.5 * (p_plus + p_minus), p_plus - p_minus
 
     return CrackLoad(
-        kind="smooth-exponential", transform_avg=avg, transform_jump=jump,
-        F=1.0, reference_length=reference_length,
-        decay_exponent=1.0, phase_scale=1.0, x_avg=x_avg, x_jump=x_jump)
+        kind="smooth-exponential", transforms=transforms, F=1.0,
+        reference_length=reference_length, decay_exponent=1.0,
+        x_parts=x_parts)
 
 
 def custom_transform(transform_avg, transform_jump, decay_exponent,
-                     reference_length=1.0, phase_scale=1.0, balance_tol=1e-12):
+                     reference_length=1.0):
     """Wrap a user-supplied transform pair; decay_exponent delta > 0 declares
     the |xi|^{-(1+delta)} falloff the spectral tails rely on."""
     if not decay_exponent > 0:
         raise DomainError("decay_exponent must be positive")
+
+    def transforms(xi):
+        return transform_avg(xi), transform_jump(xi)
+
     load = CrackLoad(
-        kind="custom-transform", transform_avg=transform_avg,
-        transform_jump=transform_jump, reference_length=reference_length,
-        decay_exponent=decay_exponent, phase_scale=phase_scale)
-    load.check_self_balance(balance_tol)
+        kind="custom-transform", transforms=transforms,
+        reference_length=reference_length, decay_exponent=decay_exponent)
+    load.check_self_balance()
     return load
 
 

@@ -177,15 +177,15 @@ def k3_perfect(load: CrackLoad, material: Bimaterial, spec=None):
     if load.oscillations:
         return -math.sqrt(2.0 / math.pi) * sum(
             w * s ** -0.5 for s, w in _point_weights(load, material.mu_star))
-    if load.x_avg is None or load.x_jump is None:
+    if load.x_parts is None:
         raise UnsupportedLoad(
             "k3_perfect needs an x-domain form (point-triple or smooth loads)")
     c = -material.mu_star
     spec = spec or QuadratureSpec()
 
     def f(s):
-        r = s * s
-        return 2.0 * (load.x_avg(-r) + 0.5 * c * load.x_jump(-r))
+        avg, jump = load.x_parts(-(s * s))
+        return 2.0 * (avg + 0.5 * c * jump)
 
     val, _ = integrate_err(f, 0.0, 12.0, spec,
                            breakpoints=[2.0 ** (-k) for k in range(1, 20)])

@@ -114,7 +114,7 @@ class TestCrackLoad:
                                       smooth_exponential()])
     def test_self_balance_and_total(self, load):
         load.check_self_balance()
-        avg0 = complex(np.asarray(load.transform_avg(np.array([0.0])))[0])
+        avg0 = complex(np.asarray(load.transforms(np.array([0.0]))[0])[0])
         assert avg0.imag == pytest.approx(0.0, abs=1e-15)
         assert avg0.real > 0
 

@@ -295,8 +295,7 @@ class TestDeltaSigma0:
         from interfrac.model import CrackLoad
         load2 = CrackLoad(
             kind="custom-transform",
-            transform_avg=lambda x: 2.0 * LOAD.transform_avg(x),
-            transform_jump=lambda x: 2.0 * LOAD.transform_jump(x),
+            transforms=lambda x: tuple(2.0 * t for t in LOAD.transforms(x)),
             decay_exponent=1.0)
         inc = InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.3, ell_a=0.2,
                             ell_b=0.1, nu_star=5.0)

@@ -69,8 +69,7 @@ class TestPlemeljDecomposition:
 
     def test_zero_load_gives_zero(self):
         zero = CrackLoad(kind="custom-transform",
-                         transform_avg=lambda x: np.zeros_like(np.asarray(x), dtype=complex),
-                         transform_jump=lambda x: np.zeros_like(np.asarray(x), dtype=complex),
+                         transforms=lambda x: (np.zeros_like(np.asarray(x), dtype=complex),) * 2,
                          decay_exponent=1.0)
         s = UnperturbedSolution(zero, Bimaterial(3.0, 1.0, 0.25))
         assert s.l_plus(0.7) == 0.0
@@ -223,8 +222,7 @@ class TestGradient:
         m = sol_smooth.material
         load2 = CrackLoad(
             kind="custom-transform",
-            transform_avg=lambda x: 2.0 * sol_smooth.load.transform_avg(x),
-            transform_jump=lambda x: 2.0 * sol_smooth.load.transform_jump(x),
+            transforms=lambda x: tuple(2.0 * t for t in sol_smooth.load.transforms(x)),
             decay_exponent=1.0)
         sol2 = UnperturbedSolution(load2, m)
         g1 = sol_smooth.grad_u0((0.3, 0.9))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from interfrac import model
 from interfrac.errors import SelfBalanceViolation, UnsupportedLoad
 from interfrac.model import (Bimaterial, bimaterial_from_dimensionless,
                              custom_transform, point_triple,
@@ -115,23 +116,31 @@ class TestSigma0:
         (smooth_exponential(), Bimaterial(3.0, 1.0, 0.25)),
     ], ids=["point-triple-anchor", "smooth"])
     def test_one_jump_u_per_node(self, load, material, monkeypatch):
-        # work guard: the kernel factors are evaluated once per load node
-        # (the oscillatory tails add a few envelope points of their own)
+        # work guard: the kernel factors and the load's transform routine
+        # are each evaluated once per load node (the oscillatory tails add a
+        # few envelope points of b_plus of their own)
         field = WeightField(material, a=1.0)
-        points = {"b_plus": 0, "load": 0}
+        points = {"b_plus": 0, "load": 0, "routine": 0}
 
-        def counted(key, fn):
-            def call(x):
-                points[key] += np.size(x)
-                return fn(x)
+        def counted(key, fn, pos=0):
+            def call(*args):
+                points[key] += np.size(args[pos])
+                return fn(*args)
             return call
 
         monkeypatch.setattr(field.kernel, "b_plus",
                             counted("b_plus", field.kernel.b_plus))
+        monkeypatch.setattr(model, "point_load_transforms", counted(
+            "routine", model.point_load_transforms, pos=3))
+        monkeypatch.setattr(model, "smooth_load_transforms", counted(
+            "routine", model.smooth_load_transforms))
         load = dataclasses.replace(
-            load, transform_avg=counted("load", load.transform_avg))
+            load, transforms=counted("load", load.transforms))
         sigma0(load, material, field=field)
         assert 0 < points["b_plus"] <= 1.05 * points["load"]
+        assert points["load"] <= points["routine"] <= 1.05 * points["b_plus"]
+        if load.oscillations:
+            assert load.phase_scale == load.oscillations[-1][0]
 
     def test_custom_transform_load_matches_builtin(self):
         # wrapping the smooth transforms as a custom pair must reproduce
@@ -140,8 +149,8 @@ class TestSigma0:
         m = Bimaterial(3.0, 1.0, 0.25)
         builtin = sigma0(smooth_exponential(), m)
         wrapped = custom_transform(
-            lambda x: smooth_exponential().transform_avg(x),
-            lambda x: smooth_exponential().transform_jump(x),
+            lambda x: smooth_exponential().transforms(x)[0],
+            lambda x: smooth_exponential().transforms(x)[1],
             decay_exponent=1.0)
         custom = sigma0(wrapped, m)
         assert custom.sigma0 == pytest.approx(builtin.sigma0, rel=1e-9)
@@ -149,8 +158,8 @@ class TestSigma0:
     def test_unbalanced_load_rejected(self):
         from interfrac.model import CrackLoad
         bad = CrackLoad(kind="custom-transform",
-                        transform_avg=lambda x: 1.0 / (1.0 + 1j * np.asarray(x)) ** 2,
-                        transform_jump=lambda x: np.ones_like(np.asarray(x), dtype=complex),
+                        transforms=lambda x: (1.0 / (1.0 + 1j * np.asarray(x)) ** 2,
+                                              np.ones_like(np.asarray(x), dtype=complex)),
                         decay_exponent=1.0)
         with pytest.raises(SelfBalanceViolation):
             sigma0(bad, Bimaterial(1.0, 1.0, 0.5))

@@ -63,12 +63,17 @@ _SHIFT_PRODUCT = np.array([(k + 0.5) * (k + 1.0) for k in range(8)])
 
 
 def _phase_table():
-    # dimensionless Hhat(x) = H(x; mu0=1) on a 250-points-per-decade log grid
+    """(table, c0, c1): the dimensionless Hhat(x) = H(x; mu0=1) on a
+    250-points-per-decade log grid, and the constants of its end rules,
+    Hhat ~ c0 - ln x below the grid and (c1 - ln x)/x^2 above it."""
     global _PHASE_TABLE
     if _PHASE_TABLE is None:
         x = np.geomspace(_TABLE_LO, _TABLE_HI, 4501)
-        _PHASE_TABLE = PchipInterpolator(
+        table = PchipInterpolator(
             np.log(x), _kernels.pv_cauchy_batch(x, 1.0), extrapolate=False)
+        c0 = table(math.log(_TABLE_LO)) + math.log(_TABLE_LO)
+        c1 = table(math.log(_TABLE_HI)) * _TABLE_HI ** 2 + math.log(_TABLE_HI)
+        _PHASE_TABLE = table, c0, c1
     return _PHASE_TABLE
 
 
@@ -76,8 +81,9 @@ def _series_phase(y):
     """Im sum_{n odd} d_n (iy)^-n for real |y| >= 8, the phase that the
     asymptotic series adds to sqrt(iy) in Gamma(1 + iy) / Gamma(1/2 + iy):
     with w = iy, sum_n d_n w^-n = -(i/y) sum_k d_(2k+1) t^k, t = -1/y^2, a
-    real polynomial in t."""
-    t = -1.0 / (y * y)
+    real polynomial in t (1/y squared, as y * y overflows past 1e154)."""
+    inv = 1.0 / y
+    t = -(inv * inv)
     acc = _RATIO_SERIES[-1] * t
     for d in _RATIO_SERIES[-2:0:-1]:
         acc += d
@@ -198,7 +204,7 @@ class KernelFactors:
     def _cauchy(self, arr):
         # cauchy_integral on a checked array
         s = np.atleast_1d(np.abs(arr) / self.mu0)
-        table = _phase_table()
+        table, c0, c1 = _phase_table()
         below = s < _TABLE_LO
         above = s > _TABLE_HI
         if not (below.any() or above.any()):
@@ -208,13 +214,11 @@ class KernelFactors:
         if inside.any():
             out[inside] = table(np.log(s[inside]))
         if below.any():
-            # Hhat ~ -ln x + C near 0 (phase x*Hhat is < 1e-8 out here)
-            c0 = table(math.log(_TABLE_LO)) + math.log(_TABLE_LO)
+            # phase x*Hhat is < 1e-8 out here
             out[below] = c0 - np.log(s[below])
         if above.any():
-            # Hhat ~ (c - ln x)/x^2 at infinity
-            c1 = table(math.log(_TABLE_HI)) * _TABLE_HI ** 2 + math.log(_TABLE_HI)
-            out[above] = (c1 - np.log(s[above])) / s[above] ** 2
+            sa = s[above]
+            out[above] = (c1 - np.log(sa)) / sa / sa
         return (out / self.mu0).reshape(np.shape(arr))
 
     def xi_star_plus(self, x):

@@ -96,8 +96,11 @@ def smooth_load_transforms(xi):
     """Transforms of the smooth asymmetric pair p+ = -(4/9) x e^{2x},
     p- = -x e^{3x} on x < 0: p+_bar = (4/9)/(2+i xi)^2, p-_bar = 1/(3+i xi)^2."""
     xi = np.asarray(xi, dtype=float)
-    p_plus = (4.0 / 9.0) / (2.0 + 1j * xi) ** 2
-    p_minus = 1.0 / (3.0 + 1j * xi) ** 2
+    # squares of the reciprocals, which cannot overflow as (2 + i xi)^2 does
+    inv2 = 1.0 / (2.0 + 1j * xi)
+    inv3 = 1.0 / (3.0 + 1j * xi)
+    p_plus = (4.0 / 9.0) * (inv2 * inv2)
+    p_minus = inv3 * inv3
     return 0.5 * (p_plus + p_minus), p_plus - p_minus
 
 

@@ -53,10 +53,11 @@ class WeightField:
     def jump_u(self, xi):
         """Transform of the full displacement jump across the interface line,
         [U] = 1/(pi B^- xi_-^{1/2} xi_+^{1/2} xi) = mu0 B^+ / (xi (|xi| + mu0))
-        by pi mu0 B^+ B^- = Xi and xi_+^{1/2} xi_-^{1/2} = |xi|."""
+        by pi mu0 B^+ B^- = Xi and xi_+^{1/2} xi_-^{1/2} = |xi| (divided
+        in turn, as xi (|xi| + mu0) overflows past |xi| ~ 1e154)."""
         arr = np.asarray(xi, dtype=float)
         k = self.kernel
-        out = k.mu0 * k.b_plus(arr) / (arr * (np.abs(arr) + k.mu0))
+        out = k.mu0 * k.b_plus(arr) / arr / (np.abs(arr) + k.mu0)
         return out if np.ndim(xi) else complex(out)
 
 

@@ -435,6 +435,12 @@ class TestCombinedFactors:
             assert abs(kf.b_minus(x)) == pytest.approx(
                 1.0 / math.sqrt(math.pi * kf.mu0), rel=1e-4)
 
+    @pytest.mark.parametrize("x", [1e200, -1e300])
+    def test_b_far_out_without_overflow(self, x):
+        # neither the H end rule nor the series phase squares |x|
+        b = KernelFactors(1.0).b_plus(x)
+        assert b == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+
     def test_b_conjugate_symmetry(self, kf):
         x = np.geomspace(0.01, 100, 20)
         assert np.allclose(kf.b_plus(-x), np.conj(kf.b_plus(x)), atol=1e-13)

@@ -142,6 +142,14 @@ class TestSigma0:
         if load.oscillations:
             assert load.phase_scale == load.oscillations[-1][0]
 
+    def test_tiny_reference_length_without_overflow(self):
+        # the smooth load does not scale with a, which moves only the
+        # spectral cut-off, here out to 1e305, where no square may overflow
+        m = Bimaterial(1.0, 1.0, 0.5)
+        tiny = sigma0(smooth_exponential(reference_length=1e-300), m)
+        base = sigma0(smooth_exponential(), m)
+        assert abs(tiny.sigma0 - base.sigma0) <= tiny.est_error + base.est_error
+
     def test_custom_transform_load_matches_builtin(self):
         # wrapping the smooth transforms as a custom pair must reproduce
         # the built-in result through the declared-decay tail route

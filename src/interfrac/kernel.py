@@ -63,9 +63,8 @@ _SHIFT_PRODUCT = np.array([(k + 0.5) * (k + 1.0) for k in range(8)])
 
 
 def _phase_table():
-    """(table, c0, c1): the dimensionless Hhat(x) = H(x; mu0=1) on a
-    250-points-per-decade log grid, and the constants of its end rules,
-    Hhat ~ c0 - ln x below the grid and (c1 - ln x)/x^2 above it."""
+    """(Hhat(x) = H(x; mu0=1) on a 250-points-per-decade log grid, c0, c1):
+    the end rules are Hhat ~ c0 - ln x below it and (c1 - ln x)/x^2 above."""
     global _PHASE_TABLE
     if _PHASE_TABLE is None:
         x = np.geomspace(_TABLE_LO, _TABLE_HI, 4501)
@@ -82,8 +81,7 @@ def _series_phase(y):
     asymptotic series adds to sqrt(iy) in Gamma(1 + iy) / Gamma(1/2 + iy):
     with w = iy, sum_n d_n w^-n = -(i/y) sum_k d_(2k+1) t^k, t = -1/y^2, a
     real polynomial in t (1/y squared, as y * y overflows past 1e154)."""
-    inv = 1.0 / y
-    t = -(inv * inv)
+    t = -(1.0 / y) ** 2
     acc = _RATIO_SERIES[-1] * t
     for d in _RATIO_SERIES[-2:0:-1]:
         acc += d
@@ -217,8 +215,7 @@ class KernelFactors:
             # phase x*Hhat is < 1e-8 out here
             out[below] = c0 - np.log(s[below])
         if above.any():
-            sa = s[above]
-            out[above] = (c1 - np.log(sa)) / sa / sa
+            out[above] = (c1 - np.log(s[above])) / s[above] / s[above]
         return (out / self.mu0).reshape(np.shape(arr))
 
     def xi_star_plus(self, x):

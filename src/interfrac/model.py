@@ -3,11 +3,9 @@ with closed-form Fourier transforms, and inclusion geometry.
 
 Transform convention: f_bar(xi) = int f(x) e^{i xi x} dx. All loads act on
 the crack faces x < 0 and must be self-balanced (jump transform vanishes at
-xi = 0). A load carries its average and jump as one callable per domain,
-(<p>, [p]) = transforms(xi) and, for loads given in closed form in x,
-x_parts(x); the pair shares its exponentials and is evaluated once per
-node. Units are an abstract consistent system; only kappa_star, mu_star,
-nu_star and ratios are dimensionless.
+xi = 0); each returns its pair (<p>, [p]) from one callable per domain.
+Units are an abstract consistent system; only kappa_star, mu_star, nu_star
+and ratios are dimensionless.
 """
 
 import math
@@ -96,11 +94,9 @@ def smooth_load_transforms(xi):
     """Transforms of the smooth asymmetric pair p+ = -(4/9) x e^{2x},
     p- = -x e^{3x} on x < 0: p+_bar = (4/9)/(2+i xi)^2, p-_bar = 1/(3+i xi)^2."""
     xi = np.asarray(xi, dtype=float)
-    # squares of the reciprocals, which cannot overflow as (2 + i xi)^2 does
-    inv2 = 1.0 / (2.0 + 1j * xi)
-    inv3 = 1.0 / (3.0 + 1j * xi)
-    p_plus = (4.0 / 9.0) * (inv2 * inv2)
-    p_minus = inv3 * inv3
+    # reciprocals squared: (2 + i xi)^2 would overflow past |xi| ~ 1e154
+    p_plus = (4.0 / 9.0) * (1.0 / (2.0 + 1j * xi)) ** 2
+    p_minus = (1.0 / (3.0 + 1j * xi)) ** 2
     return 0.5 * (p_plus + p_minus), p_plus - p_minus
 
 
@@ -110,7 +106,9 @@ class CrackLoad:
 
     transforms(xi) returns (<p>, [p]) in one call, so that every integrand
     node evaluates the load once; x_parts(x), where given, returns the
-    x-domain pair (<p>(x), [p](x)) that k3_perfect integrates.
+    x-domain pair (<p>(x), [p](x)) that k3_perfect integrates. The built-in
+    loads look their model routine up at call time, so that a wrapper bound
+    to the module name sees every evaluation.
     oscillations is the point-force table of a point load: one row
     (s_k, a_k, j_k) per force position x = -s_k, sorted by shift, so that
     <p> = sum_k a_k e^{-i s_k xi} and [p] = sum_k j_k e^{-i s_k xi}. Loads
@@ -134,8 +132,7 @@ class CrackLoad:
 
     @property
     def phase_scale(self):
-        """The largest shift of the point-force table (it sets panel
-        widths), 1 for a load without one."""
+        """Largest shift of the point-force table (sets panel widths), or 1."""
         return self.oscillations[-1][0] if self.oscillations else 1.0
 
     def check_self_balance(self):
@@ -149,25 +146,16 @@ def point_triple(F, a, b):
     """Point load F at x=-a (upper face) balanced by F/2 at x=-a-b, x=-a+b."""
     if not (0 < b < a):
         raise DomainError("point-load triple requires 0 < b < a")
-
-    # point_load_transforms is looked up at call time, so a wrapper bound
-    # to the module name sees every evaluation
-    def transforms(xi):
-        return point_load_transforms(F, a, b, xi)
-
     oscillations = ((a - b, 0.25 * F, -0.5 * F), (a, 0.5 * F, F),
                     (a + b, 0.25 * F, -0.5 * F))
     return CrackLoad(
-        kind="point-triple", transforms=transforms, F=F, a=a, b=b,
-        reference_length=a, oscillations=oscillations)
+        kind="point-triple",
+        transforms=lambda xi: point_load_transforms(F, a, b, xi),
+        F=F, a=a, b=b, reference_length=a, oscillations=oscillations)
 
 
 def smooth_exponential(reference_length=1.0):
     """The smooth asymmetric exponential pair (see smooth_load_transforms)."""
-
-    # a closure, not the routine itself, for the reason given in point_triple
-    def transforms(xi):
-        return smooth_load_transforms(xi)
 
     def x_parts(x):
         x = np.asarray(x, dtype=float)
@@ -176,9 +164,9 @@ def smooth_exponential(reference_length=1.0):
         return 0.5 * (p_plus + p_minus), p_plus - p_minus
 
     return CrackLoad(
-        kind="smooth-exponential", transforms=transforms, F=1.0,
-        reference_length=reference_length, decay_exponent=1.0,
-        x_parts=x_parts)
+        kind="smooth-exponential",
+        transforms=lambda xi: smooth_load_transforms(xi),
+        reference_length=reference_length, decay_exponent=1.0, x_parts=x_parts)
 
 
 def custom_transform(transform_avg, transform_jump, decay_exponent,

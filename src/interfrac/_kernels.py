@@ -38,7 +38,8 @@ _LN3 = math.log(3.0)
 # targets per pass of pv_cauchy_batch: its node arrays stay near 1e6 values
 _BLOCK = 512
 
-# principal-branch log-gamma, no pole guarding (see numerics.log_gamma)
+# principal-branch log-gamma, no pole guarding (kernel._gamma_ratio says why
+# it needs none)
 log_gamma_raw = loggamma
 
 _EULER = 0.57721566490153286061

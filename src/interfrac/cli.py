@@ -186,14 +186,14 @@ def _sweep_values(args):
 def cmd_sweep(args):
     cfg, material, load, spec = _read_run(args.config)
     a = load.reference_length
-    mu_sum = material.mu1 + material.mu2
+    total_mu = material.mu1 + material.mu2
     with _building():
         if args.axis == "kappa_star":
-            grid = [Bimaterial(material.mu1, material.mu2, value * a / mu_sum)
+            grid = [Bimaterial(material.mu1, material.mu2, value * a / total_mu)
                     for value in _sweep_values(args)]
         else:
-            grid = [Bimaterial(0.5 * mu_sum * (1.0 + value),
-                               0.5 * mu_sum * (1.0 - value), material.kappa)
+            grid = [Bimaterial(0.5 * total_mu * (1.0 + value),
+                               0.5 * total_mu * (1.0 - value), material.kappa)
                     for value in _sweep_values(args)]
     rows = []
     for m in grid:
@@ -249,7 +249,7 @@ def cmd_map(args):
     with _building():
         inc = InclusionSpec(d=d, phi=phi[0], alpha=alpha[0], ell_a=ell_a,
                             ell_b=ell_b, nu_star=nu_star, rigid=rigid)
-    solution = UnperturbedSolution(load, material, spec=spec)
+        solution = UnperturbedSolution(load, material, spec=spec)
     try:
         for p in phi:
             solution.check_position(inclusion_centre(replace(inc, phi=p)))
@@ -313,7 +313,8 @@ def _position(text, solution, min_angle):
 def cmd_field(args):
     """Unperturbed displacement and gradient samples off the interface."""
     cfg, material, load, spec = _read_run(args.config)
-    solution = UnperturbedSolution(load, material, spec=spec)
+    with _building():
+        solution = UnperturbedSolution(load, material, spec=spec)
     rows = []
     for x, y in [_position(text, solution, args.min_angle) for text in args.at]:
         gx, gy = solution.grad_u0((x, y), min_angle_deg=args.min_angle)

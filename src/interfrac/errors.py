@@ -22,10 +22,6 @@ class NonFiniteSample(InterfracError, ValueError):
     """An integrand returned nan/inf at an interior quadrature node."""
 
 
-class PoleError(DomainError):
-    """log-gamma evaluated at a non-positive integer."""
-
-
 class SelfBalanceViolation(InterfracError, ValueError):
     """Crack-face loading is not self-balanced (jump transform at 0 is nonzero)."""
 

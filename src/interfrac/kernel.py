@@ -35,7 +35,7 @@ polar B^+.
 
 Each public KernelFactors method checks its input once, at entry; the
 factors compose from unchecked internals (_cauchy, _ratio_phase, the
-_kernels entry points), and for real xi the gamma ratio needs no pole guard.
+_kernels entry points), and the gamma ratio needs no pole guard.
 """
 
 import math
@@ -46,7 +46,6 @@ from scipy.special import bernoulli
 
 from . import _kernels
 from .errors import DomainError
-from .numerics import log_gamma
 
 _TABLE_LO = 1e-9
 _TABLE_HI = 1e9
@@ -133,16 +132,17 @@ def _ratio_phase(y):
 
 
 def _gamma_ratio(w, real):
-    """Gamma(1 + w) / Gamma(1/2 + w). For real z, w = -+iz/(pi mu0) is
-    imaginary, so 1 + w and 1/2 + w have real parts 1 and 1/2: no pole to
-    guard, and log_gamma_raw is called directly below |w| = 8. From 8 on,
-    where the difference of two log-gammas of size |w| ln|w| would lose
-    eps |w| ln|w| (2e-6 relative at |w| = 1e10), the log-ratio is its
-    asymptotic series (1/2) ln w + sum_{n odd} d_n w^-n (DLMF 5.11.13),
-    whose nine terms reach 2e-16 at |w| = 8, and the ratio is
+    """Gamma(1 + w) / Gamma(1/2 + w) from log_gamma_raw, which guards no
+    pole and needs none: xi0_plus refuses Im z <= -pi mu0/2, which keeps
+    Re(1/2 + w) > 0. For real z, w = -+iz/(pi mu0) is imaginary, and from
+    |w| = 8 on, where the difference of two log-gammas of size |w| ln|w|
+    would lose eps |w| ln|w| (2e-6 relative at |w| = 1e10), the log-ratio
+    is its asymptotic series (1/2) ln w + sum_{n odd} d_n w^-n (DLMF
+    5.11.13), whose nine terms reach 2e-16 at |w| = 8, and the ratio is
     sqrt(w) exp(i _series_phase(Im w))."""
     if not real:
-        return np.exp(log_gamma(1.0 + w) - log_gamma(0.5 + w))
+        return np.exp(_kernels.log_gamma_raw(1.0 + w)
+                      - _kernels.log_gamma_raw(0.5 + w))
     shape = np.shape(w)
     w = np.atleast_1d(w)
     big = np.abs(w.imag) >= _SHIFT

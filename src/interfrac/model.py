@@ -64,13 +64,12 @@ def derive_params(m: Bimaterial, a: float) -> DerivedParams:
     )
 
 
-def bimaterial_from_dimensionless(mu_star, kappa_star, a=1.0, mu_sum=2.0):
+def bimaterial_from_dimensionless(mu_star, kappa_star, a=1.0):
     """Bimaterial with the requested (mu*, kappa*) at reference length a,
-    normalised so mu1 + mu2 = mu_sum. Bimaterial rejects a mu_star outside
+    normalised so mu1 + mu2 = 2. Bimaterial rejects a mu_star outside
     (-1, 1) and a kappa_star that is not positive."""
-    mu1 = 0.5 * mu_sum * (1.0 + mu_star)
-    mu2 = 0.5 * mu_sum * (1.0 - mu_star)
-    return Bimaterial(mu1=mu1, mu2=mu2, kappa=kappa_star * a / mu_sum)
+    return Bimaterial(mu1=1.0 + mu_star, mu2=1.0 - mu_star,
+                      kappa=kappa_star * a / 2.0)
 
 
 def point_load_transforms(F, a, b, xi):

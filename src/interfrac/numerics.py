@@ -1,7 +1,6 @@
 """Reusable numerical kernels: adaptive panel quadrature, the head/mid split
-of a half-line spectral integral (half_line), oscillatory and algebraic
-tail closures for half-line integrals, and principal-branch complex
-log-gamma.
+of a half-line spectral integral (half_line), and oscillatory and algebraic
+tail closures for half-line integrals.
 
 Integrand callables are expected to accept numpy arrays (scalar-only
 callables are wrapped transparently). All routines are pure functions of
@@ -13,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .errors import DomainError, NonConvergence, NonFiniteSample, PoleError
+from .errors import DomainError, NonConvergence, NonFiniteSample
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -162,7 +160,7 @@ def _series_coefficients(fv, x0, h):
     return p / (h ** np.arange(7.0)).reshape((-1,) + (1,) * (p.ndim - 1))
 
 
-def oscillatory_tail(f, omega, x_start, spec):
+def oscillatory_tail(f, omega, x_start):
     """int_{x_start}^inf f(u) e^{i omega u} du by 4-term integration by parts.
 
     f must be smooth and slowly varying past x_start (no oscillation of its
@@ -205,17 +203,3 @@ def algebraic_tail(f, x_start, spec):
         fv, x_start / 2.0, x_start, spec, breakpoints=[0.75 * x_start])[0]
     return complex(t1), float(abs(t1 - t2))
 
-
-def log_gamma(z):
-    """Principal-branch log-gamma (scipy.special.loggamma).
-
-    Relative accuracy ~1e-15 on the strip |Im z| <= 1e4; raises PoleError at
-    non-positive integers. Accepts scalars or arrays.
-    """
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    on_axis = arr.imag == 0.0
-    near_int = np.abs(arr.real - np.round(arr.real)) < 1e-12
-    if np.any(on_axis & near_int & (arr.real < 0.5)):
-        raise PoleError("log_gamma pole at a non-positive integer")
-    out = _kernels.log_gamma_raw(arr).reshape(np.shape(z))
-    return out if np.ndim(z) else complex(out[()])

@@ -184,7 +184,7 @@ def _classify(delta, est, base):
     return out if out.ndim else str(out)
 
 
-def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
+def _delta_from_v(field: WeightField, v, Y, spec):
     """The second Betti integral for boundary-layer strengths v = M G, of
     shape (2,) or (2, k): returns (delta, est), floats or k-arrays.
 
@@ -197,6 +197,7 @@ def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
         raise GeometryError("inclusion centre must lie off the interface line")
     p = complex(cx, cy)
     mu0 = field.kernel.mu0
+    material = field.material
     s_p = -0.5 * (material.mu1 + material.mu2)
     s_q = -(material.mu1 - material.mu2)
     half_mu = 0.5 * field.mu_star
@@ -257,8 +258,7 @@ def _delta_from_v(field: WeightField, material: Bimaterial, v, Y, spec):
 
 
 def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
-                 spec=None, solution=None, field=None,
-                 min_angle_deg=5.0) -> PerturbationResult:
+                 spec=None, solution=None, field=None) -> PerturbationResult:
     """First-order crack-tip traction change eps^2 * delta_sigma0 induced by
     the inclusion; sign classified against the error-estimate neutrality
     band. sigma0_base is computed once per field, load and spec: pass one
@@ -270,10 +270,9 @@ def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
         field = WeightField(material, a=load.reference_length, spec=spec,
                             kernel=solution.kernel)
     Y = inclusion_centre(inc)
-    G = solution.grad_u0(Y, min_angle_deg=min_angle_deg)
+    G = solution.grad_u0(Y)
     M = dipole_for(inc)
-    delta, est = _delta_from_v(field, material, M @ np.asarray(G, dtype=float),
-                               Y, spec)
+    delta, est = _delta_from_v(field, M @ np.asarray(G, dtype=float), Y, spec)
     # sigma0 depends on the load and the material, not on the inclusion, so
     # calls that share a field share it; CrackLoad and QuadratureSpec are
     # frozen, so any other load or spec misses and is computed afresh
@@ -301,8 +300,7 @@ class SignMapResult:
 
 
 def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
-             phi_grid, alpha_grid, spec=None, solution=None,
-             min_angle_deg=5.0) -> SignMapResult:
+             phi_grid, alpha_grid, spec=None, solution=None) -> SignMapResult:
     """delta_sigma0 sign over a (phi, alpha) grid for the inclusion inc; the
     grids replace inc.phi and inc.alpha, its distance and shape stay. A
     prebuilt solution for (load, material) may be passed, as to delta_sigma0.
@@ -322,9 +320,9 @@ def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     for i, phi in enumerate(phi_grid):
         at = replace(inc, phi=phi)
         Y = inclusion_centre(at)
-        G = np.asarray(solution.grad_u0(Y, min_angle_deg=min_angle_deg))
+        G = np.asarray(solution.grad_u0(Y))
         v = np.column_stack([dipole_for(replace(at, alpha=alpha)) @ G
                              for alpha in alpha_grid])
-        delta[i], est[i] = _delta_from_v(field, material, v, Y, spec)
+        delta[i], est[i] = _delta_from_v(field, v, Y, spec)
     return SignMapResult(phi=phi_grid, alpha=alpha_grid, delta=delta,
                          est_error=est, sign=_classify(delta, est, base))

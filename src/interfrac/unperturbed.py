@@ -76,14 +76,16 @@ def _seed_ladder(cut, y, x):
 class UnperturbedSolution:
     """Spectral solution of the loaded problem for one (load, material)."""
 
-    def __init__(self, load: CrackLoad, material: Bimaterial, spec=None,
-                 kernel=None):
+    def __init__(self, load: CrackLoad, material: Bimaterial, spec=None):
         load.check_self_balance()
         self.load = load
         self.material = material
         self.params = derive_params(material, load.reference_length)
         self.spec = spec or QuadratureSpec()
-        self.kernel = kernel or KernelFactors(self.params.mu0)
+        self.kernel = KernelFactors(self.params.mu0)
+        if not self._finite_mesh(self._pv_cut(0.0)):
+            raise DomainError("the Cauchy mesh of this load and material has "
+                              "no finite outer edge")
         self.kappa = material.kappa
         # the phi^+ table's unit: its low end is 1e-6 scale, and the field
         # is reconstructed out to the distance `reach` from the tip
@@ -136,10 +138,10 @@ class UnperturbedSolution:
         if pieces is not None:
             if pieces.sum() > _PV_MAX_PANELS:
                 raise NonConvergence(
-                    f"the cut {cut:.4g} needs {pieces.sum()} half-period "
+                    f"the cut {cut:.4g} needs {pieces.sum():.7g} half-period "
                     f"panels per half-line, above {_PV_MAX_PANELS}")
             edges = np.concatenate(
-                [np.linspace(a, b, k, endpoint=False)
+                [np.linspace(a, b, int(k), endpoint=False)
                  for a, b, k in zip(edges[:-1], edges[1:], pieces)]
                 + [edges[-1:]])
         lo = np.concatenate([-edges[:0:-1], edges[:-1]])
@@ -170,14 +172,24 @@ class UnperturbedSolution:
         """The ratio-2 edges of the shared mesh on one half-line, from _PV_LO
         to the cut (to 2^40 cut for an algebraically decaying g), and for a
         point load the number of half-period panels pi/c_max that each of
-        its panels takes (None otherwise)."""
+        its panels takes, as floats that cannot wrap (None otherwise)."""
         table = self.load.oscillations
-        top = cut if table else cut * 2.0 ** 40
+        top = self._mesh_end(cut)
         edges = np.geomspace(_PV_LO, top, math.ceil(math.log2(top / _PV_LO)) + 1)
         if not table:
             return edges, None
         width = math.pi / table[-1][0]
-        return edges, np.ceil(np.diff(edges) / width).astype(int)
+        return edges, np.ceil(np.diff(edges) / width)
+
+    def _mesh_end(self, cut):
+        # the outer edge of the shared mesh: the cut for a point load, 2^40
+        # cut for an algebraically decaying g
+        return cut if self.load.oscillations else cut * 2.0 ** 40
+
+    def _finite_mesh(self, cut):
+        # whether the ratio-2 edges from _PV_LO out to the mesh's outer edge
+        # can be counted in floats
+        return math.isfinite(self._mesh_end(cut) / _PV_LO)
 
     def _pv_cut(self, x_max):
         # the cut of the shared mesh for targets up to |x| = x_max
@@ -264,12 +276,12 @@ class UnperturbedSolution:
         for shift, a, j in self.load.oscillations:
             v, r = oscillatory_tail(
                 lambda u, a=a, j=j: self._g(u, a, j)[:, None] / (u[:, None] - xs),
-                -shift, end, self.spec)
+                -shift, end)
             total += v
             est += r
             v, r = oscillatory_tail(
                 lambda u, a=a, j=j: -self._g(-u, a, j)[:, None] / (u[:, None] + xs),
-                shift, end, self.spec)
+                shift, end)
             total += v
             est += r
         total = total.reshape(np.shape(x))
@@ -320,14 +332,12 @@ class UnperturbedSolution:
         return self._phi_interp
 
     def phi_plus_cached(self, xi):
-        """phi^+ on an array of real xi via the log-grid table; negative xi
-        by conjugate symmetry, clamped ends (integrands there are damped)."""
+        """phi^+ on an array of xi > 0 via the log-grid table, clamped ends
+        (integrands there are damped)."""
         arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        table, lo, hi = self._phi_table(np.abs(arr).max())
-        mag = np.clip(np.abs(arr), lo, hi)
-        cols = table(np.log(mag))
+        table, lo, hi = self._phi_table(arr.max())
+        cols = table(np.log(np.clip(arr, lo, hi)))
         out = cols[..., 0] + 1j * cols[..., 1]
-        out = np.where(arr < 0, np.conjugate(out), out)
         return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
 
     # -- physical-domain reconstruction ----------------------------------------
@@ -335,11 +345,12 @@ class UnperturbedSolution:
     def check_position(self, Y, min_angle_deg=5.0):
         """(x, y) of a position Y that grad_u0 and u0 can serve, or
         GeometryError: Y must be finite, off the interface, at least
-        min_angle_deg from it, within the reach and, for a point load, close
-        enough to the interface that the phi^+ table it needs keeps its
-        Cauchy mesh within _PV_MAX_PANELS panels per half-line (|y| above
-        about 5e-3 for point_triple(1, 1, 0.5) on Bimaterial(3, 1, 0.25)).
-        Nothing is sampled."""
+        min_angle_deg from it, within the reach, and far enough from the
+        interface that the phi^+ table it needs has a Cauchy mesh with a
+        finite outer edge, which for a point load must also stay within
+        _PV_MAX_PANELS panels per half-line (|y| above about 5e-3 for
+        point_triple(1, 1, 0.5) on Bimaterial(3, 1, 0.25)). Nothing is
+        sampled."""
         yx, yy = float(Y[0]), float(Y[1])
         if not (math.isfinite(yx) and math.isfinite(yy)):
             raise GeometryError("field evaluation requires a finite position")
@@ -355,69 +366,71 @@ class UnperturbedSolution:
         if r > self.reach:
             raise GeometryError(f"position at distance {r:.4g} lies past the "
                                 f"phi^+ table's reach {self.reach:.4g}")
+        cut = self._pv_cut(self._table_hi(_DECAY / abs(yy)))
+        if not self._finite_mesh(cut):
+            raise GeometryError(
+                f"position at height {yy:.4g} needs a phi^+ table whose "
+                f"Cauchy mesh has no finite outer edge")
         if self.load.oscillations:
-            _, pieces = self._half_line_edges(
-                self._pv_cut(self._table_hi(_DECAY / abs(yy))))
+            _, pieces = self._half_line_edges(cut)
             if pieces.sum() > _PV_MAX_PANELS:
                 raise GeometryError(
                     f"position at height {yy:.4g} needs a phi^+ table whose "
-                    f"Cauchy mesh takes {pieces.sum()} panels per half-line, "
-                    f"above {_PV_MAX_PANELS}")
+                    f"Cauchy mesh takes {pieces.sum():.7g} panels per "
+                    f"half-line, above {_PV_MAX_PANELS}")
         return yx, yy
 
-    def _grad_integrals(self, yx, yy, spec):
-        """(gx, gy, err) at (yx, yy); err bounds the error of the vector
-        (gx, gy) in length. The gx integrand is i times the gy one, so a
-        single integral H gives gx = -Im H / pi and gy = sign(y) Re H / pi."""
-        j = 1 if yy > 0 else 2
-        cut = _DECAY / abs(yy)
+    def _a_line(self, y, y_min, x_max, weight, spec):
+        """The A_j line integral of grad_u0 and u0: int_0^cut weight(xi, A_j)
+        over xi > 0, with j = 1 for y > 0 and 2 below, cut = _DECAY / y_min
+        and the phi^+ table filled to the cut. Returns (value, error
+        estimate, the A_j callable, cut)."""
+        j = 1 if y > 0 else 2
+        cut = _DECAY / y_min
         self._phi_table(cut)
 
         def a_j(xi):
             return self.a_coeff(j, xi, self.phi_plus_cached(xi))
 
-        val, err = integrate_err(
-            lambda xi: -xi * a_j(xi) * np.exp(-xi * abs(yy) - 1j * xi * yx),
-            0.0, cut, spec, breakpoints=_seed_ladder(cut, abs(yy), abs(yx)))
+        val, err = integrate_err(lambda xi: weight(xi, a_j(xi)), 0.0, cut, spec,
+                                 breakpoints=_seed_ladder(cut, y_min, x_max))
+        return val, err, a_j, cut
+
+    def _grad_integrals(self, yx, yy, spec):
+        """(gx, gy, err) at (yx, yy); err bounds the error of the vector
+        (gx, gy) in length. The gx integrand is i times the gy one, so a
+        single integral H gives gx = -Im H / pi and gy = sign(y) Re H / pi."""
+        val, err, a_j, cut = self._a_line(
+            yy, abs(yy), abs(yx),
+            lambda xi, a: -xi * a * np.exp(-xi * abs(yy) - 1j * xi * yx), spec)
         tail_mag = float(np.abs(a_j(np.array([cut]))[0])) * cut * math.exp(
             -cut * abs(yy)) / abs(yy)
         gx = -val.imag / math.pi
         gy = math.copysign(1.0, yy) * val.real / math.pi
         return gx, gy, (err + tail_mag) / math.pi
 
-    def grad_u0(self, Y, min_angle_deg=5.0, spec=None):
+    def grad_u0(self, Y, min_angle_deg=5.0):
         """(du/dx, du/dy) of the unperturbed field at Y = (x, y), |y| > 0,
         folded to xi > 0 through A_j(-xi) = conj(A_j(xi))."""
-        yx, yy = self.check_position(Y, min_angle_deg)
-        spec = spec or self.spec
-        gx, gy, _ = self._grad_integrals(yx, yy, spec)
+        gx, gy, _ = self._grad_integrals(*self.check_position(Y, min_angle_deg),
+                                         self.spec)
         return gx, gy
 
-    def u0(self, x, y, ref=None, spec=None):
+    def u0(self, x, y, ref=None):
         """Unperturbed displacement at (x, y), y != 0, relative to the
         reference point ref (default (0, sign(y) * reference_length)); the
         1/|xi| spectral weight makes only differences well defined. Both
         points pass check_position with no angle guard before anything is
         sampled."""
         x, y = self.check_position((x, y), 0.0)
-        spec = spec or self.spec
         if ref is None:
             ref = (0.0, math.copysign(self.load.reference_length, y))
         rx, ry = self.check_position(ref, 0.0)
         if ry * y <= 0.0:
             raise GeometryError("reference point must lie in the same half-plane")
-        j = 1 if y > 0 else 2
-        y_min = min(abs(y), abs(ry))
-        cut = _DECAY / y_min
-        self._phi_table(cut)
-
-        def f(xi):
-            aj = self.a_coeff(j, xi, self.phi_plus_cached(xi))
-            kernel_here = np.exp(-xi * abs(y) - 1j * xi * x)
-            kernel_ref = np.exp(-xi * abs(ry) - 1j * xi * rx)
-            return aj * (kernel_here - kernel_ref)
-
-        val, _ = integrate_err(
-            f, 0.0, cut, spec,
-            breakpoints=_seed_ladder(cut, y_min, max(abs(x), abs(rx))))
+        val = self._a_line(
+            y, min(abs(y), abs(ry)), max(abs(x), abs(rx)),
+            lambda xi, a: a * (np.exp(-xi * abs(y) - 1j * xi * x)
+                               - np.exp(-xi * abs(ry) - 1j * xi * rx)),
+            self.spec)[0]
         return float(val.real) / math.pi

@@ -123,7 +123,7 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
         for shift, w in _point_weights(load, field.mu_star):
             if w == 0.0:
                 continue
-            v, r = oscillatory_tail(envelope, -shift * sign, x_cut, spec)
+            v, r = oscillatory_tail(envelope, -shift * sign, x_cut)
             tail += w * v
             e_tail += abs(w) * r
     else:

@@ -225,10 +225,10 @@ def cauchy_pv_adaptive(sol, x, spec=None):
             def lower(u, a=a, j=j):
                 return -sol._g(-u, a, j) / (u + x)
 
-            v, r = oscillatory_tail(upper, -shift, x_cut, spec)
+            v, r = oscillatory_tail(upper, -shift, x_cut)
             total += v
             est += r
-            v, r = oscillatory_tail(lower, shift, x_cut, spec)
+            v, r = oscillatory_tail(lower, shift, x_cut)
             total += v
             est += r
     else:
@@ -286,7 +286,7 @@ def _halfline_core(g, omega, spec):
         if omega == 0.0:
             tail_val, tail_err = algebraic_tail(g, x_max, spec)
         elif abs(omega) * x_max >= 8.0 * math.pi:
-            tail_val, tail_err = oscillatory_tail(g, omega, x_max, spec)
+            tail_val, tail_err = oscillatory_tail(g, omega, x_max)
         else:
             x_max *= 2.0
             continue

@@ -209,8 +209,8 @@ def test_criterion_09_perturbation_invariants(smooth_pipeline):
     load, material, solution, field = smooth_pipeline
     spec = QuadratureSpec()
     v = np.array([0.3, -0.7])
-    d1, _ = _delta_from_v(field, material, v, (0.0, 1.0), spec)
-    d2, _ = _delta_from_v(field, material, 2.0 * v, (0.0, 1.0), spec)
+    d1, _ = _delta_from_v(field, v, (0.0, 1.0), spec)
+    d2, _ = _delta_from_v(field, 2.0 * v, (0.0, 1.0), spec)
     linear_ok = abs(d2 - 2.0 * d1) <= 1e-8 * abs(d2)
 
     neutral = delta_sigma0(load, material,

@@ -6,19 +6,19 @@ import interfrac
 API = [
     "Bimaterial", "ConfigError", "CrackLoad", "DerivedParams", "DomainError",
     "GeometryError", "InclusionSpec", "InterfracError", "KernelFactors",
-    "NonConvergence", "NonFiniteSample", "PerturbationResult", "PoleError",
+    "NonConvergence", "NonFiniteSample", "PerturbationResult",
     "QuadratureSpec", "SelfBalanceViolation", "Sigma0Result",
     "SignMapResult", "UnperturbedSolution", "UnsupportedLoad", "WeightField",
     "bimaterial_from_dimensionless", "custom_transform", "delta_sigma0",
     "derive_params", "dipole_elliptic", "dipole_for", "dipole_rigid",
-    "inclusion_centre", "k3_perfect", "log_gamma", "point_load_transforms",
+    "inclusion_centre", "k3_perfect", "point_load_transforms",
     "point_triple", "ratio_r", "sigma0", "sign_map", "smooth_exponential",
     "smooth_load_transforms",
 ]
 
 
 def test_all_is_pinned_and_resolves():
-    assert interfrac.__all__ == API and len(API) == 37
+    assert interfrac.__all__ == API and len(API) == 35
     namespace = {}
     exec("from interfrac import *", namespace)
     for name in API:

@@ -123,6 +123,8 @@ class TestSigma0Command:
         ("map --alpha-steps 0", MAP_CFG),
         ("kernel-residual --points 0", POINT_CFG),
         ("field --at 0.5,0.8 --min-angle nan", POINT_CFG),
+        ("field --at 0.3,0.9", dict(POINT_CFG, load={
+            "kind": "smooth-exponential", "a": 1e-300})),
     ], ids=["rel_tol_string", "F_string", "truncation_radius_inf",
             "top_level_array", "map_d_string", "mu0_overflow",
             "mu0_zero_division", "load_string", "smooth_a_negative",
@@ -130,7 +132,7 @@ class TestSigma0Command:
             "rigid_string", "nu_star_negative", "nu_star_zero",
             "ell_b_negative", "epsilon_above_1", "phi_steps_negative",
             "phi_steps_zero", "alpha_steps_zero", "residual_points_zero",
-            "min_angle_nan"])
+            "min_angle_nan", "field_smooth_a_tiny"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, cfg_data):
         cfg = write_cfg(tmp_path, cfg_data)
         argv = command.split()
@@ -339,7 +341,9 @@ class TestMapCommand:
         ("field --at 0,1e-3", {}),
         ("field --at 0.5,0.8 --at 0,1e-4", {}),
         ("map --phi-steps 3 --alpha-steps 1", {"d": 0.03}),
-    ], ids=["field_at_0_1e-3", "field_second_at_0_1e-4", "map_d_0.03"])
+        ("field --at 0,1e-20", {}),
+    ], ids=["field_at_0_1e-3", "field_second_at_0_1e-4", "map_d_0.03",
+            "field_at_0_1e-20"])
     def test_panel_cap_exit_2(self, tmp_path, capsys, command, inclusion):
         # a point load's Cauchy mesh keeps half-period panels, so below
         # |y| of about 5e-3 the phi^+ table a position needs would take more

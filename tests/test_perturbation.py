@@ -172,17 +172,17 @@ class TestDeltaSigma0:
     def test_linear_in_dipole(self, pipeline):
         solution, field = pipeline
         v = np.array([0.3, -0.7])
-        d1, _ = _delta_from_v(field, MATERIAL, v, (0.0, 1.0), SPEC)
-        d2, _ = _delta_from_v(field, MATERIAL, 2.0 * v, (0.0, 1.0), SPEC)
+        d1, _ = _delta_from_v(field, v, (0.0, 1.0), SPEC)
+        d2, _ = _delta_from_v(field, 2.0 * v, (0.0, 1.0), SPEC)
         assert d2 == pytest.approx(2.0 * d1, rel=1e-8)
         # a (2, k) stack of strengths shares one response: each column is
         # its own call, bitwise, and V = 0 is exactly neutral
         vs = np.array([[0.3, 0.6, 1.0, 0.0], [-0.7, -1.4, 0.0, 0.0]])
-        deltas, ests = _delta_from_v(field, MATERIAL, vs, (0.4, 0.9), SPEC)
+        deltas, ests = _delta_from_v(field, vs, (0.4, 0.9), SPEC)
         assert deltas.shape == ests.shape == (4,)
         for j in range(vs.shape[1]):
             assert (deltas[j], ests[j]) == _delta_from_v(
-                field, MATERIAL, vs[:, j], (0.4, 0.9), SPEC)
+                field, vs[:, j], (0.4, 0.9), SPEC)
         assert (deltas[3], ests[3]) == (0.0, 0.0)
 
     def test_one_jump_u_per_node(self, pipeline, monkeypatch):
@@ -229,7 +229,7 @@ class TestDeltaSigma0:
         monkeypatch.setattr(perturbation, "_double_pole_transforms",
                             counted_double_pole)
         monkeypatch.setattr(_kernels, "scaled_e1", counted_e1)
-        _delta_from_v(field, MATERIAL, np.array([0.3, -0.7]), Y, SPEC)
+        _delta_from_v(field, np.array([0.3, -0.7]), Y, SPEC)
         return points
 
     def test_neutral_contrast(self, pipeline):
@@ -416,7 +416,7 @@ class TestDeltaSigma0:
                             ell_b=0.01, nu_star=3.0)
         loads = {F: point_triple(F, 1.0, 0.75) for F in (1.0, -1.0)}
         field = WeightField(material, a=1.0)
-        solutions = {F: UnperturbedSolution(load, material, kernel=field.kernel)
+        solutions = {F: UnperturbedSolution(load, material)
                      for F, load in loads.items()}
         spec_a, spec_b = QuadratureSpec(), QuadratureSpec(rel_tol=1e-9)
         seen = self._count_sigma0(monkeypatch)
@@ -481,9 +481,9 @@ class TestSignMap:
         shapes = []
         real = perturbation._delta_from_v
 
-        def counting(field, material, v, Y, spec):
+        def counting(field, v, Y, spec):
             shapes.append(np.shape(v))
-            return real(field, material, v, Y, spec)
+            return real(field, v, Y, spec)
 
         monkeypatch.setattr(perturbation, "_delta_from_v", counting)
         inc = InclusionSpec(d=1.0, phi=math.pi / 2, alpha=0.0, ell_a=0.2,

@@ -143,6 +143,15 @@ class TestBatchedCauchy:
         with pytest.raises(NonConvergence):
             sol.cauchy_pv(1e6)
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-270])
+    def test_no_finite_mesh_refused(self, a):
+        # the smooth load's mesh ends at 2^40 * 2e3/a: past the float range
+        # at a = 1e-300, and 1e-40 below it at a = 1e-270, whose ratio-2
+        # edges from 1e-40 out to it cannot be counted
+        with pytest.raises(DomainError):
+            UnperturbedSolution(smooth_exponential(a),
+                                Bimaterial(1.0, 1.0, 0.5))
+
     def test_one_shared_sampling_fills_the_table(self, sol_smooth):
         # the delta_warm extent: 435 targets up to 2 * 40 / 0.069
         s = UnperturbedSolution(sol_smooth.load, sol_smooth.material)
@@ -264,7 +273,8 @@ class TestGradient:
         assert abs(gy - tight_y) <= err
 
     def test_one_integral_per_gradient(self, sol_smooth, monkeypatch):
-        # work guard: the gx integrand is i times the gy one
+        # work guard: the gx integrand is i times the gy one, and u0 takes
+        # the difference of its two kernels under one integral
         calls = []
         integrate = unperturbed.integrate_err
 
@@ -275,6 +285,8 @@ class TestGradient:
         monkeypatch.setattr(unperturbed, "integrate_err", counted)
         sol_smooth.grad_u0((0.3, 0.9))
         assert len(calls) == 1
+        sol_smooth.u0(0.3, 0.9)
+        assert len(calls) == 2
 
     def test_geometry_guards(self, sol_smooth):
         for bad in ((0.5, math.nan), (1.0, math.inf), (math.inf, 1.0)):
@@ -292,6 +304,18 @@ class TestGradient:
         g = math.radians(4.9)
         with pytest.raises(GeometryError):
             sol_smooth.grad_u0((1.3 * math.cos(g), 1.3 * math.sin(g)))
+
+    @pytest.mark.parametrize("which,y", [("sol_smooth", 1e-300),
+                                         ("sol", 1e-250), ("sol", -1e-20)])
+    def test_no_finite_mesh_position_refused(self, request, which, y):
+        # the phi^+ table for such a |y| would need a Cauchy mesh past the
+        # float range (smooth load), or more half-period panels than an
+        # integer holds (point load)
+        s = request.getfixturevalue(which)
+        with pytest.raises(GeometryError):
+            s.grad_u0((0.0, y))
+        with pytest.raises(GeometryError):
+            s.u0(1.0, y)
 
     @pytest.mark.parametrize("y,panels", [(1e-3, 152930), (-1e-4, 1528033)])
     def test_panel_cap_refused_before_sampling(self, monkeypatch, y, panels):

@@ -257,7 +257,8 @@ class KernelFactors:
         Xi_*^+ and Xi_0^+ = conj[Gamma(1 + iy)/Gamma(1/2 + iy)]."""
         arr = self._checked(x)
         a = np.abs(arr)
-        modulus = np.sqrt((a + self.mu0) / (math.pi * self.mu0 * a))
+        # sqrt(|x|) apart: the whole quotient overflows at subnormal |x|
+        modulus = np.sqrt((a + self.mu0) / (math.pi * self.mu0)) / np.sqrt(a)
         phase = (np.copysign(0.25 * math.pi, arr)
                  - arr * self._cauchy(arr) / math.pi
                  - _ratio_phase(arr / (math.pi * self.mu0)))

@@ -441,6 +441,13 @@ class TestCombinedFactors:
         b = KernelFactors(1.0).b_plus(x)
         assert b == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
 
+    def test_b_subnormal_without_overflow(self):
+        # |B^+| ~ 1/sqrt(pi x) = 2.5e161 at the smallest subnormal, where
+        # the quotient (x + mu0)/(pi mu0 x) alone would overflow
+        b = KernelFactors(1.0).b_plus(np.array([5e-324]))
+        assert abs(b[0]) == pytest.approx(
+            1.0 / (math.sqrt(math.pi) * math.sqrt(5e-324)), rel=1e-15)
+
     def test_b_conjugate_symmetry(self, kf):
         x = np.geomspace(0.01, 100, 20)
         assert np.allclose(kf.b_plus(-x), np.conj(kf.b_plus(x)), atol=1e-13)

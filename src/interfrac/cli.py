@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError, InterfracError
+from .kernel import KernelFactors
 from .model import (Bimaterial, InclusionSpec, bimaterial_from_dimensionless,
                     derive_params, inclusion_centre, point_triple,
                     smooth_exponential)
@@ -283,8 +284,6 @@ def cmd_residual(args):
     """Factorization-identity diagnostic |pi mu0 B+ B-/Xi - 1| on a log grid,
     the polar B+ against the product-route B- (KernelFactors.
     factorization_residual): the agreement of the two phases."""
-    from .kernel import KernelFactors
-
     cfg, material, _, _ = _read_run(args.config)
     kernel = KernelFactors(material.mu0)
     half = np.geomspace(1e-3 * kernel.mu0, 1e3 * kernel.mu0, max(2, args.points // 2))
@@ -330,56 +329,50 @@ def build_parser():
         description="Crack-tip traction constants on a soft imperfect "
                     "interface, and their small-inclusion perturbation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags shared between subcommands, each declared once
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True)
+    run.add_argument("--out", default=None)
+    span = argparse.ArgumentParser(add_help=False)
+    span.add_argument("--from", dest="from_value", type=float, required=True)
+    span.add_argument("--to", dest="to_value", type=float, required=True)
+    span.add_argument("--points", type=int, required=True)
+    span.add_argument("--log", action="store_true")
 
-    p = sub.add_parser("sigma0", help="single sigma0 evaluation (JSON or CSV)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("sigma0", parents=[run],
+                       help="single sigma0 evaluation (JSON or CSV)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_sigma0)
 
-    p = sub.add_parser("sweep", help="sigma0 sweep over kappa_star or mu_star (CSV)")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep", parents=[run, span],
+                       help="sigma0 sweep over kappa_star or mu_star (CSV)")
     p.add_argument("--axis", choices=("kappa_star", "mu_star"), required=True)
-    p.add_argument("--from", dest="from_value", type=float, required=True)
-    p.add_argument("--to", dest="to_value", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--log", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ratio", help="perfect-interface comparison ratio r(kappa_star) (CSV)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--from", dest="from_value", type=float, required=True)
-    p.add_argument("--to", dest="to_value", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--log", action="store_true")
+    p = sub.add_parser("ratio", parents=[run, span],
+                       help="perfect-interface comparison ratio r(kappa_star) (CSV)")
     p.add_argument("--mu-star-2", dest="mu_star_2", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("map", help="delta_sigma0 sign over (phi, alpha) (CSV, optional PGM)")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("map", parents=[run],
+                       help="delta_sigma0 sign over (phi, alpha) (CSV, optional PGM)")
     p.add_argument("--phi-steps", type=int, default=60)
     p.add_argument("--alpha-steps", type=int, default=60)
-    p.add_argument("--out", default=None)
     p.add_argument("--pgm", default=None)
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("kernel-residual",
+    p = sub.add_parser("kernel-residual", parents=[run],
                        help="factorization-identity residual table (CSV): "
                             "the polar B+ against the product-route B-, "
                             "i.e. their phase agreement")
-    p.add_argument("--config", required=True)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_residual)
 
-    p = sub.add_parser("field", help="unperturbed field samples (CSV)")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("field", parents=[run],
+                       help="unperturbed field samples (CSV)")
     p.add_argument("--at", action="append", required=True,
                    metavar="X,Y", help="sample position (repeatable)")
     p.add_argument("--min-angle", type=float, default=5.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_field)
     return parser
 

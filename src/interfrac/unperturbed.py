@@ -24,7 +24,11 @@ sums the plain rule over the panels far from it and Helsing-Ojala product
 weights (Helsing & Ojala, J. Comput. Phys. 227, 2008) over the panels
 around it. Past the cut, point loads get integration-by-parts tails per
 row of their point-force table; an algebraically decaying g is carried on
-further ratio-2 panels until what is left is negligible.
+further ratio-2 panels until what is left is negligible. One rule,
+_refuse_mesh, says whether the mesh at a cut can be built (ratio-2 edges
+countable in floats; for a point load at most 2^15 half-period panels per
+half-line). The constructor, check_position and every sampling of g apply
+it, so an unbuildable mesh is refused before g is sampled.
 
 Gradients off the interface line come from the inverse transform, folded to
 xi > 0 by conjugate symmetry. A PCHIP table of phi^+ over a log grid (exact
@@ -42,9 +46,9 @@ import math
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, GeometryError, NonConvergence
+from .errors import DomainError, GeometryError
 from .kernel import KernelFactors
-from .model import Bimaterial, CrackLoad, derive_params
+from .model import Bimaterial, CrackLoad
 from .numerics import QuadratureSpec, integrate_err, oscillatory_tail
 
 # composite GL16 for the batched Cauchy transform: the nodes and weights, the
@@ -80,12 +84,9 @@ class UnperturbedSolution:
         load.check_self_balance()
         self.load = load
         self.material = material
-        self.params = derive_params(material, load.reference_length)
         self.spec = spec or QuadratureSpec()
-        self.kernel = KernelFactors(self.params.mu0)
-        if not self._finite_mesh(self._pv_cut(0.0)):
-            raise DomainError("the Cauchy mesh of this load and material has "
-                              "no finite outer edge")
+        self.kernel = KernelFactors(material.mu0)
+        self._refuse_mesh(self._pv_cut(0.0))
         self.kappa = material.kappa
         # the phi^+ table's unit: its low end is 1e-6 scale, and the field
         # is reconstructed out to the distance `reach` from the tip
@@ -98,7 +99,7 @@ class UnperturbedSolution:
     def lambda_factor(self, xi):
         """Lambda(xi) = (1 - mu_* mu0/|xi|)/2."""
         arr = self.kernel._checked(xi)
-        out = 0.5 * (1.0 - self.params.mu_star * self.kernel.mu0 / np.abs(arr))
+        out = 0.5 * (1.0 - self.material.mu_star * self.kernel.mu0 / np.abs(arr))
         return out if np.ndim(xi) else float(out)
 
     def _g(self, beta, avg, jump):
@@ -131,15 +132,11 @@ class UnperturbedSolution:
         or times the smallest such value among the panels inside x_max if
         that is larger, is bisected, for at most _PV_SPLITS rounds and
         max_subdivisions panels: g is only C^1 where the PCHIP phase table of
-        B^+/- bends, most of all at its extremum. An oscillatory mesh of more
-        than _PV_MAX_PANELS panels per half-line raises NonConvergence.
+        B^+/- bends, most of all at its extremum. A mesh that _refuse_mesh
+        refuses raises DomainError before anything is sampled.
         """
-        edges, pieces = self._half_line_edges(cut)
+        edges, pieces = self._half_line_edges(self._refuse_mesh(cut))
         if pieces is not None:
-            if pieces.sum() > _PV_MAX_PANELS:
-                raise NonConvergence(
-                    f"the cut {cut:.4g} needs {pieces.sum():.7g} half-period "
-                    f"panels per half-line, above {_PV_MAX_PANELS}")
             edges = np.concatenate(
                 [np.linspace(a, b, int(k), endpoint=False)
                  for a, b, k in zip(edges[:-1], edges[1:], pieces)]
@@ -168,28 +165,36 @@ class UnperturbedSolution:
             hi = np.concatenate([hi[~split], new_hi])
         return lo, hi, g
 
-    def _half_line_edges(self, cut):
+    def _refuse_mesh(self, cut):
+        """The outer edge of the shared mesh at the cut (the cut for a point
+        load, 2^40 cut for an algebraically decaying g), or DomainError when
+        the mesh cannot be built: its ratio-2 edges from _PV_LO out to that
+        edge must be countable in floats, and a point load must take at most
+        _PV_MAX_PANELS half-period panels per half-line. Edges are built
+        for the point load's count only."""
+        top = cut if self.load.oscillations else cut * 2.0 ** 40
+        if not math.isfinite(top / _PV_LO):
+            raise DomainError(f"the Cauchy mesh at the cut {cut:.4g} reaches "
+                              f"too far to count its edges in floats")
+        if self.load.oscillations:
+            panels = self._half_line_edges(top)[1].sum()
+            if panels > _PV_MAX_PANELS:
+                raise DomainError(
+                    f"the Cauchy mesh at the cut {cut:.4g} takes {panels:.7g} "
+                    f"panels per half-line, above {_PV_MAX_PANELS}")
+        return top
+
+    def _half_line_edges(self, top):
         """The ratio-2 edges of the shared mesh on one half-line, from _PV_LO
-        to the cut (to 2^40 cut for an algebraically decaying g), and for a
-        point load the number of half-period panels pi/c_max that each of
-        its panels takes, as floats that cannot wrap (None otherwise)."""
+        to its outer edge top, and for a point load the number of
+        half-period panels pi/c_max that each of its panels takes, as floats
+        that cannot wrap (None otherwise)."""
         table = self.load.oscillations
-        top = self._mesh_end(cut)
         edges = np.geomspace(_PV_LO, top, math.ceil(math.log2(top / _PV_LO)) + 1)
         if not table:
             return edges, None
         width = math.pi / table[-1][0]
         return edges, np.ceil(np.diff(edges) / width)
-
-    def _mesh_end(self, cut):
-        # the outer edge of the shared mesh: the cut for a point load, 2^40
-        # cut for an algebraically decaying g
-        return cut if self.load.oscillations else cut * 2.0 ** 40
-
-    def _finite_mesh(self, cut):
-        # whether the ratio-2 edges from _PV_LO out to the mesh's outer edge
-        # can be counted in floats
-        return math.isfinite(self._mesh_end(cut) / _PV_LO)
 
     def _pv_cut(self, x_max):
         # the cut of the shared mesh for targets up to |x| = x_max
@@ -346,9 +351,8 @@ class UnperturbedSolution:
         """(x, y) of a position Y that grad_u0 and u0 can serve, or
         GeometryError: Y must be finite, off the interface, at least
         min_angle_deg from it, within the reach, and far enough from the
-        interface that the phi^+ table it needs has a Cauchy mesh with a
-        finite outer edge, which for a point load must also stay within
-        _PV_MAX_PANELS panels per half-line (|y| above about 5e-3 for
+        interface that _refuse_mesh passes the Cauchy mesh of the phi^+
+        table it needs (for a point load, |y| above about 5e-3 for
         point_triple(1, 1, 0.5) on Bimaterial(3, 1, 0.25)). Nothing is
         sampled."""
         yx, yy = float(Y[0]), float(Y[1])
@@ -366,18 +370,11 @@ class UnperturbedSolution:
         if r > self.reach:
             raise GeometryError(f"position at distance {r:.4g} lies past the "
                                 f"phi^+ table's reach {self.reach:.4g}")
-        cut = self._pv_cut(self._table_hi(_DECAY / abs(yy)))
-        if not self._finite_mesh(cut):
-            raise GeometryError(
-                f"position at height {yy:.4g} needs a phi^+ table whose "
-                f"Cauchy mesh has no finite outer edge")
-        if self.load.oscillations:
-            _, pieces = self._half_line_edges(cut)
-            if pieces.sum() > _PV_MAX_PANELS:
-                raise GeometryError(
-                    f"position at height {yy:.4g} needs a phi^+ table whose "
-                    f"Cauchy mesh takes {pieces.sum():.7g} panels per "
-                    f"half-line, above {_PV_MAX_PANELS}")
+        try:
+            self._refuse_mesh(self._pv_cut(self._table_hi(_DECAY / abs(yy))))
+        except DomainError as exc:
+            raise GeometryError(f"position at height {yy:.4g} needs a phi^+ "
+                                f"table, but {exc}") from exc
         return yx, yy
 
     def _a_line(self, y, y_min, x_max, weight, spec):

@@ -31,6 +31,10 @@ MAP_CFG = {
 }
 
 
+# mu0 = 2e7: the point triple's own Cauchy mesh is over the panel cap
+KAPPA_TINY = {"mu1": 1.0, "mu2": 1.0, "kappa": 1e-7}
+
+
 def map_cfg(**inclusion):
     """MAP_CFG with the given inclusion keys replaced."""
     return dict(MAP_CFG, inclusion=dict(MAP_CFG["inclusion"], **inclusion))
@@ -337,20 +341,26 @@ class TestMapCommand:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "reach 100" in err[0]
 
-    @pytest.mark.parametrize("command,inclusion", [
-        ("field --at 0,1e-3", {}),
-        ("field --at 0.5,0.8 --at 0,1e-4", {}),
-        ("map --phi-steps 3 --alpha-steps 1", {"d": 0.03}),
-        ("field --at 0,1e-20", {}),
+    @pytest.mark.parametrize("command,inclusion,material", [
+        ("field --at 0,1e-3", {}, MAP_CFG["material"]),
+        ("field --at 0.5,0.8 --at 0,1e-4", {}, MAP_CFG["material"]),
+        ("map --phi-steps 3 --alpha-steps 1", {"d": 0.03}, MAP_CFG["material"]),
+        ("field --at 0,1e-20", {}, MAP_CFG["material"]),
+        ("field --at 0.5,0.8", {}, KAPPA_TINY),
+        ("map --phi-steps 1 --alpha-steps 1", {}, KAPPA_TINY),
     ], ids=["field_at_0_1e-3", "field_second_at_0_1e-4", "map_d_0.03",
-            "field_at_0_1e-20"])
-    def test_panel_cap_exit_2(self, tmp_path, capsys, command, inclusion):
+            "field_at_0_1e-20", "field_kappa_1e-7", "map_kappa_1e-7"])
+    def test_panel_cap_exit_2(self, tmp_path, capsys, command, inclusion,
+                              material):
         # a point load's Cauchy mesh keeps half-period panels, so below
         # |y| of about 5e-3 the phi^+ table a position needs would take more
-        # than 2^15 of them per half-line: input, rejected before sampling
+        # than 2^15 of them per half-line: input, rejected before sampling.
+        # At kappa = 1e-7 (mu0 = 2e7) the load's own mesh takes 1.9e8, and
+        # the solution is refused before any position is read.
         cfg = write_cfg(tmp_path, dict(
-            MAP_CFG, load={"kind": "point-triple", "F": 1.0, "a": 1.0,
-                           "b": 0.5}, inclusion=inclusion))
+            MAP_CFG, material=material, load={"kind": "point-triple", "F": 1.0,
+                                              "a": 1.0, "b": 0.5},
+            inclusion=inclusion))
         argv = command.split()
         assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
         err = capsys.readouterr().err.strip().split("\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from interfrac import unperturbed
-from interfrac.errors import DomainError, GeometryError, NonConvergence
+from interfrac.errors import DomainError, GeometryError
 from interfrac.model import (Bimaterial, CrackLoad, point_triple,
                              smooth_exponential)
 from interfrac.numerics import QuadratureSpec
@@ -138,9 +138,10 @@ class TestBatchedCauchy:
         assert seen["b_minus"] == []
 
     def test_too_far_for_the_oscillatory_mesh(self, sol):
-        # 1e6 needs ~1.4e6 half-period panels per half-line; refused before
-        # any sampling
-        with pytest.raises(NonConvergence):
+        # 1e6 needs ~2.2e6 half-period panels per half-line: input the mesh
+        # rule refuses before any sampling, not a quadrature that failed to
+        # converge
+        with pytest.raises(DomainError, match="2228314 panels"):
             sol.cauchy_pv(1e6)
 
     @pytest.mark.parametrize("a", [1e-300, 1e-270])
@@ -151,6 +152,22 @@ class TestBatchedCauchy:
         with pytest.raises(DomainError):
             UnperturbedSolution(smooth_exponential(a),
                                 Bimaterial(1.0, 1.0, 0.5))
+
+    @pytest.mark.parametrize("name,x", [("cauchy_pv", 1e300),
+                                        ("l_plus", 1e300),
+                                        ("phi_plus_load", 1e280)])
+    def test_no_finite_mesh_for_a_target_refused(self, sol_smooth, name, x):
+        # a target's own cut 4|x| puts the mesh's outer edge 2^40 beyond it,
+        # past the float range or too far from 1e-40 to count its edges
+        with pytest.raises(DomainError):
+            getattr(sol_smooth, name)(x)
+
+    def test_load_over_the_panel_cap_refused(self):
+        # mu0 = 2e7 puts the base cut at 4e8, 1.9e8 half-period panels per
+        # half-line: no position could be served, so the load is refused
+        with pytest.raises(DomainError, match="1.909861e\\+08 panels"):
+            UnperturbedSolution(point_triple(1.0, 1.0, 0.5),
+                                Bimaterial(1.0, 1.0, 1e-7))
 
     def test_one_shared_sampling_fills_the_table(self, sol_smooth):
         # the delta_warm extent: 435 targets up to 2 * 40 / 0.069

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, SelfBalanceViolation
+from .errors import DomainError, SelfBalanceViolation, UnsupportedLoad
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,24 @@ def smooth_exponential(reference_length=1.0):
 def custom_transform(transform_avg, transform_jump, decay_exponent,
                      reference_length=1.0):
     """Wrap a user-supplied transform pair; decay_exponent delta > 0 declares
-    the |xi|^{-(1+delta)} falloff the spectral tails rely on."""
+    the |xi|^{-(1+delta)} falloff the spectral tails rely on. Each transform
+    must take an array of xi and return one value per element; one that
+    cannot is refused with UnsupportedLoad."""
     if not decay_exponent > 0:
         raise DomainError("decay_exponent must be positive")
 
     def transforms(xi):
         return transform_avg(xi), transform_jump(xi)
+
+    probe = np.array([0.0, 1.0])
+    contract = "custom transforms must map an array of xi to one value per element"
+    try:
+        shapes = [np.shape(v) for v in transforms(probe)]
+    except (TypeError, ValueError) as exc:  # float(array), `if array:`
+        raise UnsupportedLoad(f"{contract}: {exc}") from exc
+    if shapes != [probe.shape] * 2:
+        raise UnsupportedLoad(
+            f"{contract}; on shape {probe.shape} they returned {shapes}")
 
     load = CrackLoad(
         kind="custom-transform", transforms=transforms,

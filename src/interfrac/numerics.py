@@ -2,9 +2,10 @@
 of a half-line spectral integral (half_line), and oscillatory and algebraic
 tail closures for half-line integrals.
 
-Integrand callables are expected to accept numpy arrays (scalar-only
-callables are wrapped transparently). All routines are pure functions of
-their arguments and safe to call concurrently.
+Every integrand takes a 1-d array of nodes and returns one value per node;
+oscillatory_tail also accepts values with trailing axes. An integrand's own
+exception reaches the caller. All routines are pure functions of their
+arguments and safe to call concurrently.
 """
 
 import math
@@ -27,37 +28,26 @@ class QuadratureSpec:
     truncation_radius: float = 1e4
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be > 0")
-        if self.abs_tol < 0:
-            raise DomainError("abs_tol must be >= 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if not self.truncation_radius > 0:
-            raise DomainError("truncation_radius must be > 0")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError("rel_tol must be > 0 and finite")
+        if not 0 <= self.abs_tol < math.inf:
+            raise DomainError("abs_tol must be >= 0 and finite")
+        if not (isinstance(self.max_subdivisions, (int, np.integer))
+                and self.max_subdivisions >= 1):
+            raise DomainError("max_subdivisions must be an integer >= 1")
+        if not 0 < self.truncation_radius < math.inf:
+            raise DomainError("truncation_radius must be > 0 and finite")
 
     def tolerance(self, magnitude):
         return max(self.abs_tol, self.rel_tol * abs(magnitude))
 
 
-def _vectorized(f):
-    def call(x):
-        try:
-            v = np.asarray(f(x), dtype=complex)
-            if v.shape[:x.ndim] == x.shape:
-                return v
-        except (TypeError, ValueError):
-            pass
-        return np.array([complex(f(float(t))) for t in x])
-    return call
-
-
-def _panel_values(fv, a, b):
+def _panel_values(f, a, b):
     """GL12 values on panels [a_i, b_i], one batched integrand call."""
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     nodes = (mid[:, None] + hw[:, None] * _GL_NODES[None, :]).ravel()
-    vals = fv(nodes).reshape(a.shape[0], _GL_NODES.shape[0])
+    vals = np.asarray(f(nodes), dtype=complex).reshape(a.size, _GL_NODES.size)
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals).ravel()][:1]
         raise NonFiniteSample(f"integrand returned a non-finite value near x={bad}")
@@ -68,31 +58,33 @@ def integrate_err(f, lo, hi, spec, breakpoints=None):
     """Adaptive GL12 bisection on [lo, hi]; returns (integral, error estimate).
 
     The error estimate per panel is |GL12(panel) - GL12(halves)|; panels are
-    split worst-first until the summed estimate meets the tolerance.
+    split worst-first until the summed estimate meets the tolerance. The
+    integrand sees one coarse batch, then two half-panel batches per round.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = float(lo), float(hi)
     if hi == lo:
         return 0.0 + 0.0j, 0.0
     if hi < lo:
         v, e = integrate_err(f, hi, lo, spec, breakpoints)
         return -v, e
-    fv = _vectorized(f)
-    edges = [lo, hi]
-    if breakpoints is not None:
-        edges.extend(float(p) for p in breakpoints if lo < p < hi)
-    edges = np.unique(np.asarray(edges, dtype=float))
-    a = edges[:-1]
-    b = edges[1:]
-    coarse = _panel_values(fv, a, b)
-    m = 0.5 * (a + b)
-    vl = _panel_values(fv, a, m)
-    vr = _panel_values(fv, m, b)
-    val = vl + vr
-    err = np.abs(val - coarse)
+    inner = [] if breakpoints is None else [float(p) for p in breakpoints if lo < p < hi]
+    edges = np.unique(np.array([lo, hi] + inner))
+    # settled panels [a, b] (halves vl, vr, estimate err); new ones [na, nb]
+    na, nb = edges[:-1], edges[1:]
+    coarse = _panel_values(f, na, nb)
+    a = b = vl = vr = err = np.empty(0)
+    keep = np.empty(0, dtype=bool)
     splits = 0
     while True:
-        total = complex(val.sum())
+        nm = 0.5 * (na + nb)
+        nvl = _panel_values(f, na, nm)
+        nvr = _panel_values(f, nm, nb)
+        a = np.concatenate([a[keep], na])
+        b = np.concatenate([b[keep], nb])
+        vl = np.concatenate([vl[keep], nvl])
+        vr = np.concatenate([vr[keep], nvr])
+        err = np.concatenate([err[keep], np.abs(nvl + nvr - coarse)])
+        total = complex((vl + vr).sum())
         esum = float(err.sum())
         tol = spec.tolerance(total)
         if esum <= tol:
@@ -110,22 +102,12 @@ def integrate_err(f, lo, hi, spec, breakpoints=None):
                 value=total, error=esum)
         budget = spec.max_subdivisions - splits
         take = order[:max(1, min(order.size // 4 + 1, 64, budget))]
-        keep = np.setdiff1d(np.arange(a.shape[0]), take, assume_unique=False)
-        na = np.concatenate([a[take], m[take]])
-        nb = np.concatenate([m[take], b[take]])
-        ncoarse = np.concatenate([vl[take], vr[take]])
-        nm = 0.5 * (na + nb)
-        nvl = _panel_values(fv, na, nm)
-        nvr = _panel_values(fv, nm, nb)
-        nval = nvl + nvr
-        nerr = np.abs(nval - ncoarse)
-        a = np.concatenate([a[keep], na])
-        b = np.concatenate([b[keep], nb])
-        m = np.concatenate([m[keep], nm])
-        vl = np.concatenate([vl[keep], nvl])
-        vr = np.concatenate([vr[keep], nvr])
-        val = np.concatenate([val[keep], nval])
-        err = np.concatenate([err[keep], nerr])
+        keep = np.ones(a.size, dtype=bool)
+        keep[take] = False
+        m = 0.5 * (a[take] + b[take])
+        na = np.concatenate([a[take], m])
+        nb = np.concatenate([m, b[take]])
+        coarse = np.concatenate([vl[take], vr[take]])
         splits += take.size
 
 
@@ -153,10 +135,10 @@ _STENCIL = np.arange(-3, 4, dtype=float)
 _STENCIL_INVERSE = np.linalg.inv(np.vander(_STENCIL, increasing=True))
 
 
-def _series_coefficients(fv, x0, h):
+def _series_coefficients(f, x0, h):
     """Taylor coefficients p[n] ~ f^(n)(x0)/n! of f around x0 from the
     symmetric 7-point stencil x0 + k h, k = -3..3."""
-    p = _STENCIL_INVERSE @ fv(x0 + _STENCIL * h)
+    p = _STENCIL_INVERSE @ np.asarray(f(x0 + _STENCIL * h), dtype=complex)
     return p / (h ** np.arange(7.0)).reshape((-1,) + (1,) * (p.ndim - 1))
 
 
@@ -170,9 +152,8 @@ def oscillatory_tail(f, omega, x_start):
     """
     if omega == 0.0:
         raise DomainError("oscillatory_tail needs omega != 0")
-    fv = _vectorized(f)
     h = x_start / 128.0
-    p = _series_coefficients(fv, x_start, h)
+    p = _series_coefficients(f, x_start, h)
     iw = 1j * omega
     phase = np.exp(iw * x_start)
     derivs = [p[n] * math.factorial(n) for n in range(5)]
@@ -189,10 +170,8 @@ def algebraic_tail(f, x_start, spec):
     Returns (value, residual estimate); the residual is the spread between
     fits anchored at (x/2, x) and (x/4, x/2).
     """
-    fv = _vectorized(f)
-
     def fit_tail(x):
-        ys = fv(np.array([x / 2.0, x]))
+        ys = np.asarray(f(np.array([x / 2.0, x])), dtype=complex)
         mat = np.array([[(2.0 / x) ** 2, (2.0 / x) ** 3],
                         [(1.0 / x) ** 2, (1.0 / x) ** 3]], dtype=complex)
         ab = np.linalg.solve(mat, ys)
@@ -200,6 +179,6 @@ def algebraic_tail(f, x_start, spec):
 
     t1 = fit_tail(x_start)
     t2 = fit_tail(x_start / 2.0) - integrate_err(
-        fv, x_start / 2.0, x_start, spec, breakpoints=[0.75 * x_start])[0]
+        f, x_start / 2.0, x_start, spec, breakpoints=[0.75 * x_start])[0]
     return complex(t1), float(abs(t1 - t2))
 

@@ -42,7 +42,7 @@ from .model import Bimaterial, CrackLoad, InclusionSpec, inclusion_centre
 # integrate_err has no caller here; perfbench/tracer.py patches it by name
 from .numerics import QuadratureSpec, half_line, integrate_err
 from .unperturbed import UnperturbedSolution
-from .weightfn import WeightField, sigma0 as _sigma0
+from .weightfn import WeightField, _refuse_other_material, sigma0 as _sigma0
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +262,9 @@ def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     """First-order crack-tip traction change eps^2 * delta_sigma0 induced by
     the inclusion; sign classified against the error-estimate neutrality
     band. sigma0_base is computed once per field, load and spec: pass one
-    prebuilt solution and field to a run of calls over many inclusions."""
+    prebuilt solution and field to a run of calls over many inclusions. A
+    solution or field built for another material raises DomainError."""
+    _refuse_other_material(material, solution, field)
     spec = spec or QuadratureSpec()
     if solution is None:
         solution = UnperturbedSolution(load, material, spec=spec)
@@ -303,10 +305,12 @@ def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
              phi_grid, alpha_grid, spec=None, solution=None) -> SignMapResult:
     """delta_sigma0 sign over a (phi, alpha) grid for the inclusion inc; the
     grids replace inc.phi and inc.alpha, its distance and shape stay. A
-    prebuilt solution for (load, material) may be passed, as to delta_sigma0.
+    prebuilt solution for (load, material) may be passed, as to delta_sigma0;
+    one built for another material raises DomainError.
 
     delta is real-linear in v = M G: per phi the complex response L is
     integrated once and every alpha is Re(V L)."""
+    _refuse_other_material(material, solution)
     spec = spec or QuadratureSpec()
     phi_grid = np.asarray(phi_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
@@ -321,8 +325,8 @@ def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
         at = replace(inc, phi=phi)
         Y = inclusion_centre(at)
         G = np.asarray(solution.grad_u0(Y))
-        v = np.column_stack([dipole_for(replace(at, alpha=alpha)) @ G
-                             for alpha in alpha_grid])
+        v = np.reshape([dipole_for(replace(at, alpha=alpha)) @ G
+                        for alpha in alpha_grid], (-1, 2)).T
         delta[i], est[i] = _delta_from_v(field, v, Y, spec)
     return SignMapResult(phi=phi_grid, alpha=alpha_grid, delta=delta,
                          est_error=est, sign=_classify(delta, est, base))

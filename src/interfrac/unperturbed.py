@@ -207,7 +207,8 @@ class UnperturbedSolution:
 
     def cauchy_pv(self, x):
         """PV int g(b)/(b - x) db over the real line for real x != 0 (scalar
-        or array), with an error estimate per target.
+        or array), with an error estimate per target; an empty array gets
+        empty arrays back, with nothing sampled.
 
         g is sampled once, on the composite GL16 mesh of _pv_samples with the
         cut max(2e3 a, 20 mu0, 4 max|x|), and every target is summed from
@@ -223,6 +224,8 @@ class UnperturbedSolution:
         xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         if np.any(xs == 0.0) or not np.all(np.isfinite(xs)):
             raise DomainError("Cauchy boundary values need finite xi != 0")
+        if xs.size == 0:
+            return np.zeros(np.shape(x), dtype=complex), np.zeros(np.shape(x))
         x_max = float(np.abs(xs).max())
         lo, hi, g = self._pv_samples(self._pv_cut(x_max), x_max)
         mid = 0.5 * (lo + hi)
@@ -340,6 +343,8 @@ class UnperturbedSolution:
         """phi^+ on an array of xi > 0 via the log-grid table, clamped ends
         (integrands there are damped)."""
         arr = np.atleast_1d(np.asarray(xi, dtype=float))
+        if arr.size == 0:
+            return np.zeros(np.shape(xi), dtype=complex)
         table, lo, hi = self._phi_table(arr.max())
         cols = table(np.log(np.clip(arr, lo, hi)))
         out = cols[..., 0] + 1j * cols[..., 1]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedLoad
+from .errors import DomainError, UnsupportedLoad
 from .kernel import KernelFactors
 from .model import Bimaterial, CrackLoad, derive_params
 from .numerics import QuadratureSpec, half_line, integrate_err, oscillatory_tail
@@ -79,6 +79,15 @@ class Sigma0Result:
     sigma0: float
     est_error: float
     integral: complex
+
+
+def _refuse_other_material(material, *built):
+    """DomainError when a prebuilt field or solution (None is skipped) was
+    built for another material than the call's."""
+    for b in built:
+        if b is not None and b.material != material:
+            raise DomainError(f"the {type(b).__name__} passed was built for "
+                              f"{b.material}, not for {material}")
 
 
 def _point_weights(load: CrackLoad, mu_star):
@@ -148,8 +157,11 @@ def sigma0(load: CrackLoad, material: Bimaterial, spec=None, *,
     exactly 0.0; the |Im| term in est_error adds nothing. Folding onto one
     half-line, as delta_sigma0 does, would halve the work. It waits on a
     benchmark change, because perfbench/test_tracer.py hand-counts the
-    integrate_err and tail calls of both half-lines."""
+    integrate_err and tail calls of both half-lines.
+
+    A field built for another material raises DomainError."""
     load.check_self_balance()
+    _refuse_other_material(material, field)
     spec = spec or QuadratureSpec()
     if field is None:
         field = WeightField(material, a=load.reference_length, spec=spec)
@@ -204,7 +216,11 @@ def ratio_r(kappa_star, mu_star_1, mu_star_2, load: CrackLoad, spec=None):
     matched mu0 is the one normalisation under which r -> 1; with any other
     pairing mu0 differs between pairs (mu0 kappa_star a = 4/(1-mu_*^2)
     identically) and r -> sqrt((1-mu_*2^2)/(1-mu_*1^2)) instead. Bimaterial
-    rejects a kappa_star that is not positive."""
+    rejects a kappa_star that is not positive, and each mu_star must lie in
+    (-1, 1)."""
+    for name, ms in (("mu_star_1", mu_star_1), ("mu_star_2", mu_star_2)):
+        if not -1.0 < ms < 1.0:
+            raise DomainError(f"{name} must lie in (-1, 1), got {ms}")
     a = load.reference_length
     kappa = kappa_star * a / 2.0
 

@@ -20,8 +20,8 @@ from interfrac._kernels import (_GL_NODES, _GL_WEIGHTS, _LN3, _ln_xi_star,
 from interfrac.errors import DomainError, GeometryError, NonConvergence
 from interfrac.kernel import _gamma_ratio
 from interfrac.model import Bimaterial
-from interfrac.numerics import (QuadratureSpec, _vectorized, algebraic_tail,
-                                integrate_err, oscillatory_tail)
+from interfrac.numerics import (QuadratureSpec, algebraic_tail, integrate_err,
+                                oscillatory_tail)
 from interfrac.perturbation import _double_pole_transforms
 
 
@@ -36,18 +36,17 @@ def pv_integral_even_logkernel(g, xi, spec):
     xi = float(xi)
     if xi <= 0:
         raise DomainError("pv_integral_even_logkernel requires xi > 0")
-    gv = _vectorized(g)
-    gxi = complex(gv(np.array([xi]))[0])
+    gxi = complex(g(np.array([xi]))[0])
 
     def near(t):
-        return (gv(t) - gxi) / ((t - xi) * (t + xi))
+        return (g(t) - gxi) / ((t - xi) * (t + xi))
 
     seeds = [xi * f for f in (0.25, 0.5, 0.75, 0.875, 0.9375,
                               1.0, 1.0625, 1.125, 1.25, 1.5, 1.75)]
     ia, ea = integrate_err(near, 0.0, 2.0 * xi, spec, breakpoints=seeds)
 
     def mapped_tail(u):
-        return 2.0 * gv(2.0 * xi / u) / (xi * (4.0 - u * u))
+        return 2.0 * g(2.0 * xi / u) / (xi * (4.0 - u * u))
 
     useeds = [2.0 ** (-j) for j in range(1, 44)]
     ib, eb = integrate_err(mapped_tail, 0.0, 1.0, spec, breakpoints=useeds)
@@ -257,12 +256,11 @@ def halfline_fourier(f, side, xi, spec):
 def halfline_fourier_err(f, side, xi, spec):
     if side not in ("negative-axis", "positive-axis"):
         raise DomainError(f"side must be 'negative-axis' or 'positive-axis', got {side!r}")
-    fv = _vectorized(f)
     if side == "negative-axis":
-        g = lambda u: fv(-u)
+        g = lambda u: f(-u)
         omega = -float(xi)
     else:
-        g = fv
+        g = f
         omega = float(xi)
     return _halfline_core(g, omega, spec)
 

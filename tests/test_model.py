@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from interfrac.errors import DomainError, SelfBalanceViolation
+from interfrac.errors import (DomainError, SelfBalanceViolation,
+                              UnsupportedLoad)
 from interfrac.model import (Bimaterial, InclusionSpec,
                              bimaterial_from_dimensionless, custom_transform,
                              derive_params, inclusion_centre,
@@ -139,6 +140,15 @@ class TestCrackLoad:
             lambda x: 1j * np.asarray(x) / (1.0 + 1j * np.asarray(x)) ** 3,
             decay_exponent=1.0)
         assert load.kind == "custom-transform"
+
+    @pytest.mark.parametrize("avg,jump", [
+        (lambda x: math.exp(-x * x), lambda x: x * math.exp(-x * x)),
+        (lambda x: 1.0 if x >= 0 else 0.5, lambda x: 0.0 * x),
+        (lambda x: 1.0, lambda x: 0.0)],
+        ids=["scalar_only", "scalar_branch", "constant"])
+    def test_custom_transform_needs_array_transforms(self, avg, jump):
+        with pytest.raises(UnsupportedLoad, match="one value per element"):
+            custom_transform(avg, jump, decay_exponent=1.0)
 
     def test_custom_requires_positive_decay(self):
         with pytest.raises(DomainError):

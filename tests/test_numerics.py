@@ -9,7 +9,8 @@ from scipy.special import erf
 
 from interfrac import _kernels
 from interfrac.errors import (DomainError, NonFiniteSample)
-from interfrac.numerics import QuadratureSpec, half_line, integrate_err
+from interfrac.numerics import (QuadratureSpec, algebraic_tail, half_line,
+                                integrate_err, oscillatory_tail)
 from oracles import halfline_fourier, pv_integral_even_logkernel
 
 SPEC = QuadratureSpec()
@@ -62,9 +63,6 @@ class TestIntegrateAdaptive:
         v2 = integrate_err(lambda t: t ** 3 + 1, 2, 0, SPEC)[0]
         assert v1 == pytest.approx(-v2, rel=1e-13)
 
-    def test_scalar_callable_is_wrapped(self):
-        val = integrate_err(lambda t: float(t) ** 2, 0.0, 1.0, SPEC)[0]
-        assert val == pytest.approx(1 / 3, rel=1e-12)
 
     def test_non_finite_sample_raises(self):
         with pytest.raises(NonFiniteSample):
@@ -199,6 +197,28 @@ class TestLogGamma:
         assert out.shape == z.shape
 
 
+def _refusing(limit):
+    """t^2, or DomainError for a node array that reaches past limit; a
+    single float passes, so a retry node by node would hide the error."""
+    def f(t):
+        if np.ndim(t) and np.max(t) > limit:
+            raise DomainError(f"node above {limit}")
+        return t * t
+    return f
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: integrate_err(f, 0.0, 1.0, SPEC),
+    lambda f: oscillatory_tail(f, 3.0, 0.5),
+    lambda f: algebraic_tail(f, 0.5, SPEC),
+], ids=["integrate_err", "oscillatory_tail", "algebraic_tail"])
+def test_integrand_error_reaches_caller(call):
+    # numerics calls the integrand on node arrays only, so its own typed
+    # error is not retried one node at a time and lost
+    with pytest.raises(DomainError, match="node above 0.4"):
+        call(_refusing(0.4))
+
+
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -207,6 +227,23 @@ class TestQuadratureSpec:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_subdivisions=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(abs_tol=math.nan), dict(rel_tol=math.inf),
+        dict(max_subdivisions=2.5), dict(truncation_radius=math.inf)],
+        ids=["abs_tol_nan", "rel_tol_inf", "max_subdivisions_2.5",
+             "truncation_radius_inf"])
+    def test_non_finite_or_fractional_refused(self, kwargs):
+        # each used to pass and break later: nan never converges, 2.5 fails
+        # a slice, inf overflows the spectral cut
+        with pytest.raises(DomainError):
+            QuadratureSpec(**kwargs)
+
+    def test_huge_finite_values_accepted(self):
+        spec = QuadratureSpec(rel_tol=1e300, abs_tol=1e300,
+                              max_subdivisions=np.int64(7),
+                              truncation_radius=1e300)
+        assert spec.max_subdivisions == 7
 
     def test_error_estimate_contract(self):
         val, err = integrate_err(lambda t: np.sin(7 * t) / (1 + t * t), 0, 30, SPEC)

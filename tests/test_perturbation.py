@@ -169,6 +169,17 @@ class TestEffectiveTractions:
 
 
 class TestDeltaSigma0:
+    @pytest.mark.parametrize("which", ["solution", "field"])
+    def test_prebuilt_for_another_material_refused(self, which):
+        # another material's solution gave -3.24e-4 here instead of -1.36e-4
+        other = Bimaterial(1.0, 1.0, 0.5)
+        built = (UnperturbedSolution(LOAD, other) if which == "solution"
+                 else WeightField(other))
+        inc = InclusionSpec(d=1.0, phi=1.2, alpha=0.3, ell_a=0.2, ell_b=0.1,
+                            nu_star=5.0)
+        with pytest.raises(DomainError, match="built for"):
+            delta_sigma0(LOAD, MATERIAL, inc, **{which: built})
+
     def test_linear_in_dipole(self, pipeline):
         solution, field = pipeline
         v = np.array([0.3, -0.7])
@@ -466,6 +477,22 @@ class TestSignMap:
                                phi_grid=[0.7, 2.0], alpha_grid=[0.3, 1.4],
                                spec=SPEC)
                 assert np.all(res.sign == label), (F, lam, nu, res.sign)
+
+    def test_solution_for_another_material_refused(self):
+        inc = InclusionSpec(d=1.0, phi=1.2, alpha=0.3, ell_a=0.2, ell_b=0.1,
+                            nu_star=5.0)
+        other = UnperturbedSolution(LOAD, Bimaterial(1.0, 1.0, 0.5))
+        with pytest.raises(DomainError, match="built for"):
+            sign_map(LOAD, MATERIAL, inc, [1.2], [0.3], solution=other)
+
+    def test_empty_alpha_grid(self, pipeline):
+        # as an empty phi grid does, an empty alpha grid gives the
+        # (phi.size, 0) result
+        inc = InclusionSpec(d=1.0, phi=1.2, alpha=0.3, ell_a=0.2, ell_b=0.1,
+                            nu_star=5.0)
+        res = sign_map(LOAD, MATERIAL, inc, [0.7, 2.0], [], spec=SPEC,
+                       solution=pipeline[0])
+        assert res.delta.shape == res.est_error.shape == res.sign.shape == (2, 0)
 
     def test_alpha_periodicity(self, small_map):
         assert np.allclose(small_map.delta[:, 0], small_map.delta[:, 1],

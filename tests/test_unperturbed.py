@@ -162,6 +162,24 @@ class TestBatchedCauchy:
         with pytest.raises(DomainError):
             getattr(sol_smooth, name)(x)
 
+    @pytest.mark.parametrize("name", ["cauchy_pv", "l_plus", "phi_plus_load",
+                                      "phi_plus_cached"])
+    def test_empty_targets_give_empty_arrays(self, sol_smooth, name):
+        # no targets: no mesh is sampled and no phi^+ table is built
+        s = UnperturbedSolution(sol_smooth.load, sol_smooth.material)
+
+        def refuse(lo, hi):
+            raise AssertionError("g sampled for no targets")
+
+        s._g_on_panels = refuse
+        for shape in [(0,), (0, 3)]:
+            out = getattr(s, name)(np.zeros(shape))
+            if name == "cauchy_pv":
+                assert out[1].shape == shape
+                out = out[0]
+            assert out.shape == shape and out.dtype == complex
+        assert s._phi_interp is None
+
     def test_load_over_the_panel_cap_refused(self):
         # mu0 = 2e7 puts the base cut at 4e8, 1.9e8 half-period panels per
         # half-line: no position could be served, so the load is refused

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from interfrac import model
-from interfrac.errors import SelfBalanceViolation, UnsupportedLoad
+from interfrac.errors import (DomainError, SelfBalanceViolation,
+                              UnsupportedLoad)
 from interfrac.model import (Bimaterial, bimaterial_from_dimensionless,
                              custom_transform, point_triple,
                              smooth_exponential)
@@ -75,6 +76,13 @@ class TestTransforms:
 
 
 class TestSigma0:
+    def test_field_for_another_material_refused(self):
+        # the other material's field gave its own sigma0 (0.14599 here, not
+        # 0.18025), with no error
+        with pytest.raises(DomainError, match="built for"):
+            sigma0(smooth_exponential(), Bimaterial(3.0, 1.0, 0.25),
+                   field=WeightField(Bimaterial(1.0, 1.0, 0.5)))
+
     def test_regression_anchor(self):
         m = Bimaterial(1.0, 1.0, 0.5)
         r = sigma0(point_triple(1.0, 1.0, 0.75), m)
@@ -288,6 +296,13 @@ class TestK3Perfect:
 
 
 class TestRatio:
+    @pytest.mark.parametrize("mu1,mu2,name", [
+        (0.0, -1.0, "mu_star_2"), (0.0, 1.5, "mu_star_2"),
+        (1.0, 0.0, "mu_star_1"), (math.nan, 0.0, "mu_star_1")])
+    def test_mu_star_outside_open_interval_refused(self, mu1, mu2, name):
+        with pytest.raises(DomainError, match=name):
+            ratio_r(1.0, mu1, mu2, smooth_exponential())
+
     def test_identical_pairs(self):
         r = ratio_r(0.37, 0.3, 0.3, point_triple(1.0, 1.0, 0.5))
         assert r == pytest.approx(1.0, abs=1e-14)

@@ -66,6 +66,15 @@ def _number(table, path, key, default=None):
     return out
 
 
+def _positive_int(table, path, key, default):
+    """table[key]; it must be a JSON integer >= 1. An absent key gives
+    `default`."""
+    value = table.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"config key {path}.{key} must be an integer >= 1")
+    return value
+
+
 def _boolean(table, path, key, default):
     """table[key]; it must be a JSON boolean. An absent key gives `default`."""
     value = table.get(key, default)
@@ -100,7 +109,7 @@ def _parse_numerics(cfg):
     t = _section(cfg, "numerics", {})
     rel_tol = _number(t, "numerics", "rel_tol", 1e-8)
     abs_tol = _number(t, "numerics", "abs_tol", 1e-12)
-    max_subdivisions = int(_number(t, "numerics", "max_subdivisions", 4000))
+    max_subdivisions = _positive_int(t, "numerics", "max_subdivisions", 4000)
     truncation_radius = _number(t, "numerics", "truncation_radius", 1e4)
     return QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
                           max_subdivisions=max_subdivisions,
@@ -363,8 +372,11 @@ def build_parser():
 
     p = sub.add_parser("kernel-residual", parents=[run],
                        help="factorization-identity residual table (CSV): "
-                            "the polar B+ against the product-route B-, "
-                            "i.e. their phase agreement")
+                            "the polar B+ (its phase from one polynomial "
+                            "table, within 5e-15 of the PCHIP phase) "
+                            "against the product-route B-, i.e. their phase "
+                            "agreement; both read the PCHIP Hhat, whose own "
+                            "error it does not show")
     p.add_argument("--points", type=int, default=200)
     p.set_defaults(func=cmd_residual)
 

@@ -28,13 +28,20 @@ its phase is (pi/4) sgn x - x H(|x|)/pi - theta(x/(pi mu0)) with
 theta(y) = arg Gamma(1 + iy)/Gamma(1/2 + iy) (DLMF 5.4.3-5.4.4 give
 |Xi_0^+|^2 = (x/(pi mu0)) coth(x/mu0)). theta needs no log-gamma: the
 asymptotic series from |y| = 8 on, the recurrence shifted to 8 + iy below
-(_ratio_phase). The product route Xi_0^+ Xi_*^+ / xi_+^{1/2}, with its two
-log-gammas, agrees within 8e-15 relative on 1e-13 ... 1e13 mu0; it stays
-in xi0_plus and xi_star_plus, and factorization_residual pairs it with the
-polar B^+.
+(_ratio_phase). With s = |x|/mu0 that phase is sgn x (pi/4 - Phi(s)),
+Phi(s) = s Hhat(s)/pi + theta(s/pi), and on the table's range
+[1e-9, 1e9] B^+ reads Phi from one polynomial table (_phase): a quintic
+in ln s on each PCHIP interval, fitted to the PCHIP Hhat and theta when
+the Hhat table is built, which reproduces that phase within 5e-15
+absolute. The table thus carries the PCHIP error of Hhat, which no
+est_error covers. Outside the range the end rules of Hhat and
+_ratio_phase give the phase. The product route Xi_0^+ Xi_*^+ / xi_+^{1/2},
+with its two log-gammas, agrees within 8e-15 relative on 1e-13 ... 1e13
+mu0; it stays in xi0_plus and xi_star_plus, and factorization_residual
+pairs it with the polar B^+.
 
 Each public KernelFactors method checks its input once, at entry; the
-factors compose from unchecked internals (_cauchy, _ratio_phase, the
+factors compose from unchecked internals (_phase, _cauchy, _ratio_phase, the
 _kernels entry points), and the gamma ratio needs no pole guard.
 """
 
@@ -49,7 +56,12 @@ from .errors import DomainError
 
 _TABLE_LO = 1e-9
 _TABLE_HI = 1e9
+_LN_LO = math.log(_TABLE_LO)
+_LN_HI = math.log(_TABLE_HI)
 _PHASE_TABLE = None
+# the phase polynomials: degree 5 in the local coordinate of each PCHIP
+# interval in ln s, through the 6 Chebyshev points of the first kind
+_CHEB = np.cos((2 * np.arange(6) + 1) * math.pi / 12)
 # d_n = (B_{n+1}(1) - B_{n+1}(1/2)) / (n (n+1)) = B_{n+1} (2 - 2^-n) / (n (n+1))
 # for odd n = 1 .. 17 (1/8, -1/192, 1/640, ...): the coefficients of w^-n in
 # ln Gamma(1 + w) - ln Gamma(1/2 + w) - (1/2) ln w
@@ -62,8 +74,14 @@ _SHIFT_PRODUCT = np.array([(k + 0.5) * (k + 1.0) for k in range(8)])
 
 
 def _phase_table():
-    """(Hhat(x) = H(x; mu0=1) on a 250-points-per-decade log grid, c0, c1):
-    the end rules are Hhat ~ c0 - ln x below it and (c1 - ln x)/x^2 above."""
+    """(Hhat(x) = H(x; mu0=1) on a 250-points-per-decade log grid, c0, c1,
+    coefficients): the end rules are Hhat ~ c0 - ln x below it and
+    (c1 - ln x)/x^2 above. Row k of the (4500, 6) coefficients holds, highest
+    degree first, the polynomial in t in [-1, 1] that equals
+    Phi(s) = s Hhat(s)/pi + theta(s/pi) on the k-th interval of ln s, with
+    ln s at 2 k + 1 + t half-widths from ln 1e-9 (see _phase). Hhat is a
+    cubic in ln s on each interval, and s and theta are smooth there, so
+    the fit at the Chebyshev points is exact to rounding."""
     global _PHASE_TABLE
     if _PHASE_TABLE is None:
         x = np.geomspace(_TABLE_LO, _TABLE_HI, 4501)
@@ -71,8 +89,32 @@ def _phase_table():
             np.log(x), _kernels.pv_cauchy_batch(x, 1.0), extrapolate=False)
         c0 = table(math.log(_TABLE_LO)) + math.log(_TABLE_LO)
         c1 = table(math.log(_TABLE_HI)) * _TABLE_HI ** 2 + math.log(_TABLE_HI)
-        _PHASE_TABLE = table, c0, c1
+        half = 0.5 * (_LN_HI - _LN_LO) / (x.size - 1)
+        centres = _LN_LO + half * (2 * np.arange(x.size - 1) + 1)
+        u = centres[:, None] + half * _CHEB
+        s = np.exp(u)
+        phi = s * table(u) / math.pi + _ratio_phase(s / math.pi)
+        coeffs = np.linalg.solve(np.vander(_CHEB), phi.T).T
+        _PHASE_TABLE = table, c0, c1, coeffs
     return _PHASE_TABLE
+
+
+def _phase(s):
+    """Phi(s) = s Hhat(s)/pi + theta(s/pi) for s in [1e-9, 1e9], by Horner
+    on the row of the phase table's coefficients whose interval of ln s
+    holds s; any (panels, degree + 1) coefficient array spanning
+    [ln 1e-9, ln 1e9] in equal intervals serves."""
+    coeffs = _phase_table()[3]
+    panels = coeffs.shape[0]
+    v = (np.log(s) - _LN_LO) * (panels / (_LN_HI - _LN_LO))
+    # v >= 0 up to rounding, so the cast is the floor
+    k = np.minimum(v.astype(np.intp), panels - 1)
+    t = 2.0 * (v - k) - 1.0
+    c = coeffs[k]
+    acc = c[..., 0]
+    for j in range(1, coeffs.shape[1]):
+        acc = acc * t + c[..., j]
+    return acc
 
 
 def _series_phase(y):
@@ -202,7 +244,7 @@ class KernelFactors:
     def _cauchy(self, arr):
         # cauchy_integral on a checked array
         s = np.atleast_1d(np.abs(arr) / self.mu0)
-        table, c0, c1 = _phase_table()
+        table, c0, c1, _ = _phase_table()
         below = s < _TABLE_LO
         above = s > _TABLE_HI
         if not (below.any() or above.any()):
@@ -254,14 +296,27 @@ class KernelFactors:
         |B^+|^2 = (|x| + mu0)/(pi mu0 |x|) from pi mu0 B^+ B^- = Xi with
         B^- = conj B^+, and the phase
         (pi/4) sgn x - x H(|x|)/pi - theta(x/(pi mu0)), from xi_+^{1/2},
-        Xi_*^+ and Xi_0^+ = conj[Gamma(1 + iy)/Gamma(1/2 + iy)]."""
+        Xi_*^+ and Xi_0^+ = conj[Gamma(1 + iy)/Gamma(1/2 + iy)]. For
+        s = |x|/mu0 in [1e-9, 1e9] the phase is sgn x (pi/4 - Phi(s)) from
+        the polynomial table (_phase), within 5e-15 of the PCHIP Hhat and
+        theta it was fitted to; the PCHIP error of Hhat itself is not in
+        any est_error. Outside, H takes its end rules."""
         arr = self._checked(x)
         a = np.abs(arr)
         # sqrt(|x|) apart: the whole quotient overflows at subnormal |x|
         modulus = np.sqrt((a + self.mu0) / (math.pi * self.mu0)) / np.sqrt(a)
-        phase = (np.copysign(0.25 * math.pi, arr)
-                 - arr * self._cauchy(arr) / math.pi
-                 - _ratio_phase(arr / (math.pi * self.mu0)))
+        s = a / self.mu0
+        inside = (s >= _TABLE_LO) & (s <= _TABLE_HI)
+        if inside.all():
+            phase = np.sign(arr) * (0.25 * math.pi - _phase(s))
+        else:
+            phase = np.empty_like(s)
+            phase[inside] = (np.sign(arr[inside])
+                             * (0.25 * math.pi - _phase(s[inside])))
+            xo = arr[~inside]
+            phase[~inside] = (np.copysign(0.25 * math.pi, xo)
+                              - xo * self._cauchy(xo) / math.pi
+                              - _ratio_phase(xo / (math.pi * self.mu0)))
         out = modulus * np.exp(1j * phase)
         return out if np.ndim(x) else complex(out)
 
@@ -275,8 +330,11 @@ class KernelFactors:
         B^- = Xi_0^- Xi_*^- / xi_-^{1/2} (its gamma ratio by log-gamma below
         |w| = 8). The polar B^+ meets the identity with its own conjugate by
         construction, so the pairing is what makes the residual measure: it
-        reads the disagreement of the two phases, the polar one against
-        log-gamma and the Plemelj factor, at roundoff level."""
+        reads the disagreement of the two phases, the polar one (from the
+        polynomial table on [1e-9, 1e9] mu0, within 5e-15 of the PCHIP
+        phase) against log-gamma and the Plemelj factor, at roundoff level.
+        Both phases read the PCHIP Hhat, so its own error, which no
+        est_error covers, does not show here."""
         arr = self._checked(x)
         b_minus = (self.xi0_minus(arr) * self.xi_star_minus(arr)
                    / np.sqrt(1j * arr))

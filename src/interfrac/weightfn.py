@@ -66,9 +66,11 @@ class Sigma0Result:
     """sigma0 with its error estimate.
 
     est_error bounds the Betti quadrature (head, mid and tails of both
-    half-lines) plus the imaginary residue of the integral. It does not
-    cover the PCHIP phase table (Hhat) that the kernel factors read; until
-    that table is evaluated exactly, the estimate says nothing about it.
+    half-lines) plus the imaginary residue of the integral. B^+ reads its
+    phase from one polynomial table that reproduces the phase of the PCHIP
+    Hhat within 5e-15, but est_error does not cover the error of the PCHIP
+    Hhat itself; until Hhat is evaluated exactly, the estimate says nothing
+    about it.
     The gap is measured: for the point triple with b/a = 0.678 at
     mu* = 0.50, kappa* = 0.113, a piecewise Chebyshev Hhat (36 panels of 20
     nodes, within 2e-12 of the direct rule) moves sigma0 by 1.3e-8

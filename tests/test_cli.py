@@ -144,6 +144,18 @@ class TestSigma0Command:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    @pytest.mark.parametrize("value", [2.5, 0, True])
+    def test_max_subdivisions_not_an_integer_exit_2(self, tmp_path, capsys,
+                                                    value):
+        # as QuadratureSpec from the API, the config neither rounds 2.5 nor
+        # reads a boolean as 1
+        cfg = write_cfg(tmp_path, dict(POINT_CFG,
+                                       numerics={"max_subdivisions": value}))
+        assert main(["sigma0", "--config", cfg]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "max_subdivisions must be an integer >= 1" in err[0]
+
     def test_csv_format(self, tmp_path):
         cfg = write_cfg(tmp_path, POINT_CFG)
         out = tmp_path / "s.csv"

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from interfrac import _kernels
 from interfrac.errors import DomainError
 from interfrac import kernel
-from interfrac.kernel import KernelFactors, _ratio_phase
+from interfrac.kernel import KernelFactors, _phase, _ratio_phase
 from interfrac.model import Bimaterial
 from interfrac.numerics import QuadratureSpec
 from interfrac.weightfn import WeightField
@@ -413,6 +414,71 @@ class TestRatioPhase:
         field.jump_u(np.concatenate([-x, x]))
 
 
+class TestPhaseTable:
+    """Inside s = |x|/mu0 in [1e-9, 1e9] B^+ reads its phase
+    sgn x (pi/4 - Phi(s)), Phi(s) = s Hhat(s)/pi + theta(s/pi), from the
+    polynomial table fitted to the PCHIP Hhat and _ratio_phase."""
+
+    @staticmethod
+    def direct_phi(k, s):
+        x = s * k.mu0
+        return (x * k.cauchy_integral(x) / math.pi
+                + _ratio_phase(x / (math.pi * k.mu0)))
+
+    @staticmethod
+    def direct_b_plus(k, x):
+        # the polar B^+ with its phase from the PCHIP Hhat and theta
+        x = np.asarray(x, dtype=float)
+        a = np.abs(x)
+        phase = (np.copysign(0.25 * math.pi, x)
+                 - x * k.cauchy_integral(x) / math.pi
+                 - _ratio_phase(x / (math.pi * k.mu0)))
+        return (np.sqrt((a + k.mu0) / (math.pi * k.mu0)) / np.sqrt(a)
+                * np.exp(1j * phase))
+
+    @pytest.mark.parametrize("mu0", [1.0, 0.01, 4e4])
+    def test_matches_direct_phase(self, mu0):
+        k = KernelFactors(mu0)
+        rng = np.random.default_rng(20)
+        random = np.exp(rng.uniform(math.log(1e-9), math.log(1e9), 100_000))
+        edges = np.geomspace(1e-9, 1e9, 4501)
+        for s in (random, edges):
+            assert np.max(np.abs(_phase(s) - self.direct_phi(k, s))) <= 5e-15
+
+    @pytest.mark.parametrize("mu0", [1.0, 0.25, 4e4])
+    def test_b_plus_across_the_table_ends(self, mu0):
+        k = KernelFactors(mu0)
+        ends = np.array([1e-9, 1e9])
+        s = np.concatenate([ends, np.nextafter(ends, 0.0),
+                            np.nextafter(ends, np.inf), [0.5e-9, 3.0, 2e9]])
+        x = np.concatenate([s, -s]) * mu0
+        got = k.b_plus(x)
+        want = self.direct_b_plus(k, x)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-15
+        for i, xi in enumerate(x):
+            one = k.b_plus(xi)
+            assert isinstance(one, complex)
+            assert k.b_plus(np.array(xi)) == one
+            assert abs(one - got[i]) <= 1e-15 * abs(got[i])
+        assert k.b_plus(x.reshape(3, 6)).shape == (3, 6)
+        assert k.b_plus(np.array([])).shape == (0,)
+
+    def test_b_plus_reads_only_the_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("direct phase called")
+
+        field = WeightField(Bimaterial(3.0, 1.0, 0.25))
+        k = field.kernel
+        x = np.geomspace(1e-9, 1e9, 300) * k.mu0
+        x = np.concatenate([-x[::-1], x])
+        want = k.b_plus(x)
+        monkeypatch.setattr(KernelFactors, "_cauchy", refuse)
+        monkeypatch.setattr(kernel, "_ratio_phase", refuse)
+        monkeypatch.setattr(PchipInterpolator, "__call__", refuse)
+        assert np.array_equal(k.b_plus(x), want)
+        field.jump_u(x)
+
+
 class TestCombinedFactors:
     def test_factorization_identity_on_grid(self, kf):
         grid = log_grid(kf.mu0)
@@ -457,8 +523,7 @@ class TestCombinedFactors:
         # the polar B^+ meets the identity by construction; paired with the
         # product-route B^-, the residual still reads a phase error of B^+
         grid = log_grid(kf.mu0, 50)
-        monkeypatch.setattr(kernel, "_ratio_phase",
-                            lambda y: _ratio_phase(y) + 1e-8)
+        monkeypatch.setattr(kernel, "_phase", lambda s: _phase(s) + 1e-8)
         res = kf.factorization_residual(grid)
         assert np.all(np.abs(res - 1e-8) < 1e-12)
 

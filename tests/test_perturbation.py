@@ -494,6 +494,23 @@ class TestSignMap:
                        solution=pipeline[0])
         assert res.delta.shape == res.est_error.shape == res.sign.shape == (2, 0)
 
+    def test_empty_alpha_grid_runs_no_betti_pass(self, pipeline, monkeypatch):
+        # nothing to map: no gradient and no second Betti pass, but every
+        # position is still checked (this pair's phi^+ table reaches 1e2)
+        calls = []
+        monkeypatch.setattr(perturbation, "_delta_from_v",
+                            lambda *args: calls.append("betti2"))
+        monkeypatch.setattr(UnperturbedSolution, "grad_u0",
+                            lambda *args: calls.append("grad_u0"))
+        inc = InclusionSpec(d=1.0, phi=1.2, alpha=0.3, ell_a=0.2, ell_b=0.1,
+                            nu_star=5.0)
+        res = sign_map(LOAD, MATERIAL, inc, [0.7, 2.0], [], spec=SPEC,
+                       solution=pipeline[0])
+        assert res.delta.shape == (2, 0) and calls == []
+        with pytest.raises(GeometryError, match="reach"):
+            sign_map(LOAD, MATERIAL, replace(inc, d=500.0), [0.7, 2.0], [],
+                     spec=SPEC, solution=pipeline[0])
+
     def test_alpha_periodicity(self, small_map):
         assert np.allclose(small_map.delta[:, 0], small_map.delta[:, 1],
                            rtol=1e-8, atol=1e-300)

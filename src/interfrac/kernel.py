@@ -79,9 +79,9 @@ def _phase_table():
     (c1 - ln x)/x^2 above. Row k of the (4500, 6) coefficients holds, highest
     degree first, the polynomial in t in [-1, 1] that equals
     Phi(s) = s Hhat(s)/pi + theta(s/pi) on the k-th interval of ln s, with
-    ln s at 2 k + 1 + t half-widths from ln 1e-9 (see _phase). Hhat is a
-    cubic in ln s on each interval, and s and theta are smooth there, so
-    the fit at the Chebyshev points is exact to rounding."""
+    ln s at 2 k + 1 + t half-widths from ln 1e-9 (see _phase). The PCHIP
+    Hhat is a cubic in ln s on each interval, and s and theta are smooth
+    there, so the fit at the Chebyshev points is exact to rounding."""
     global _PHASE_TABLE
     if _PHASE_TABLE is None:
         x = np.geomspace(_TABLE_LO, _TABLE_HI, 4501)

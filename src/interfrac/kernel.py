@@ -29,20 +29,19 @@ theta(y) = arg Gamma(1 + iy)/Gamma(1/2 + iy) (DLMF 5.4.3-5.4.4 give
 |Xi_0^+|^2 = (x/(pi mu0)) coth(x/mu0)). theta needs no log-gamma: the
 asymptotic series from |y| = 8 on, the recurrence shifted to 8 + iy below
 (_ratio_phase). With s = |x|/mu0 that phase is sgn x (pi/4 - Phi(s)),
-Phi(s) = s Hhat(s)/pi + theta(s/pi), and on the table's range
-[1e-9, 1e9] B^+ reads Phi from one polynomial table (_phase): a quintic
-in ln s on each PCHIP interval, fitted to the PCHIP Hhat and theta when
-the Hhat table is built, which reproduces that phase within 5e-15
-absolute. The table thus carries the PCHIP error of Hhat, which no
-est_error covers. Outside the range the end rules of Hhat and
-_ratio_phase give the phase. The product route Xi_0^+ Xi_*^+ / xi_+^{1/2},
-with its two log-gammas, agrees within 8e-15 relative on 1e-13 ... 1e13
-mu0; it stays in xi0_plus and xi_star_plus, and factorization_residual
-pairs it with the polar B^+.
+Phi(s) = s Hhat(s)/pi + theta(s/pi), and _phase serves Phi for all s > 0:
+on [1e-9, 1e9] from one polynomial table, a quintic in ln s on each PCHIP
+interval fitted to the PCHIP Hhat and theta when the Hhat table is built
+(within 5e-15 absolute, so it carries the PCHIP error of Hhat, which no
+est_error covers), and outside from the end rules of Hhat and the
+expansions of theta. The product route Xi_0^+ Xi_*^+ / xi_+^{1/2}, with
+its two log-gammas, agrees within 8e-15 relative on 1e-13 ... 1e13 mu0;
+it stays in xi0_plus and xi_star_plus, and factorization_residual pairs
+it with the polar B^+.
 
-Each public KernelFactors method checks its input once, at entry; the
-factors compose from unchecked internals (_phase, _cauchy, _ratio_phase, the
-_kernels entry points), and the gamma ratio needs no pole guard.
+Each public KernelFactors method checks its input once, at entry (finite,
+non-zero); the factors compose from unchecked internals (_phase, _cauchy,
+the _kernels entry points), and the gamma ratio needs no pole guard.
 """
 
 import math
@@ -74,14 +73,14 @@ _SHIFT_PRODUCT = np.array([(k + 0.5) * (k + 1.0) for k in range(8)])
 
 
 def _phase_table():
-    """(Hhat(x) = H(x; mu0=1) on a 250-points-per-decade log grid, c0, c1,
-    coefficients): the end rules are Hhat ~ c0 - ln x below it and
-    (c1 - ln x)/x^2 above. Row k of the (4500, 6) coefficients holds, highest
-    degree first, the polynomial in t in [-1, 1] that equals
-    Phi(s) = s Hhat(s)/pi + theta(s/pi) on the k-th interval of ln s, with
-    ln s at 2 k + 1 + t half-widths from ln 1e-9 (see _phase). The PCHIP
-    Hhat is a cubic in ln s on each interval, and s and theta are smooth
-    there, so the fit at the Chebyshev points is exact to rounding."""
+    """(Hhat(x) = H(x; mu0=1) on a 250-points-per-decade log grid, the c0
+    and c1 of its end rules (_hhat_end), coefficients): row k of the
+    (4500, 6) coefficients holds, highest degree first, the polynomial in
+    t in [-1, 1] that equals Phi(s) = s Hhat(s)/pi + theta(s/pi) on the
+    k-th interval of ln s, with ln s at 2 k + 1 + t half-widths from
+    ln 1e-9 (see _phase). The PCHIP Hhat is a cubic in ln s on each
+    interval, and s and theta are smooth there, so the fit at the Chebyshev
+    points is exact to rounding."""
     global _PHASE_TABLE
     if _PHASE_TABLE is None:
         x = np.geomspace(_TABLE_LO, _TABLE_HI, 4501)
@@ -99,22 +98,50 @@ def _phase_table():
     return _PHASE_TABLE
 
 
+def _hhat_end(s, c0, c1):
+    """Hhat(s) = H(s; mu0=1) off the table, by its end rules: c0 - ln s
+    below 1e-9 and (c1 - ln s)/s^2 above 1e9 (s squared in two steps, as
+    s * s overflows past 1e154), with c0 and c1 from _phase_table."""
+    ln_s = np.log(s)
+    out = c0 - ln_s
+    above = s > 1.0
+    out[above] = (c1 - ln_s[above]) / s[above] / s[above]
+    return out
+
+
 def _phase(s):
-    """Phi(s) = s Hhat(s)/pi + theta(s/pi) for s in [1e-9, 1e9], by Horner
-    on the row of the phase table's coefficients whose interval of ln s
-    holds s; any (panels, degree + 1) coefficient array spanning
-    [ln 1e-9, ln 1e9] in equal intervals serves."""
-    coeffs = _phase_table()[3]
+    """Phi(s) = s Hhat(s)/pi + theta(s/pi) for s >= 0, the real-axis phase
+    of B^+. On [1e-9, 1e9] a Horner sum on the row of the phase table whose
+    interval of ln s holds s (any (panels, degree + 1) coefficient array
+    spanning [ln 1e-9, ln 1e9] in equal intervals serves). Off it Hhat takes
+    its end rules and theta(y) its expansions: 2 ln 2 y below, as
+    psi(1) - psi(1/2) = 2 ln 2 and the next term is under (s/pi)^3 < 3e-29,
+    and pi/4 + _series_phase(y) above. Phi tends to 0 and pi/4 at the ends,
+    so an s that under- or overflowed reads as the least or largest float."""
+    _, c0, c1, coeffs = _phase_table()
+    shape = np.shape(s)
+    s = np.atleast_1d(s)
     panels = coeffs.shape[0]
-    v = (np.log(s) - _LN_LO) * (panels / (_LN_HI - _LN_LO))
+    # off the table the lookup reads an end row, which the end rules replace
+    v = (np.log(s.clip(_TABLE_LO, _TABLE_HI)) - _LN_LO) * (
+        panels / (_LN_HI - _LN_LO))
     # v >= 0 up to rounding, so the cast is the floor
     k = np.minimum(v.astype(np.intp), panels - 1)
     t = 2.0 * (v - k) - 1.0
     c = coeffs[k]
-    acc = c[..., 0]
+    out = c[..., 0]
     for j in range(1, coeffs.shape[1]):
-        acc = acc * t + c[..., j]
-    return acc
+        out = out * t + c[..., j]
+    below = s < _TABLE_LO
+    if np.count_nonzero(below):
+        sb = np.maximum(s[below], 5e-324)
+        out[below] = sb * (_hhat_end(sb, c0, c1) + math.log(4.0)) / math.pi
+    above = s > _TABLE_HI
+    if np.count_nonzero(above):
+        sa = np.minimum(s[above], np.finfo(float).max)
+        out[above] = (sa * _hhat_end(sa, c0, c1) / math.pi + 0.25 * math.pi
+                      + _series_phase(sa / math.pi))
+    return out.reshape(shape)
 
 
 def _series_phase(y):
@@ -163,13 +190,10 @@ def _ratio_phase(y):
     shape = np.shape(y)
     y = np.atleast_1d(y)
     big = np.abs(y) >= _SHIFT
-    if not big.any():
-        return _shifted_phase(y).reshape(shape)
     out = np.empty_like(y)
     yb = y[big]
     out[big] = np.copysign(0.25 * math.pi, yb) + _series_phase(yb)
-    small = ~big
-    out[small] = _shifted_phase(y[small])
+    out[~big] = _shifted_phase(y[~big])
     return out.reshape(shape)
 
 
@@ -188,9 +212,6 @@ def _gamma_ratio(w, real):
     shape = np.shape(w)
     w = np.atleast_1d(w)
     big = np.abs(w.imag) >= _SHIFT
-    if not np.count_nonzero(big):
-        return np.exp(_kernels.log_gamma_raw(1.0 + w)
-                      - _kernels.log_gamma_raw(0.5 + w)).reshape(shape)
     out = np.empty(w.shape, dtype=complex)
     small = ~big
     ws = w[small]
@@ -214,6 +235,8 @@ class KernelFactors:
 
     def _checked(self, x):
         arr = np.asarray(x, dtype=float)
+        if not np.isfinite(arr).all():
+            raise DomainError("kernel functions need a finite xi")
         if (arr == 0.0).any():
             raise DomainError("kernel functions are singular at xi = 0")
         return arr
@@ -243,21 +266,11 @@ class KernelFactors:
 
     def _cauchy(self, arr):
         # cauchy_integral on a checked array
-        s = np.atleast_1d(np.abs(arr) / self.mu0)
         table, c0, c1, _ = _phase_table()
-        below = s < _TABLE_LO
-        above = s > _TABLE_HI
-        if not (below.any() or above.any()):
-            return (table(np.log(s)) / self.mu0).reshape(np.shape(arr))
-        out = np.empty_like(s)
-        inside = ~(below | above)
-        if inside.any():
-            out[inside] = table(np.log(s[inside]))
-        if below.any():
-            # phase x*Hhat is < 1e-8 out here
-            out[below] = c0 - np.log(s[below])
-        if above.any():
-            out[above] = (c1 - np.log(s[above])) / s[above] / s[above]
+        s = np.atleast_1d(np.abs(arr) / self.mu0)
+        out = table(np.log(s))
+        ends = (s < _TABLE_LO) | (s > _TABLE_HI)
+        out[ends] = _hhat_end(s[ends], c0, c1)
         return (out / self.mu0).reshape(np.shape(arr))
 
     def xi_star_plus(self, x):
@@ -294,29 +307,16 @@ class KernelFactors:
     def b_plus(self, x):
         """B^+ = Xi_0^+ Xi_*^+ / xi_+^{1/2} on the real axis, in polar form:
         |B^+|^2 = (|x| + mu0)/(pi mu0 |x|) from pi mu0 B^+ B^- = Xi with
-        B^- = conj B^+, and the phase
-        (pi/4) sgn x - x H(|x|)/pi - theta(x/(pi mu0)), from xi_+^{1/2},
-        Xi_*^+ and Xi_0^+ = conj[Gamma(1 + iy)/Gamma(1/2 + iy)]. For
-        s = |x|/mu0 in [1e-9, 1e9] the phase is sgn x (pi/4 - Phi(s)) from
-        the polynomial table (_phase), within 5e-15 of the PCHIP Hhat and
-        theta it was fitted to; the PCHIP error of Hhat itself is not in
-        any est_error. Outside, H takes its end rules."""
+        B^- = conj B^+, and the phase sgn x (pi/4 - Phi(|x|/mu0)) of
+        xi_+^{1/2}, Xi_*^+ and Xi_0^+ = conj[Gamma(1 + iy)/Gamma(1/2 + iy)],
+        Phi from _phase at every x. On [1e-9, 1e9] mu0 Phi is within 5e-15 of
+        the PCHIP Hhat and theta it was fitted to; the PCHIP error of Hhat
+        itself is in no est_error."""
         arr = self._checked(x)
         a = np.abs(arr)
         # sqrt(|x|) apart: the whole quotient overflows at subnormal |x|
         modulus = np.sqrt((a + self.mu0) / (math.pi * self.mu0)) / np.sqrt(a)
-        s = a / self.mu0
-        inside = (s >= _TABLE_LO) & (s <= _TABLE_HI)
-        if inside.all():
-            phase = np.sign(arr) * (0.25 * math.pi - _phase(s))
-        else:
-            phase = np.empty_like(s)
-            phase[inside] = (np.sign(arr[inside])
-                             * (0.25 * math.pi - _phase(s[inside])))
-            xo = arr[~inside]
-            phase[~inside] = (np.copysign(0.25 * math.pi, xo)
-                              - xo * self._cauchy(xo) / math.pi
-                              - _ratio_phase(xo / (math.pi * self.mu0)))
+        phase = np.sign(arr) * (0.25 * math.pi - _phase(a / self.mu0))
         out = modulus * np.exp(1j * phase)
         return out if np.ndim(x) else complex(out)
 
@@ -330,11 +330,10 @@ class KernelFactors:
         B^- = Xi_0^- Xi_*^- / xi_-^{1/2} (its gamma ratio by log-gamma below
         |w| = 8). The polar B^+ meets the identity with its own conjugate by
         construction, so the pairing is what makes the residual measure: it
-        reads the disagreement of the two phases, the polar one (from the
-        polynomial table on [1e-9, 1e9] mu0, within 5e-15 of the PCHIP
-        phase) against log-gamma and the Plemelj factor, at roundoff level.
-        Both phases read the PCHIP Hhat, so its own error, which no
-        est_error covers, does not show here."""
+        reads the disagreement of the two phases, _phase against log-gamma
+        and the Plemelj factor, at roundoff level. Both read the PCHIP Hhat
+        and its end rules, so the error of Hhat, which no est_error covers,
+        does not show here."""
         arr = self._checked(x)
         b_minus = (self.xi0_minus(arr) * self.xi_star_minus(arr)
                    / np.sqrt(1j * arr))

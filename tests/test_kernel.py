@@ -11,9 +11,12 @@ from interfrac import _kernels
 from interfrac.errors import DomainError
 from interfrac import kernel
 from interfrac.kernel import KernelFactors, _phase, _ratio_phase
-from interfrac.model import Bimaterial
+from interfrac.model import (Bimaterial, InclusionSpec, point_triple,
+                             smooth_exponential)
+from interfrac.perturbation import delta_sigma0
+from interfrac.unperturbed import UnperturbedSolution
 from interfrac.numerics import QuadratureSpec
-from interfrac.weightfn import WeightField
+from interfrac.weightfn import WeightField, sigma0
 from oracles import (factors_checked, pv_cauchy_per_target,
                      pv_integral_even_logkernel)
 
@@ -181,6 +184,17 @@ class TestKernelValues:
                    kf.factorization_residual):
             for x in (0.0, np.array([1.0, 0.0, -2.0])):
                 with pytest.raises(DomainError):
+                    fn(x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, kf, bad):
+        # every public method with a checked input, and [U] through B^+
+        field = WeightField(Bimaterial(3.0, 1.0, 0.25))
+        for fn in (kf.xi, kf.ln_xi_star, kf.xi_star, kf.cauchy_integral,
+                   kf.xi_star_plus, kf.xi_star_minus, kf.b_plus, kf.b_minus,
+                   kf.factorization_residual, field.jump_u):
+            for x in (bad, np.array([1.0, bad, -2.0])):
+                with pytest.raises(DomainError, match="finite"):
                     fn(x)
 
 
@@ -414,10 +428,15 @@ class TestRatioPhase:
         field.jump_u(np.concatenate([-x, x]))
 
 
+def refuse_all(*args, **kwargs):
+    raise AssertionError("direct phase called")
+
+
 class TestPhaseTable:
     """Inside s = |x|/mu0 in [1e-9, 1e9] B^+ reads its phase
     sgn x (pi/4 - Phi(s)), Phi(s) = s Hhat(s)/pi + theta(s/pi), from the
-    polynomial table fitted to the PCHIP Hhat and _ratio_phase."""
+    polynomial table fitted to the PCHIP Hhat and _ratio_phase; outside,
+    _phase takes the end rules of Hhat and theta."""
 
     @staticmethod
     def direct_phi(k, s):
@@ -445,6 +464,21 @@ class TestPhaseTable:
         for s in (random, edges):
             assert np.max(np.abs(_phase(s) - self.direct_phi(k, s))) <= 5e-15
 
+    @pytest.mark.parametrize("mu0", [1.0, 0.01, 4e4])
+    def test_off_table_matches_direct_phase(self, mu0):
+        k = KernelFactors(mu0)
+        below = np.geomspace(1e-300, 1e-9, 3001)[:-1]
+        above = np.geomspace(1e9, 1e300, 3001)[1:]
+        for s in (below, np.nextafter(1e-9, 0.0), above, np.nextafter(1e9, 2e9)):
+            assert np.max(np.abs(_phase(s) - self.direct_phi(k, s))) <= 5e-16
+
+    @pytest.mark.filterwarnings("error")
+    def test_phase_where_s_under_or_overflows(self):
+        # |x|/mu0 can round to 0 or inf; Phi tends to 0 and pi/4 there
+        got = _phase(np.array([0.0, 5e-324, np.inf, 1e308]))
+        assert abs(got[0]) <= 1e-320 and abs(got[1]) <= 1e-320
+        assert got[2] == got[3] == pytest.approx(0.25 * math.pi, abs=1e-16)
+
     @pytest.mark.parametrize("mu0", [1.0, 0.25, 4e4])
     def test_b_plus_across_the_table_ends(self, mu0):
         k = KernelFactors(mu0)
@@ -463,20 +497,50 @@ class TestPhaseTable:
         assert k.b_plus(x.reshape(3, 6)).shape == (3, 6)
         assert k.b_plus(np.array([])).shape == (0,)
 
-    def test_b_plus_reads_only_the_table(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("direct phase called")
+    @staticmethod
+    def refuse_direct_phase(monkeypatch):
+        # the direct phase (_cauchy and the PCHIP Hhat, _ratio_phase and its
+        # shifted branch) refuses to run; other PCHIP tables still serve
+        hhat = kernel._phase_table()[0]
+        pchip_call = PchipInterpolator.__call__
 
+        def pchip(self, *args, **kwargs):
+            if self is hhat:
+                refuse_all()
+            return pchip_call(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelFactors, "_cauchy", refuse_all)
+        monkeypatch.setattr(kernel, "_ratio_phase", refuse_all)
+        monkeypatch.setattr(kernel, "_shifted_phase", refuse_all)
+        monkeypatch.setattr(PchipInterpolator, "__call__", pchip)
+
+    def test_b_plus_reads_only_the_table(self, monkeypatch):
         field = WeightField(Bimaterial(3.0, 1.0, 0.25))
         k = field.kernel
-        x = np.geomspace(1e-9, 1e9, 300) * k.mu0
+        x = np.geomspace(1e-14, 1e14, 301) * k.mu0
         x = np.concatenate([-x[::-1], x])
         want = k.b_plus(x)
-        monkeypatch.setattr(KernelFactors, "_cauchy", refuse)
-        monkeypatch.setattr(kernel, "_ratio_phase", refuse)
-        monkeypatch.setattr(PchipInterpolator, "__call__", refuse)
+        self.refuse_direct_phase(monkeypatch)
+        # no PCHIP table at all here
+        monkeypatch.setattr(PchipInterpolator, "__call__", refuse_all)
         assert np.array_equal(k.b_plus(x), want)
         field.jump_u(x)
+
+    def test_solves_read_only_the_table(self, monkeypatch):
+        # a whole sigma0 solve for both loads and a warm delta_sigma0, run
+        # after the tables are built, take every B^+ phase from _phase
+        material = Bimaterial(3.0, 1.0, 0.25)
+        load = smooth_exponential()
+        solution = UnperturbedSolution(load, material)
+        field = WeightField(material, kernel=solution.kernel)
+        inc = InclusionSpec(d=1.0, phi=1.2, alpha=0.3, ell_a=0.2, ell_b=0.1,
+                            nu_star=5.0)
+        want = delta_sigma0(load, material, inc, solution=solution, field=field)
+        self.refuse_direct_phase(monkeypatch)
+        for one in (point_triple(1.0, 1.0, 0.75), load):
+            sigma0(one, material)
+        assert delta_sigma0(load, material, inc, solution=solution,
+                            field=field) == want
 
 
 class TestCombinedFactors:
@@ -513,6 +577,17 @@ class TestCombinedFactors:
         b = KernelFactors(1.0).b_plus(np.array([5e-324]))
         assert abs(b[0]) == pytest.approx(
             1.0 / (math.sqrt(math.pi) * math.sqrt(5e-324)), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu0, x", [(4e4, 5e-324), (1e300, 1e-300)])
+    def test_b_where_the_ratio_underflows(self, mu0, x):
+        # |x|/mu0 underflows to 0, where the phase's limit is sgn(x) pi/4
+        k = KernelFactors(mu0)
+        modulus = math.sqrt((x + mu0) / (math.pi * mu0)) / math.sqrt(x)
+        for sign in (1.0, -1.0):
+            for b in (k.b_plus(np.array([sign * x]))[0], k.b_plus(sign * x)):
+                assert np.angle(b) == pytest.approx(sign * math.pi / 4, abs=2e-16)
+                assert abs(b) == pytest.approx(modulus, rel=1e-15)
 
     def test_b_conjugate_symmetry(self, kf):
         x = np.geomspace(0.01, 100, 20)

@@ -52,6 +52,13 @@ class TestLambda:
         with pytest.raises(DomainError):
             sol.lambda_factor(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, sol, bad):
+        for fn in (sol.lambda_factor, sol.g_rhs):
+            for x in (bad, np.array([1.0, bad, -2.0])):
+                with pytest.raises(DomainError, match="finite"):
+                    fn(x)
+
 
 class TestPlemeljDecomposition:
     @pytest.mark.parametrize("xi", [0.3, -1.7, 5.0, -20.0, 0.01])

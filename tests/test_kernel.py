@@ -13,9 +13,9 @@ from interfrac import kernel
 from interfrac.kernel import KernelFactors, _phase, _ratio_phase
 from interfrac.model import (Bimaterial, InclusionSpec, point_triple,
                              smooth_exponential)
+from interfrac.numerics import QuadratureSpec
 from interfrac.perturbation import delta_sigma0
 from interfrac.unperturbed import UnperturbedSolution
-from interfrac.numerics import QuadratureSpec
 from interfrac.weightfn import WeightField, sigma0
 from oracles import (factors_checked, pv_cauchy_per_target,
                      pv_integral_even_logkernel)
@@ -177,22 +177,25 @@ class TestKernelValues:
         x = 50.0
         assert kf.xi_star(x) == pytest.approx(1.0 + 1.0 / x, rel=1e-12)
 
+    @staticmethod
+    def checked_methods(kf):
+        # every public method with a checked input
+        return (kf.xi, kf.ln_xi_star, kf.xi_star, kf.cauchy_integral,
+                kf.xi_star_plus, kf.xi_star_minus, kf.b_plus, kf.b_minus,
+                kf.factorization_residual)
+
     def test_zero_rejected(self, kf):
-        # every public method with a checked input, scalar and array
-        for fn in (kf.xi, kf.ln_xi_star, kf.xi_star, kf.cauchy_integral,
-                   kf.xi_star_plus, kf.xi_star_minus, kf.b_plus, kf.b_minus,
-                   kf.factorization_residual):
+        # scalar and array
+        for fn in self.checked_methods(kf):
             for x in (0.0, np.array([1.0, 0.0, -2.0])):
                 with pytest.raises(DomainError):
                     fn(x)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, kf, bad):
-        # every public method with a checked input, and [U] through B^+
+        # and [U], through B^+
         field = WeightField(Bimaterial(3.0, 1.0, 0.25))
-        for fn in (kf.xi, kf.ln_xi_star, kf.xi_star, kf.cauchy_integral,
-                   kf.xi_star_plus, kf.xi_star_minus, kf.b_plus, kf.b_minus,
-                   kf.factorization_residual, field.jump_u):
+        for fn in self.checked_methods(kf) + (field.jump_u,):
             for x in (bad, np.array([1.0, bad, -2.0])):
                 with pytest.raises(DomainError, match="finite"):
                     fn(x)
@@ -586,7 +589,8 @@ class TestCombinedFactors:
         modulus = math.sqrt((x + mu0) / (math.pi * mu0)) / math.sqrt(x)
         for sign in (1.0, -1.0):
             for b in (k.b_plus(np.array([sign * x]))[0], k.b_plus(sign * x)):
-                assert np.angle(b) == pytest.approx(sign * math.pi / 4, abs=2e-16)
+                assert np.angle(b) == pytest.approx(sign * math.pi / 4,
+                                                    abs=2e-16)
                 assert abs(b) == pytest.approx(modulus, rel=1e-15)
 
     def test_b_conjugate_symmetry(self, kf):

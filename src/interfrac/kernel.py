@@ -30,11 +30,10 @@ theta(y) = arg Gamma(1 + iy)/Gamma(1/2 + iy) (DLMF 5.4.3-5.4.4 give
 asymptotic series from |y| = 8 on, the recurrence shifted to 8 + iy below
 (_ratio_phase). With s = |x|/mu0 that phase is sgn x (pi/4 - Phi(s)),
 Phi(s) = s Hhat(s)/pi + theta(s/pi), and _phase serves Phi for all s > 0:
-on [1e-9, 1e9] from one polynomial table, a quintic in ln s on each PCHIP
-interval fitted to the PCHIP Hhat and theta when the Hhat table is built
-(within 5e-15 absolute, so it carries the PCHIP error of Hhat, which no
-est_error covers), and outside from the end rules of Hhat and the
-expansions of theta. The product route Xi_0^+ Xi_*^+ / xi_+^{1/2}, with
+on [1e-9, 1e9] from a numerics.LogTable on the PCHIP intervals, built with
+the Hhat table (within 5e-15 of the PCHIP Hhat and theta, so it carries the
+PCHIP error of Hhat, which no est_error covers), outside from the end rules
+of Hhat and the expansions of theta. The product route Xi_0^+ Xi_*^+ / xi_+^{1/2}, with
 its two log-gammas, agrees within 8e-15 relative on 1e-13 ... 1e13 mu0;
 it stays in xi0_plus and xi_star_plus, and factorization_residual pairs
 it with the polar B^+.
@@ -52,15 +51,11 @@ from scipy.special import bernoulli
 
 from . import _kernels
 from .errors import DomainError
+from .numerics import LogTable
 
 _TABLE_LO = 1e-9
 _TABLE_HI = 1e9
-_LN_LO = math.log(_TABLE_LO)
-_LN_HI = math.log(_TABLE_HI)
 _PHASE_TABLE = None
-# the phase polynomials: degree 5 in the local coordinate of each PCHIP
-# interval in ln s, through the 6 Chebyshev points of the first kind
-_CHEB = np.cos((2 * np.arange(6) + 1) * math.pi / 12)
 # d_n = (B_{n+1}(1) - B_{n+1}(1/2)) / (n (n+1)) = B_{n+1} (2 - 2^-n) / (n (n+1))
 # for odd n = 1 .. 17 (1/8, -1/192, 1/640, ...): the coefficients of w^-n in
 # ln Gamma(1 + w) - ln Gamma(1/2 + w) - (1/2) ln w
@@ -73,14 +68,11 @@ _SHIFT_PRODUCT = np.array([(k + 0.5) * (k + 1.0) for k in range(8)])
 
 
 def _phase_table():
-    """(Hhat(x) = H(x; mu0=1) on a 250-points-per-decade log grid, the c0
-    and c1 of its end rules (_hhat_end), coefficients): row k of the
-    (4500, 6) coefficients holds, highest degree first, the polynomial in
-    t in [-1, 1] that equals Phi(s) = s Hhat(s)/pi + theta(s/pi) on the
-    k-th interval of ln s, with ln s at 2 k + 1 + t half-widths from
-    ln 1e-9 (see _phase). The PCHIP Hhat is a cubic in ln s on each
-    interval, and s and theta are smooth there, so the fit at the Chebyshev
-    points is exact to rounding."""
+    """(Hhat(x) = H(x; mu0=1), the PCHIP interpolant in ln x through 4501
+    nodes of [1e-9, 1e9], the c0 and c1 of its end rules (_hhat_end), the
+    LogTable of Phi(s) = s Hhat(s)/pi + theta(s/pi) on the 4500 intervals
+    of that grid). Hhat is a cubic in ln s on each interval, and s and
+    theta are smooth there, so the quintics match Phi to rounding."""
     global _PHASE_TABLE
     if _PHASE_TABLE is None:
         x = np.geomspace(_TABLE_LO, _TABLE_HI, 4501)
@@ -88,13 +80,10 @@ def _phase_table():
             np.log(x), _kernels.pv_cauchy_batch(x, 1.0), extrapolate=False)
         c0 = table(math.log(_TABLE_LO)) + math.log(_TABLE_LO)
         c1 = table(math.log(_TABLE_HI)) * _TABLE_HI ** 2 + math.log(_TABLE_HI)
-        half = 0.5 * (_LN_HI - _LN_LO) / (x.size - 1)
-        centres = _LN_LO + half * (2 * np.arange(x.size - 1) + 1)
-        u = centres[:, None] + half * _CHEB
-        s = np.exp(u)
-        phi = s * table(u) / math.pi + _ratio_phase(s / math.pi)
-        coeffs = np.linalg.solve(np.vander(_CHEB), phi.T).T
-        _PHASE_TABLE = table, c0, c1, coeffs
+        _PHASE_TABLE = table, c0, c1, LogTable(
+            lambda u: (np.exp(u) * table(u) / math.pi
+                       + _ratio_phase(np.exp(u) / math.pi)),
+            _TABLE_LO, _TABLE_HI, x.size - 1)
     return _PHASE_TABLE
 
 
@@ -111,27 +100,16 @@ def _hhat_end(s, c0, c1):
 
 def _phase(s):
     """Phi(s) = s Hhat(s)/pi + theta(s/pi) for s >= 0, the real-axis phase
-    of B^+. On [1e-9, 1e9] a Horner sum on the row of the phase table whose
-    interval of ln s holds s (any (panels, degree + 1) coefficient array
-    spanning [ln 1e-9, ln 1e9] in equal intervals serves). Off it Hhat takes
+    of B^+: on [1e-9, 1e9] the LogTable of _phase_table. Off it Hhat takes
     its end rules and theta(y) its expansions: 2 ln 2 y below, as
     psi(1) - psi(1/2) = 2 ln 2 and the next term is under (s/pi)^3 < 3e-29,
     and pi/4 + _series_phase(y) above. Phi tends to 0 and pi/4 at the ends,
     so an s that under- or overflowed reads as the least or largest float."""
-    _, c0, c1, coeffs = _phase_table()
+    _, c0, c1, table = _phase_table()
     shape = np.shape(s)
     s = np.atleast_1d(s)
-    panels = coeffs.shape[0]
-    # off the table the lookup reads an end row, which the end rules replace
-    v = (np.log(s.clip(_TABLE_LO, _TABLE_HI)) - _LN_LO) * (
-        panels / (_LN_HI - _LN_LO))
-    # v >= 0 up to rounding, so the cast is the floor
-    k = np.minimum(v.astype(np.intp), panels - 1)
-    t = 2.0 * (v - k) - 1.0
-    c = coeffs[k]
-    out = c[..., 0]
-    for j in range(1, coeffs.shape[1]):
-        out = out * t + c[..., j]
+    # off the table the lookup reads an end value, which the end rules replace
+    out = table(s)
     below = s < _TABLE_LO
     if np.count_nonzero(below):
         sb = np.maximum(s[below], 5e-324)

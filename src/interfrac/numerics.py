@@ -1,6 +1,7 @@
 """Reusable numerical kernels: adaptive panel quadrature, the head/mid split
-of a half-line spectral integral (half_line), and oscillatory and algebraic
-tail closures for half-line integrals.
+of a half-line spectral integral (half_line), oscillatory and algebraic
+tail closures for half-line integrals, and the log-panel polynomial table
+(LogTable) of the kernel phase and of phi^+.
 
 Every integrand takes a 1-d array of nodes and returns one value per node;
 oscillatory_tail also accepts values with trailing axes. An integrand's own
@@ -16,6 +17,8 @@ import numpy as np
 from .errors import DomainError, NonConvergence, NonFiniteSample
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# LogTable's fitting points: the 6 Chebyshev points of the first kind
+_CHEB = np.cos((2 * np.arange(6) + 1) * math.pi / 12)
 
 
 @dataclass(frozen=True)
@@ -182,3 +185,35 @@ def algebraic_tail(f, x_start, spec):
         f, x_start / 2.0, x_start, spec, breakpoints=[0.75 * x_start])[0]
     return complex(t1), float(abs(t1 - t2))
 
+
+class LogTable:
+    """f on [lo, hi] as one quintic per equal panel in ln x: f is called
+    once, on the (panels, 6) array u of ln x at 2 k + 1 + t half-widths from
+    ln lo on row k, t at _CHEB, and its real or complex values fix on each
+    row the quintic in t, highest degree first (well conditioned in the
+    monomial basis at degree 5); x = exp(u) flat. A call clamps x to
+    [lo, hi] and takes one floor in ln x, one gather and a Horner sum, for
+    x of any shape."""
+
+    def __init__(self, f, lo, hi, panels):
+        self.lo, self.hi = float(lo), float(hi)
+        self._ln_lo = math.log(self.lo)
+        span = math.log(self.hi) - self._ln_lo
+        self._per_ln = panels / span
+        half = 0.5 * span / panels
+        centres = self._ln_lo + half * (2 * np.arange(panels) + 1)
+        u = centres[:, None] + half * _CHEB
+        self.x = np.exp(u).ravel()
+        self._coeffs = np.linalg.solve(np.vander(_CHEB), np.asarray(f(u)).T).T
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float).clip(self.lo, self.hi)
+        v = (np.log(x) - self._ln_lo) * self._per_ln
+        # v >= 0 up to rounding, so the cast is the floor
+        k = np.minimum(v.astype(np.intp), self._coeffs.shape[0] - 1)
+        t = 2.0 * (v - k) - 1.0
+        c = self._coeffs[k]
+        out = c[..., 0]
+        for j in range(1, c.shape[-1]):
+            out = out * t + c[..., j]
+        return out

@@ -157,11 +157,10 @@ class PerturbationResult:
     estimate of the complex response L and delta_sigma0 = Re(V L), so it
     bounds |Re(V dL)| by |V| |dL| and is looser than an estimate of the real
     integrand alone (2x in the median and up to 158x, where Re(V dL)
-    cancels, on 200 seeded inclusions). It does not cover the PCHIP
-    tables the pipeline reads, the kernel's Hhat (which B^+ reads through
-    a polynomial phase table, within 5e-15 of the PCHIP phase) and the
-    phi^+ table behind grad_u0, nor the gradient error; until those tables
-    are evaluated exactly, the estimate says nothing about them. sign is
+    cancels, on 200 seeded inclusions). It covers neither the tables the
+    pipeline reads (the PCHIP Hhat behind the phase of B^+, and the phi^+
+    LogTable behind grad_u0, which carries that Hhat's error) nor the
+    gradient error; the estimate says nothing about them. sign is
     shielding where |sigma0| falls (sigma0_base * delta_sigma0 < 0),
     amplifying where it rises, and neutral when |delta_sigma0| <= est_error.
     """

@@ -19,7 +19,7 @@ once on a composite 16-point Gauss-Legendre mesh shared by every target.
 The mesh is geometric (ratio 2) on both half-lines from 1e-40 out to the
 cut, so the |b|^{-1/2} point b = 0 needs no substitution; its panels are
 capped at half an oscillation period for point loads and bisected where g,
-built on the PCHIP phase table of the kernel, is not resolved. Each target
+whose B^+ phase carries the kernel's PCHIP Hhat, is not resolved. Each target
 sums the plain rule over the panels far from it and Helsing-Ojala product
 weights (Helsing & Ojala, J. Comput. Phys. 227, 2008) over the panels
 around it. Past the cut, point loads get integration-by-parts tails per
@@ -31,8 +31,8 @@ half-line). The constructor, check_position and every sampling of g apply
 it, so an unbuildable mesh is refused before g is sampled.
 
 Gradients off the interface line come from the inverse transform, folded to
-xi > 0 by conjugate symmetry. A PCHIP table of phi^+ over a log grid (exact
-at its nodes, filled by one batched transform) serves the gradient and
+xi > 0 by conjugate symmetry. A numerics.LogTable of phi^+ (8 panels per
+decade, filled by one batched transform) serves the gradient and
 displacement quadratures; phi_plus_load evaluates phi^+ directly.
 Below its low end 1e-6 scale, with scale = min(mu0, 1/a), the table holds
 phi^+ constant, which shifts a field at distance r by up to about
@@ -44,12 +44,11 @@ reach 1e2/scale raise GeometryError.
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, GeometryError
 from .kernel import KernelFactors
 from .model import Bimaterial, CrackLoad
-from .numerics import QuadratureSpec, integrate_err, oscillatory_tail
+from .numerics import LogTable, QuadratureSpec, integrate_err, oscillatory_tail
 
 # composite GL16 for the batched Cauchy transform: the nodes and weights, the
 # transposed Vandermonde matrix of the product-weight solve, and the
@@ -317,38 +316,34 @@ class UnperturbedSolution:
             return -(core + 0.5 * jump_p) / (self.material.mu1 * np.abs(xi))
         return (core - 0.5 * jump_p) / (self.material.mu2 * np.abs(xi))
 
-    # -- phi^+ interpolation (exact at nodes) for gradient quadratures --------
+    # -- the phi^+ table (exact at its nodes) for the gradient quadratures ---
 
     def _table_hi(self, hi_needed):
         # the high end of a phi^+ table built for xi up to hi_needed
         return max(hi_needed * 2.0, 1e2 * self._scale)
 
     def _phi_table(self, hi_needed):
+        """(LogTable of phi_plus_load, lo, hi) on [1e-6 scale,
+        _table_hi(hi_needed)], rebuilt when hi_needed passes hi."""
         if self._phi_interp is None or hi_needed > self._phi_interp[2]:
             hi = self._table_hi(hi_needed)
             lo = 1e-6 * self._scale
-            n = max(48, int(48 * math.log10(hi / lo)))
-            grid = np.geomspace(lo, hi, n)
-            vals = self.phi_plus_load(grid)
-            # one interpolant over the real and imaginary columns: PCHIP
-            # treats each column alone, as two interpolants would
-            self._phi_interp = (
-                PchipInterpolator(np.log(grid),
-                                  np.column_stack([vals.real, vals.imag]),
-                                  extrapolate=False),
-                float(lo), float(hi))
+            table = LogTable(lambda u: self.phi_plus_load(np.exp(u)), lo, hi,
+                             math.ceil(8 * math.log10(hi / lo)))
+            self._phi_interp = (table, table.lo, table.hi)
         return self._phi_interp
 
     def phi_plus_cached(self, xi):
-        """phi^+ on an array of xi > 0 via the log-grid table, clamped ends
-        (integrands there are damped)."""
-        arr = np.atleast_1d(np.asarray(xi, dtype=float))
+        """phi^+ at xi > 0 (scalar or array) from the table, held at its
+        end values outside it (integrands there are damped); a non-finite
+        or non-positive xi raises DomainError."""
+        arr = np.asarray(xi, dtype=float)
+        if not np.all((arr > 0.0) & (arr < math.inf)):
+            raise DomainError("phi_plus_cached needs finite xi > 0")
         if arr.size == 0:
-            return np.zeros(np.shape(xi), dtype=complex)
-        table, lo, hi = self._phi_table(arr.max())
-        cols = table(np.log(np.clip(arr, lo, hi)))
-        out = cols[..., 0] + 1j * cols[..., 1]
-        return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
+            return np.zeros(arr.shape, dtype=complex)
+        out = self._phi_table(arr.max())[0](arr)
+        return out if np.ndim(xi) else complex(out)
 
     # -- physical-domain reconstruction ----------------------------------------
 

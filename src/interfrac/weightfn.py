@@ -67,15 +67,14 @@ class Sigma0Result:
 
     est_error bounds the Betti quadrature (head, mid and tails of both
     half-lines) plus the imaginary residue of the integral. B^+ reads its
-    phase from one polynomial table that reproduces the phase of the PCHIP
-    Hhat within 5e-15, but est_error does not cover the error of the PCHIP
-    Hhat itself; until Hhat is evaluated exactly, the estimate says nothing
-    about it.
+    phase from a LogTable within 5e-15 of the phase of the PCHIP Hhat, but
+    est_error does not cover the error of the PCHIP Hhat itself; until Hhat
+    is evaluated exactly, the estimate says nothing about it.
     The gap is measured: for the point triple with b/a = 0.678 at
     mu* = 0.50, kappa* = 0.113, a piecewise Chebyshev Hhat (36 panels of 20
     nodes, within 2e-12 of the direct rule) moves sigma0 by 1.3e-8
     relative, 4.7 times the est_error of 2.8e-9 relative reported there.
-    (The other PCHIP table, phi^+, enters delta_sigma0 only.)
+    (The phi^+ table enters delta_sigma0 only.)
     """
 
     sigma0: float

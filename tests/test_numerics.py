@@ -9,8 +9,8 @@ from scipy.special import erf
 
 from interfrac import _kernels
 from interfrac.errors import (DomainError, NonFiniteSample)
-from interfrac.numerics import (QuadratureSpec, algebraic_tail, half_line,
-                                integrate_err, oscillatory_tail)
+from interfrac.numerics import (LogTable, QuadratureSpec, algebraic_tail,
+                                half_line, integrate_err, oscillatory_tail)
 from oracles import halfline_fourier, pv_integral_even_logkernel
 
 SPEC = QuadratureSpec()
@@ -248,3 +248,48 @@ class TestQuadratureSpec:
     def test_error_estimate_contract(self):
         val, err = integrate_err(lambda t: np.sin(7 * t) / (1 + t * t), 0, 30, SPEC)
         assert err <= max(SPEC.abs_tol, SPEC.rel_tol * abs(val)) * 1.0001
+
+
+class TestLogTable:
+    """The log-panel quintic table: values, clamped ends, shapes, nodes."""
+
+    COEFFS = np.array([2e-3, -1e-2, 5e-2, 0.2, -0.7, 0.3])
+
+    def quintic(self, u, complex_values):
+        p = np.polyval(self.COEFFS, u)
+        return p + 1j * np.polyval(self.COEFFS[::-1], u) if complex_values else p
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_reproduces_a_quintic_in_ln_x(self, complex_values):
+        table = LogTable(lambda u: self.quintic(u, complex_values),
+                         1e-3, 1e3, 40)
+        x = np.exp(np.random.default_rng(4).uniform(math.log(1e-3),
+                                                    math.log(1e3), 500))
+        want = self.quintic(np.log(x), complex_values)
+        assert np.iscomplexobj(table(x)) == complex_values
+        assert np.max(np.abs(table(x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_clamps_to_the_end_values(self):
+        table = LogTable(lambda u: self.quintic(u, True), 1e-3, 1e3, 40)
+        assert np.all(table(np.array([0.0, 1e-9, 1e-4])) == table(1e-3))
+        assert np.all(table(np.array([1e4, 1e300, math.inf])) == table(1e3))
+
+    def test_keeps_the_input_shape(self):
+        table = LogTable(lambda u: self.quintic(u, False), 1e-3, 1e3, 40)
+        for x in (2.0, np.array(2.0), np.full(7, 2.0), np.full((3, 6), 2.0),
+                  np.zeros(0)):
+            assert np.shape(table(x)) == np.shape(x)
+        assert np.all(table(np.full((3, 6), 2.0)) == table(2.0))
+
+    def test_nodes(self):
+        seen = []
+
+        def f(u):
+            seen.append(u.shape)
+            return np.exp(u)
+
+        table = LogTable(f, 1e-2, 1e5, 21)
+        assert seen == [(21, 6)]
+        assert table.x.shape == (6 * 21,)
+        assert np.all((table.x >= 1e-2) & (table.x <= 1e5))
+        assert np.allclose(table(table.x), table.x, rtol=1e-14)

@@ -195,7 +195,7 @@ class TestBatchedCauchy:
                                 Bimaterial(1.0, 1.0, 1e-7))
 
     def test_one_shared_sampling_fills_the_table(self, sol_smooth):
-        # the delta_warm extent: 435 targets up to 2 * 40 / 0.069
+        # the delta_warm extent: 73 panels of 6 targets up to 2 * 40 / 0.069
         s = UnperturbedSolution(sol_smooth.load, sol_smooth.material)
         g = s.g_rhs
         seen = []
@@ -206,7 +206,7 @@ class TestBatchedCauchy:
 
         s.g_rhs = counted
         s._phi_table(40.0 / 0.0690)
-        assert len(s._phi_interp[0].x) == 435
+        assert len(s._phi_interp[0].x) == 438
         assert sum(seen) <= 20000
 
 
@@ -291,7 +291,27 @@ class TestGradient:
         for x in (0.3, 4.0, 29.0):
             direct = phi_plus_adaptive(sol_smooth, x)
             cached = sol_smooth.phi_plus_cached(np.array([x]))[0]
-            assert abs(cached - direct) < 5e-6 * max(abs(direct), 1e-6)
+            assert abs(cached - direct) < 1e-6 * max(abs(direct), 1e-6)
+
+    @pytest.mark.parametrize("load, bound", [
+        (smooth_exponential(), 1e-6), (point_triple(1.0, 1.0, 0.5), 1e-5)])
+    def test_table_matches_phi_plus_load(self, load, bound):
+        # the delta_warm extent, [1e-6, 1159.4] on Bimaterial(3, 1, 0.25);
+        # the worst point is near the extremum of the PCHIP Hhat, 2.1 mu0
+        s = UnperturbedSolution(load, Bimaterial(3.0, 1.0, 0.25))
+        _, lo, hi = s._phi_table(40.0 / 0.0690)
+        rng = np.random.default_rng(23)
+        xi = np.exp(rng.uniform(math.log(lo), math.log(hi), 400))
+        direct = s.phi_plus_load(xi)
+        assert np.max(np.abs(s.phi_plus_cached(xi) - direct)
+                      / np.abs(direct)) < bound
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0, 0.0])
+    def test_cached_refuses_non_finite_or_non_positive_xi(self, sol_smooth,
+                                                          bad):
+        for xi in (bad, np.array([1.0, bad])):
+            with pytest.raises(DomainError, match="finite xi > 0"):
+                sol_smooth.phi_plus_cached(xi)
 
     def test_table_kept_for_a_smaller_cut(self, sol_smooth):
         # sin(170 deg) is 2 ulp below sin(10 deg), so the second cut is a

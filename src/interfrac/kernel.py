@@ -31,12 +31,12 @@ asymptotic series from |y| = 8 on, the recurrence shifted to 8 + iy below
 (_ratio_phase). With s = |x|/mu0 that phase is sgn x (pi/4 - Phi(s)),
 Phi(s) = s Hhat(s)/pi + theta(s/pi), and _phase serves Phi for all s > 0:
 on [1e-9, 1e9] from a numerics.LogTable on the PCHIP intervals, built with
-the Hhat table (within 5e-15 of the PCHIP Hhat and theta, so it carries the
-PCHIP error of Hhat, which no est_error covers), outside from the end rules
-of Hhat and the expansions of theta. The product route Xi_0^+ Xi_*^+ / xi_+^{1/2}, with
-its two log-gammas, agrees within 8e-15 relative on 1e-13 ... 1e13 mu0;
-it stays in xi0_plus and xi_star_plus, and factorization_residual pairs
-it with the polar B^+.
+the Hhat table (within 5e-15 of the PCHIP Hhat and theta, so it carries its
+PCHIP error, which no est_error covers), outside from the end rules of Hhat
+and the expansions of theta. The product route Xi_0^+ Xi_*^+ / xi_+^{1/2},
+with its two log-gammas, agrees within 8e-15 relative on 1e-13 ... 1e13
+mu0; it stays in xi0_plus and xi_star_plus, and factorization_residual
+pairs it with the polar B^+.
 
 Each public KernelFactors method checks its input once, at entry (finite,
 non-zero); the factors compose from unchecked internals (_phase, _cauchy,

@@ -292,9 +292,14 @@ class KernelFactors:
         itself is in no est_error."""
         arr = self._checked(x)
         a = np.abs(arr)
-        # sqrt(|x|) apart: the whole quotient overflows at subnormal |x|
-        modulus = np.sqrt((a + self.mu0) / (math.pi * self.mu0)) / np.sqrt(a)
-        phase = np.sign(arr) * (0.25 * math.pi - _phase(a / self.mu0))
+        # one square root per factor: (|x| + mu0)/(pi mu0) overflows where
+        # |x|/mu0 does, and the whole quotient at subnormal |x|
+        modulus = np.sqrt(a + self.mu0) / math.sqrt(math.pi * self.mu0) / np.sqrt(a)
+        with np.errstate(over="ignore"):
+            # an |x|/mu0 that overflows is inf, which _phase reads as the
+            # largest float
+            s = a / self.mu0
+        phase = np.sign(arr) * (0.25 * math.pi - _phase(s))
         out = modulus * np.exp(1j * phase)
         return out if np.ndim(x) else complex(out)
 

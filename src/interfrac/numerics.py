@@ -1,5 +1,6 @@
-"""Reusable numerical kernels: adaptive panel quadrature, the head/mid split
-of a half-line spectral integral (half_line), oscillatory and algebraic
+"""Reusable numerical kernels: adaptive panel quadrature, the period seeds
+of an oscillatory integrand (period_seeds), the head/mid split of a
+half-line spectral integral (half_line), oscillatory and algebraic
 tail closures for half-line integrals, and the log-panel polynomial table
 (LogTable) of the kernel phase and of phi^+.
 
@@ -114,18 +115,28 @@ def integrate_err(f, lo, hi, spec, breakpoints=None):
         splits += take.size
 
 
+def period_seeds(lo, hi, omega, cap):
+    """Breakpoints lo + k 2 pi/omega, k = 1, 2, ..., below hi: one GL12
+    panel takes a whole period of e^{i omega u} to 4e-16. Where more than
+    cap periods fit in [lo, hi], the step widens to (hi - lo)/cap, so the
+    seeds still span it."""
+    step = max(2.0 * math.pi / omega, (hi - lo) / cap)
+    return lo + step * np.arange(1, math.ceil((hi - lo) / step))
+
+
 def half_line(f, xi_c, x_cut, spec, seeds=()):
     """int_0^x_cut f(u) du for an f that may grow like u^{-1/2} at 0;
     returns (value, error estimate).
 
-    The head [0, xi_c] is integrated in u = t^2 on panels that halve toward
-    t = 0; the mid [xi_c, x_cut] on the doublings of xi_c plus the caller's
-    seeds. The tail past x_cut stays with the caller.
+    The head [0, xi_c] is integrated in u = t^2, where u^{-1/2} is smooth,
+    on panels that halve 12 times toward t = 0 (enough for the t ln t of
+    u^{1/2} ln u); the mid [xi_c, x_cut] on the doublings of xi_c plus the
+    caller's seeds. The tail past x_cut stays with the caller.
     """
     t_c = math.sqrt(xi_c)
     head, e_head = integrate_err(
         lambda t: f(t * t) * 2.0 * t, 0.0, t_c, spec,
-        breakpoints=[t_c * 2.0 ** (-k) for k in range(1, 26)])
+        breakpoints=[t_c * 2.0 ** (-k) for k in range(1, 13)])
     ladder = [xi_c * 2.0 ** k for k in range(int(math.log2(x_cut / xi_c)) + 1)]
     mid, e_mid = integrate_err(f, xi_c, x_cut, spec,
                                breakpoints=ladder + list(seeds))

@@ -40,7 +40,7 @@ from . import _kernels
 from .errors import DomainError, GeometryError
 from .model import Bimaterial, CrackLoad, InclusionSpec, inclusion_centre
 # integrate_err has no caller here; perfbench/tracer.py patches it by name
-from .numerics import QuadratureSpec, half_line, integrate_err
+from .numerics import QuadratureSpec, half_line, integrate_err, period_seeds
 from .unperturbed import UnperturbedSolution
 from .weightfn import WeightField, _refuse_other_material, sigma0 as _sigma0
 
@@ -191,7 +191,10 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     dw1/dy = Re[iV/(x - p)^2]/(2 pi) with V = v_x + i v_y and p = Y_x + i Y_y,
     so delta = Re(V L) for one complex response L of the position alone; L
     is integrated once, whatever v, and est = |V| e_L, with e_L the
-    estimate of L, bounds |Re(V dL)| by |V| |dL|."""
+    estimate of L, bounds |Re(V dL)| by |V| |dL|. The line is seeded one
+    period of the poles' e^{-i u cx} apart (numerics.period_seeds, at most
+    3000 seeds) out to min(x_cut, 60/|cy|), where their e^{-u |cy|} has
+    died."""
     cx, cy = float(Y[0]), float(Y[1])
     if cy == 0.0:
         raise GeometryError("inclusion centre must lie off the interface line")
@@ -223,12 +226,9 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     # (pole parts ~ e^{-|xi cy|} dead) and the weight factors in theirs
     x_cut = max(120.0 / abs(cy) + 120.0 / math.hypot(cx, cy),
                 20.0 * mu0, 4.0 * xi_c) * max(1.0, spec.truncation_radius / 1e4)
-    seeds = []
+    seeds = ()
     if abs(cx) > 1e-12:
-        width = math.pi / (2.0 * abs(cx))
-        top = min(x_cut, 60.0 / abs(cy))
-        n_osc = int(min((top - xi_c) / width, 3000.0))
-        seeds = [xi_c + (k + 1) * width for k in range(n_osc)]
+        seeds = period_seeds(xi_c, min(x_cut, 60.0 / abs(cy)), abs(cx), 3000)
 
     total, est = half_line(response, xi_c, x_cut, spec, seeds)
 

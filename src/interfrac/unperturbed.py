@@ -48,7 +48,8 @@ import numpy as np
 from .errors import DomainError, GeometryError
 from .kernel import KernelFactors
 from .model import Bimaterial, CrackLoad
-from .numerics import LogTable, QuadratureSpec, integrate_err, oscillatory_tail
+from .numerics import (LogTable, QuadratureSpec, integrate_err, oscillatory_tail,
+                       period_seeds)
 
 # composite GL16 for the batched Cauchy transform: the nodes and weights, the
 # transposed Vandermonde matrix of the product-weight solve, and the
@@ -67,12 +68,11 @@ _DECAY = 40.0
 def _seed_ladder(cut, y, x):
     """Breakpoints on [0, cut] for an integrand damped like e^{-xi y} and
     oscillating like e^{-i xi x}: 39 halvings of the cut, steps of 1/y, and
-    quarter periods pi/(2x), at most 4000 of them."""
+    numerics.period_seeds at omega = x, capped at 4000."""
     seeds = {cut * 2.0 ** (-k) for k in range(1, 40)}
     seeds.update((k + 1.0) / y for k in range(int(cut * y)))
     if x > 1e-12:
-        width = math.pi / (2.0 * x)
-        seeds.update((k + 1) * width for k in range(int(min(cut / width, 4000.0))))
+        seeds.update(period_seeds(0.0, cut, x, 4000))
     return sorted(seeds)
 
 

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import DomainError, UnsupportedLoad
 from .kernel import KernelFactors
 from .model import Bimaterial, CrackLoad, derive_params
-from .numerics import QuadratureSpec, half_line, integrate_err, oscillatory_tail
+from .numerics import (QuadratureSpec, half_line, integrate_err,
+                       oscillatory_tail, period_seeds)
 
 
 class WeightField:
@@ -71,9 +72,9 @@ class Sigma0Result:
     est_error does not cover the error of the PCHIP Hhat itself; until Hhat
     is evaluated exactly, the estimate says nothing about it.
     The gap is measured: for the point triple with b/a = 0.678 at
-    mu* = 0.50, kappa* = 0.113, a piecewise Chebyshev Hhat (36 panels of 20
-    nodes, within 2e-12 of the direct rule) moves sigma0 by 1.3e-8
-    relative, 4.7 times the est_error of 2.8e-9 relative reported there.
+    mu* = 0.50, kappa* = 0.113, the phase from the direct Hhat
+    (_kernels.pv_cauchy_batch at every node) moves sigma0 by 1.3e-8
+    relative, 4.6 times the est_error of 2.85e-9 relative reported there.
     (The phi^+ table enters delta_sigma0 only.)
     """
 
@@ -108,7 +109,9 @@ def _betti_integrand(field: WeightField, load: CrackLoad):
 
 def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
     """int_0^inf f(sign u) du of the Betti integrand f: the head and mid by
-    numerics.half_line, then an analytic tail."""
+    numerics.half_line, then an analytic tail. A point load's mid is seeded
+    one period of its fastest oscillation e^{-i c_max u} apart
+    (numerics.period_seeds, at most 3000 seeds)."""
     mu0 = field.kernel.mu0
     f = _betti_integrand(field, load)
 
@@ -120,9 +123,8 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
     if load.oscillations:
         c_min, c_max = load.oscillations[0][0], load.oscillations[-1][0]
         x_cut = max(4.0 * xi_c, 100.0 / c_min) * stretch
-        width = max(math.pi / c_max, (x_cut - xi_c) / 3000.0)
         body, e_body = half_line(f_signed, xi_c, x_cut, spec,
-                                 seeds=np.arange(xi_c + width, x_cut, width))
+                                 seeds=period_seeds(xi_c, x_cut, c_max, 3000))
 
         def envelope(u):
             ss = sign * u

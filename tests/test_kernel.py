@@ -584,6 +584,18 @@ class TestCombinedFactors:
                                                     abs=2e-16)
                 assert abs(b) == pytest.approx(modulus, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu0, x", [(1e-10, 1e300), (1e-10, 1.7e308),
+                                        (1e-300, 1e10)])
+    def test_b_where_the_ratio_overflows(self, mu0, x):
+        # |x|/mu0 overflows to inf, where |B^+| tends to 1/sqrt(pi mu0) and
+        # the phase to 0 (the quotient (|x| + mu0)/(pi mu0) gave inf + nan j)
+        k = KernelFactors(mu0)
+        limit = 1.0 / math.sqrt(math.pi * mu0)
+        for sign in (1.0, -1.0):
+            for b in (k.b_plus(np.array([sign * x]))[0], k.b_plus(sign * x)):
+                assert b == pytest.approx(limit, rel=1e-15)
+
     def test_b_conjugate_symmetry(self, kf):
         x = np.geomspace(0.01, 100, 20)
         assert np.allclose(kf.b_plus(-x), np.conj(kf.b_plus(x)), atol=1e-13)

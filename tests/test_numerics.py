@@ -10,7 +10,8 @@ from scipy.special import erf
 from interfrac import _kernels
 from interfrac.errors import (DomainError, NonFiniteSample)
 from interfrac.numerics import (LogTable, QuadratureSpec, algebraic_tail,
-                                half_line, integrate_err, oscillatory_tail)
+                                half_line, integrate_err, oscillatory_tail,
+                                period_seeds)
 from oracles import halfline_fourier, pv_integral_even_logkernel
 
 SPEC = QuadratureSpec()
@@ -100,6 +101,44 @@ class TestHalfLine:
         exact = cmath.sqrt(math.pi / c) * erf(cmath.sqrt(c * x_cut))
         assert abs(val - exact) <= est + 4 * np.finfo(float).eps * abs(exact)
         assert est <= SPEC.tolerance(exact)
+
+
+    def test_inverse_sqrt_plus_root_log(self):
+        # u^{-1/2} + u^{1/2} ln u is the small-u form of the Betti
+        # integrands, from Phi(s) ~ s ln s: in u = t^2 the head sees
+        # 2 + 4 t^2 ln t, which its 12 halvings resolve toward t = 0
+        x_cut = 30.0
+        val, est = half_line(lambda u: 1.0 / np.sqrt(u) + np.sqrt(u) * np.log(u),
+                             1.0, x_cut, SPEC)
+        exact = (2.0 * math.sqrt(x_cut)
+                 + x_cut ** 1.5 * (2.0 / 3.0 * math.log(x_cut) - 4.0 / 9.0))
+        assert abs(val - exact) <= est + 4 * np.finfo(float).eps * abs(exact)
+        assert est <= SPEC.tolerance(exact)
+
+
+class TestPeriodSeeds:
+    def test_one_seed_per_period(self):
+        lo, hi, omega = 0.3, 50.0, 2.0
+        period = 2.0 * math.pi / omega
+        seeds = period_seeds(lo, hi, omega, 3000)
+        assert seeds.size == math.floor((hi - lo) / period)
+        assert seeds[0] == pytest.approx(lo + period, rel=1e-15)
+        assert np.diff(seeds) == pytest.approx(period, rel=1e-12)
+        assert seeds[-1] < hi <= seeds[-1] + period
+
+    def test_step_widens_at_the_cap(self):
+        # 15915 periods fit; 3000 steps of (hi - lo)/3000 still reach hi
+        lo, hi, cap = 1.0, 1e4, 3000
+        seeds = period_seeds(lo, hi, 10.0, cap)
+        step = (hi - lo) / cap
+        assert seeds.size == cap - 1
+        assert seeds[0] == pytest.approx(lo + step, rel=1e-15)
+        assert np.diff(seeds) == pytest.approx(step, rel=1e-9)
+        assert seeds[-1] + step == pytest.approx(hi, rel=1e-15)
+
+    @pytest.mark.parametrize("hi", [1.0, 0.5])
+    def test_none_within_one_period(self, hi):
+        assert period_seeds(0.0, hi, 2.0 * math.pi, 10).size == 0
 
 
 class TestPrincipalValue:

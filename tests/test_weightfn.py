@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from interfrac import model
+from interfrac import model, numerics
 from interfrac.errors import (DomainError, SelfBalanceViolation,
                               UnsupportedLoad)
 from interfrac.model import (Bimaterial, bimaterial_from_dimensionless,
                              custom_transform, point_triple,
                              smooth_exponential)
+from interfrac.numerics import QuadratureSpec
 from interfrac.weightfn import (WeightField, k3_perfect, ratio_r, sigma0)
 from oracles import weight_phi_minus, weight_phi_plus, wiener_hopf_residual
 
@@ -149,6 +150,30 @@ class TestSigma0:
         assert points["load"] <= points["routine"] <= 1.05 * points["b_plus"]
         if load.oscillations:
             assert load.phase_scale == load.oscillations[-1][0]
+
+    def test_within_est_error_of_a_tight_run(self):
+        # a seeded point triple whose half-period seeds left sigma0 2.4
+        # est_errors from this tight run
+        load = point_triple(1.0, 1.0, 0.7267633956857026)
+        m = Bimaterial(0.8619280137121678, 1.1380719862878323, 3.187620568222462)
+        r = sigma0(load, m)
+        tight = sigma0(load, m, QuadratureSpec(rel_tol=1e-11, abs_tol=1e-15))
+        assert abs(r.sigma0 - tight.sigma0) <= r.est_error
+
+    def test_one_panel_per_period(self, monkeypatch):
+        # work guard on the README point triple: one GL12 panel per period
+        # of its fastest oscillation and a 12-halving head take 15960 nodes
+        # (29376 with half-period seeds and 25 halvings)
+        nodes = []
+        panel_values = numerics._panel_values
+
+        def counted(f, a, b):
+            nodes.append(a.size * numerics._GL_NODES.size)
+            return panel_values(f, a, b)
+
+        monkeypatch.setattr(numerics, "_panel_values", counted)
+        sigma0(point_triple(1.0, 1.0, 0.75), Bimaterial(1.0, 1.0, 0.5))
+        assert sum(nodes) <= 16000
 
     def test_tiny_reference_length_without_overflow(self):
         # the smooth load does not scale with a, which moves only the

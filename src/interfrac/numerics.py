@@ -129,9 +129,9 @@ def half_line(f, xi_c, x_cut, spec, seeds=()):
     returns (value, error estimate).
 
     The head [0, xi_c] is integrated in u = t^2, where u^{-1/2} is smooth,
-    on panels that halve 12 times toward t = 0 (enough for the t ln t of
-    u^{1/2} ln u); the mid [xi_c, x_cut] on the doublings of xi_c plus the
-    caller's seeds. The tail past x_cut stays with the caller.
+    on panels that halve 12 times toward t = 0 (enough for the 4 t^2 ln t
+    that u^{1/2} ln u becomes); the mid [xi_c, x_cut] on the doublings of
+    xi_c plus the caller's seeds. The tail past x_cut stays with the caller.
     """
     t_c = math.sqrt(xi_c)
     head, e_head = integrate_err(

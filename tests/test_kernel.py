@@ -589,7 +589,7 @@ class TestCombinedFactors:
                                         (1e-300, 1e10)])
     def test_b_where_the_ratio_overflows(self, mu0, x):
         # |x|/mu0 overflows to inf, where |B^+| tends to 1/sqrt(pi mu0) and
-        # the phase to 0 (the quotient (|x| + mu0)/(pi mu0) gave inf + nan j)
+        # the phase to 0; the quotient (|x| + mu0)/(pi mu0) overflows there
         k = KernelFactors(mu0)
         limit = 1.0 / math.sqrt(math.pi * mu0)
         for sign in (1.0, -1.0):

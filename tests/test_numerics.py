@@ -102,7 +102,6 @@ class TestHalfLine:
         assert abs(val - exact) <= est + 4 * np.finfo(float).eps * abs(exact)
         assert est <= SPEC.tolerance(exact)
 
-
     def test_inverse_sqrt_plus_root_log(self):
         # u^{-1/2} + u^{1/2} ln u is the small-u form of the Betti
         # integrands, from Phi(s) ~ s ln s: in u = t^2 the head sees

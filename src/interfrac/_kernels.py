@@ -136,8 +136,9 @@ def _pv_block(s, mu0):
 
 
 def ln_xi_star(t, mu0):
-    """ln Xi_*(t) for t > 0 (elementwise)."""
-    out = _ln_xi_star(np.atleast_1d(np.asarray(t, dtype=float)) / float(mu0))
+    """ln Xi_*(t) for t > 0 (elementwise); 0 where t/mu0 overflows."""
+    with np.errstate(over="ignore"):
+        out = _ln_xi_star(np.atleast_1d(np.asarray(t, dtype=float)) / float(mu0))
     return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 

@@ -87,11 +87,11 @@ def _phase_table():
     return _PHASE_TABLE
 
 
-def _hhat_end(s, c0, c1):
+def _hhat_end(s, ln_s, c0, c1):
     """Hhat(s) = H(s; mu0=1) off the table, by its end rules: c0 - ln s
     below 1e-9 and (c1 - ln s)/s^2 above 1e9 (s squared in two steps, as
-    s * s overflows past 1e154), with c0 and c1 from _phase_table."""
-    ln_s = np.log(s)
+    s * s overflows past 1e154), with c0 and c1 from _phase_table and ln s
+    from the caller, finite where s has under- or overflowed."""
     out = c0 - ln_s
     above = s > 1.0
     out[above] = (c1 - ln_s[above]) / s[above] / s[above]
@@ -113,12 +113,13 @@ def _phase(s):
     below = s < _TABLE_LO
     if np.count_nonzero(below):
         sb = np.maximum(s[below], 5e-324)
-        out[below] = sb * (_hhat_end(sb, c0, c1) + math.log(4.0)) / math.pi
+        out[below] = sb * (_hhat_end(sb, np.log(sb), c0, c1)
+                           + math.log(4.0)) / math.pi
     above = s > _TABLE_HI
     if np.count_nonzero(above):
         sa = np.minimum(s[above], np.finfo(float).max)
-        out[above] = (sa * _hhat_end(sa, c0, c1) / math.pi + 0.25 * math.pi
-                      + _series_phase(sa / math.pi))
+        out[above] = (sa * _hhat_end(sa, np.log(sa), c0, c1) / math.pi
+                      + 0.25 * math.pi + _series_phase(sa / math.pi))
     return out.reshape(shape)
 
 
@@ -243,12 +244,15 @@ class KernelFactors:
         return out if np.ndim(x) else float(out)
 
     def _cauchy(self, arr):
-        # cauchy_integral on a checked array
+        # cauchy_integral on a checked array; off the table ln s = ln|x| - ln mu0
         table, c0, c1, _ = _phase_table()
-        s = np.atleast_1d(np.abs(arr) / self.mu0)
-        out = table(np.log(s))
+        a = np.atleast_1d(np.abs(arr))
+        with np.errstate(over="ignore"):
+            s = a / self.mu0
         ends = (s < _TABLE_LO) | (s > _TABLE_HI)
-        out[ends] = _hhat_end(s[ends], c0, c1)
+        out = np.empty(s.shape)
+        out[~ends] = table(np.log(s[~ends]))
+        out[ends] = _hhat_end(s[ends], np.log(a[ends]) - math.log(self.mu0), c0, c1)
         return (out / self.mu0).reshape(np.shape(arr))
 
     def xi_star_plus(self, x):

@@ -132,7 +132,8 @@ def half_line(f, xi_c, x_cut, spec, seeds=()):
     on panels that halve 12 times toward t = 0 (enough for the 4 t^2 ln t
     that u^{1/2} ln u becomes); the mid [xi_c, x_cut] on the doublings of
     xi_c plus the caller's seeds. The tail past x_cut stays with the caller.
-    """
+    The one seed ladder of every spectral line integral: both Betti
+    integrals, the A_j line of grad_u0 and u0, and k3_perfect's moment."""
     t_c = math.sqrt(xi_c)
     head, e_head = integrate_err(
         lambda t: f(t * t) * 2.0 * t, 0.0, t_c, spec,

@@ -30,10 +30,10 @@ countable in floats; for a point load at most 2^15 half-period panels per
 half-line). The constructor, check_position and every sampling of g apply
 it, so an unbuildable mesh is refused before g is sampled.
 
-Gradients off the interface line come from the inverse transform, folded to
-xi > 0 by conjugate symmetry. A numerics.LogTable of phi^+ (8 panels per
-decade, filled by one batched transform) serves the gradient and
-displacement quadratures; phi_plus_load evaluates phi^+ directly.
+Gradients and displacements off the interface line come from the inverse
+transform, folded to xi > 0 by conjugate symmetry: one numerics.half_line
+pass each, on a numerics.LogTable of phi^+ (8 panels per decade, filled by
+one batched transform); phi_plus_load evaluates phi^+ directly.
 Below its low end 1e-6 scale, with scale = min(mu0, 1/a), the table holds
 phi^+ constant, which shifts a field at distance r by up to about
 (1e-6 scale r)^{3/2} relative (measured on the smooth load: 4e-7 at
@@ -48,8 +48,9 @@ import numpy as np
 from .errors import DomainError, GeometryError
 from .kernel import KernelFactors
 from .model import Bimaterial, CrackLoad
-from .numerics import (LogTable, QuadratureSpec, integrate_err, oscillatory_tail,
-                       period_seeds)
+# integrate_err has no caller here; perfbench/tracer.py patches it by name
+from .numerics import (LogTable, QuadratureSpec, half_line, integrate_err,
+                       oscillatory_tail, period_seeds)
 
 # composite GL16 for the batched Cauchy transform: the nodes and weights, the
 # transposed Vandermonde matrix of the product-weight solve, and the
@@ -63,17 +64,6 @@ _PV_SPLITS = 12  # bisection rounds of the shared mesh
 _PV_MAX_PANELS = 2 ** 15  # half-period panels per half-line: |x| up to ~2.5e4/c_max
 # the gradient and u0 integrands decay like e^{-xi |y|}: cut at _DECAY / |y|
 _DECAY = 40.0
-
-
-def _seed_ladder(cut, y, x):
-    """Breakpoints on [0, cut] for an integrand damped like e^{-xi y} and
-    oscillating like e^{-i xi x}: 39 halvings of the cut, steps of 1/y, and
-    numerics.period_seeds at omega = x, capped at 4000."""
-    seeds = {cut * 2.0 ** (-k) for k in range(1, 40)}
-    seeds.update((k + 1.0) / y for k in range(int(cut * y)))
-    if x > 1e-12:
-        seeds.update(period_seeds(0.0, cut, x, 4000))
-    return sorted(seeds)
 
 
 class UnperturbedSolution:
@@ -380,8 +370,10 @@ class UnperturbedSolution:
     def _a_line(self, y, y_min, x_max, weight, spec):
         """The A_j line integral of grad_u0 and u0: int_0^cut weight(xi, A_j)
         over xi > 0, with j = 1 for y > 0 and 2 below, cut = _DECAY / y_min
-        and the phi^+ table filled to the cut. Returns (value, error
-        estimate, the A_j callable, cut)."""
+        and the phi^+ table filled to the cut, in one numerics.half_line
+        pass (head to min(mu0, 0.25 / y_min), one period_seeds seed per
+        period of e^{-i xi x_max}). Returns (value, error estimate, the A_j
+        callable, cut)."""
         j = 1 if y > 0 else 2
         cut = _DECAY / y_min
         self._phi_table(cut)
@@ -389,8 +381,9 @@ class UnperturbedSolution:
         def a_j(xi):
             return self.a_coeff(j, xi, self.phi_plus_cached(xi))
 
-        val, err = integrate_err(lambda xi: weight(xi, a_j(xi)), 0.0, cut, spec,
-                                 breakpoints=_seed_ladder(cut, y_min, x_max))
+        seeds = period_seeds(0.0, cut, x_max, 4000) if x_max else ()
+        val, err = half_line(lambda xi: weight(xi, a_j(xi)),
+                             min(self.kernel.mu0, 0.25 / y_min), cut, spec, seeds)
         return val, err, a_j, cut
 
     def _grad_integrals(self, yx, yy, spec):

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedLoad
 from .kernel import KernelFactors
 from .model import Bimaterial, CrackLoad, derive_params
+# integrate_err has no caller here; perfbench/tracer.py patches it by name
 from .numerics import (QuadratureSpec, half_line, integrate_err,
                        oscillatory_tail, period_seeds)
 
@@ -180,10 +181,10 @@ def sigma0(load: CrackLoad, material: Bimaterial, spec=None, *,
 def k3_perfect(load: CrackLoad, material: Bimaterial, spec=None):
     """Perfect-interface stress intensity factor for the same loading:
     -sqrt(2/pi) int_0^inf {<p>(-r) - (mu_*/2)[p](-r)} r^{-1/2} dr,
-    closed form for point loads, quadrature for smooth loads. A point
-    force at x = -s has the moment s^{-1/2}, so a load with a point-force
-    table gets -sqrt(2/pi) sum_k w_k s_k^{-1/2} with the sigma0 tail
-    weights w_k.
+    closed form for point loads, numerics.half_line on r < 144 for smooth
+    loads. A point force at x = -s has the moment s^{-1/2}, so a load with
+    a point-force table gets -sqrt(2/pi) sum_k w_k s_k^{-1/2} with the
+    sigma0 tail weights w_k.
 
     The -mu_*/2 jump weight makes the bracket the exact kappa->0 limit
     functional of sigma0 (sigma0 -> sqrt(mu0/pi) * bracket moment), and is
@@ -196,15 +197,13 @@ def k3_perfect(load: CrackLoad, material: Bimaterial, spec=None):
     if load.x_parts is None:
         raise UnsupportedLoad(
             "k3_perfect needs an x-domain form (point-triple or smooth loads)")
-    c = -material.mu_star
     spec = spec or QuadratureSpec()
 
-    def f(s):
-        avg, jump = load.x_parts(-(s * s))
-        return 2.0 * (avg + 0.5 * c * jump)
+    def f(r):
+        avg, jump = load.x_parts(-r)
+        return (avg - 0.5 * material.mu_star * jump) / np.sqrt(r)
 
-    val, _ = integrate_err(f, 0.0, 12.0, spec,
-                           breakpoints=[2.0 ** (-k) for k in range(1, 20)])
+    val, _ = half_line(f, 1.0, 144.0, spec)
     return -math.sqrt(2.0 / math.pi) * float(val.real)
 
 

@@ -309,6 +309,27 @@ class TestPlemeljFactor:
             assert k2.xi_star_plus(7.3 * x) == pytest.approx(
                 k1.xi_star_plus(x), abs=1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu0, x", [(1e-10, 1e300), (1e-10, -1e300),
+                                        (4e4, 5e-324)])
+    def test_where_the_ratio_under_or_overflows(self, mu0, x):
+        # |x|/mu0 is inf or 0; H keeps its end rule through ln|x| - ln mu0,
+        # and Xi_*^+/- tend to 1
+        k = KernelFactors(mu0)
+        for arg in (x, np.array([x])):
+            h = k.cauchy_integral(arg)
+            if abs(x) < 1.0:
+                # c0 - ln s carries H over from x = 1e-300, where the ratio
+                # is a normal float (clamping s to 5e-324 is 1.4 % off)
+                assert h == pytest.approx(
+                    k.cauchy_integral(1e-300)
+                    + (math.log(1e-300) - math.log(x)) / mu0, rel=1e-14)
+            else:
+                # (c1 - ln s)/s^2 underflows
+                assert h == 0.0
+            for fn in (k.xi_star_plus, k.xi_star_minus):
+                assert fn(arg) == pytest.approx(1.0, abs=1e-15)
+
     def test_cached_vs_direct_cauchy(self):
         mu0 = 2.5
         x = np.geomspace(1e-6, 1e6, 25) * mu0

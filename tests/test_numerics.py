@@ -1,12 +1,15 @@
 """Quadrature, principal-value, half-line Fourier and log-gamma kernels."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import interfrac
 from interfrac import _kernels
 from interfrac.errors import (DomainError, NonFiniteSample)
 from interfrac.numerics import (LogTable, QuadratureSpec, algebraic_tail,
@@ -113,6 +116,21 @@ class TestHalfLine:
                  + x_cut ** 1.5 * (2.0 / 3.0 * math.log(x_cut) - 4.0 / 9.0))
         assert abs(val - exact) <= est + 4 * np.finfo(float).eps * abs(exact)
         assert est <= SPEC.tolerance(exact)
+
+    def test_only_numerics_calls_integrate_err(self):
+        # one home for the half-line split and its seed ladders: every other
+        # module integrates through half_line (the tracer-only imports of
+        # integrate_err are bindings, not calls)
+        callers = []
+        for path in sorted(Path(interfrac.__file__).parent.glob("*.py")):
+            if path.name == "numerics.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call) and "integrate_err" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.append(f"{path.name}:{node.lineno}")
+        assert callers == []
 
 
 class TestPeriodSeeds:

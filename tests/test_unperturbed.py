@@ -20,6 +20,11 @@ def a_pair(sol, xi):
     return sol.a_coeff(1, xi, phi_p), sol.a_coeff(2, xi, phi_p)
 
 
+def polar(r, deg):
+    """(r cos deg, r sin deg); a negative r takes the opposite position."""
+    return r * math.cos(math.radians(deg)), r * math.sin(math.radians(deg))
+
+
 @pytest.fixture(scope="module")
 def sol():
     # mu* = 0.5, kappa* = 1 at a = 1, mu0 = 16/3
@@ -322,12 +327,17 @@ class TestGradient:
         s.grad_u0((math.cos(math.radians(170.0)), math.sin(math.radians(170.0))))
         assert s._phi_interp is table
 
-    @pytest.mark.parametrize("Y", [(0.5, 0.8), (0.0, -1.0), (-1.2, 0.4)])
+    @pytest.mark.parametrize("Y", [
+        (0.5, 0.8), (0.0, -1.0), (-1.2, 0.4), polar(1.6, 5.0), polar(-0.8, 5.0),
+        "0.9 reach at 30 deg"])
     @pytest.mark.parametrize("which", ["sol", "sol_smooth"])
     def test_error_estimate(self, request, which, Y):
         # the estimate is small against |G| and bounds each component's
-        # deviation from a run at rel_tol = 1e-12 on the same phi^+ table
+        # deviation from a run at rel_tol = 1e-12 on the same phi^+ table,
+        # also on the 5 deg angle guard and near the reach
         s = request.getfixturevalue(which)
+        if isinstance(Y, str):
+            Y = polar(0.9 * s.reach, 30.0)
         gx, gy, err = s._grad_integrals(*Y, s.spec)
         tight_x, tight_y, _ = s._grad_integrals(*Y, QuadratureSpec(rel_tol=1e-12))
         assert err < 1e-6 * math.hypot(gx, gy)
@@ -336,15 +346,15 @@ class TestGradient:
 
     def test_one_integral_per_gradient(self, sol_smooth, monkeypatch):
         # work guard: the gx integrand is i times the gy one, and u0 takes
-        # the difference of its two kernels under one integral
+        # the difference of its two kernels under one half-line integral
         calls = []
-        integrate = unperturbed.integrate_err
+        integrate = unperturbed.half_line
 
         def counted(*args, **kwargs):
             calls.append(None)
             return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(unperturbed, "integrate_err", counted)
+        monkeypatch.setattr(unperturbed, "half_line", counted)
         sol_smooth.grad_u0((0.3, 0.9))
         assert len(calls) == 1
         sol_smooth.u0(0.3, 0.9)

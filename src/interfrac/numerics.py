@@ -1,8 +1,9 @@
 """Reusable numerical kernels: adaptive panel quadrature, the period seeds
 of an oscillatory integrand (period_seeds), the head/mid split of a
-half-line spectral integral (half_line), oscillatory and algebraic
-tail closures for half-line integrals, and the log-panel polynomial table
-(LogTable) of the kernel phase and of phi^+.
+half-line spectral integral (half_line), the oscillatory tail closure of
+the Fourier half-lines and the algebraic one of the second Betti integral
+(algebraic_tail), and the log-panel polynomial table (LogTable) of the
+kernel phase and of phi^+.
 
 Every integrand takes a 1-d array of nodes and returns one value per node;
 oscillatory_tail also accepts values with trailing axes. An integrand's own
@@ -20,6 +21,8 @@ from .errors import DomainError, NonConvergence, NonFiniteSample
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # LogTable's fitting points: the 6 Chebyshev points of the first kind
 _CHEB = np.cos((2 * np.arange(6) + 1) * math.pi / 12)
+# period_seeds' largest number of seed steps
+_MAX_PERIODS = 4000
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,12 @@ def integrate_err(f, lo, hi, spec, breakpoints=None):
         splits += take.size
 
 
-def period_seeds(lo, hi, omega, cap):
+def period_seeds(lo, hi, omega):
     """Breakpoints lo + k 2 pi/omega, k = 1, 2, ..., below hi: one GL12
     panel takes a whole period of e^{i omega u} to 4e-16. Where more than
-    cap periods fit in [lo, hi], the step widens to (hi - lo)/cap, so the
-    seeds still span it."""
-    step = max(2.0 * math.pi / omega, (hi - lo) / cap)
+    _MAX_PERIODS periods fit in [lo, hi], the step widens to
+    (hi - lo)/_MAX_PERIODS, so the seeds still span it."""
+    step = max(2.0 * math.pi / omega, (hi - lo) / _MAX_PERIODS)
     return lo + step * np.arange(1, math.ceil((hi - lo) / step))
 
 
@@ -179,23 +182,26 @@ def oscillatory_tail(f, omega, x_start):
     return complex(value), float(resid)
 
 
-def algebraic_tail(f, x_start, spec):
-    """int_{x_start}^inf f(u) du for f ~ A/u^2 + B/u^3, by Richardson fit.
+def algebraic_tail(f, x_start):
+    """int_{x_start}^inf f(u) du for f ~ (a ln u + b)/u^2 + c/u^3, as the
+    second Betti integral's response decays (the log from the
+    kappa xi Phi^- Pbar^+ term). The model is fitted at x/2, x/sqrt 2 and x
+    and integrated in closed form; the residual estimate is the spread
+    against the fit at x/4, x/(2 sqrt 2) and x/2. The fits share the node
+    x/2, so f is called once, on five nodes. Returns (value, residual)."""
+    ratios = np.array([0.5, 1.0 / math.sqrt(2.0), 1.0])
+    us = np.concatenate([(0.5 * x_start) * ratios[:2], x_start * ratios])
+    ks = np.asarray(f(us), dtype=complex)
 
-    Returns (value, residual estimate); the residual is the spread between
-    fits anchored at (x/2, x) and (x/4, x/2).
-    """
-    def fit_tail(x):
-        ys = np.asarray(f(np.array([x / 2.0, x])), dtype=complex)
-        mat = np.array([[(2.0 / x) ** 2, (2.0 / x) ** 3],
-                        [(1.0 / x) ** 2, (1.0 / x) ** 3]], dtype=complex)
-        ab = np.linalg.solve(mat, ys)
-        return ab[0] / x + ab[1] / (2.0 * x * x)
+    def fit(us, ks):
+        basis = np.column_stack([np.log(us) / us ** 2, 1.0 / us ** 2,
+                                 1.0 / us ** 3])
+        abc = np.linalg.solve(basis, ks)
+        return (abc[0] * (1.0 + math.log(x_start)) / x_start
+                + abc[1] / x_start + abc[2] / (2.0 * x_start ** 2))
 
-    t1 = fit_tail(x_start)
-    t2 = fit_tail(x_start / 2.0) - integrate_err(
-        f, x_start / 2.0, x_start, spec, breakpoints=[0.75 * x_start])[0]
-    return complex(t1), float(abs(t1 - t2))
+    value = fit(us[2:], ks[2:])
+    return complex(value), float(abs(value - fit(us[:3], ks[:3])))
 
 
 class LogTable:

@@ -26,8 +26,8 @@ on the position Y alone. So dsigma0 = Re(V L) with one complex response L
 per position, integrated in one numerics.half_line pass (the xi = s^2 head
 and the seeded mid) whatever the dipole; sign_map serves every orientation
 at one position from it. The conditionally convergent kappa xi Phi^- Pbar^+
-tail is absolutely convergent once folded and is closed with a
-log-augmented algebraic fit integrated exactly.
+tail is absolutely convergent once folded and is closed by
+numerics.algebraic_tail, a log-augmented algebraic fit integrated exactly.
 """
 
 import math
@@ -40,7 +40,8 @@ from . import _kernels
 from .errors import DomainError, GeometryError
 from .model import Bimaterial, CrackLoad, InclusionSpec, inclusion_centre
 # integrate_err has no caller here; perfbench/tracer.py patches it by name
-from .numerics import QuadratureSpec, half_line, integrate_err, period_seeds
+from .numerics import (QuadratureSpec, algebraic_tail, half_line,
+                       integrate_err, period_seeds)
 from .unperturbed import UnperturbedSolution
 from .weightfn import WeightField, _refuse_other_material, sigma0 as _sigma0
 
@@ -153,11 +154,12 @@ class PerturbationResult:
     """delta_sigma0 with its error estimate and the label it implies.
 
     est_error bounds the quadrature of the second Betti integral: its
-    adaptive head and mid and its fitted tail. It is |V| e_L, with e_L the
-    estimate of the complex response L and delta_sigma0 = Re(V L), so it
-    bounds |Re(V dL)| by |V| |dL| and is looser than an estimate of the real
-    integrand alone (2x in the median and up to 158x, where Re(V dL)
-    cancels, on 200 seeded inclusions). It covers neither the tables the
+    adaptive head and mid and its fitted tail (numerics.algebraic_tail).
+    It is |V| e_L, with e_L the estimate of the complex response L and
+    delta_sigma0 = Re(V L), so it bounds |Re(V dL)| by |V| |dL| and is
+    looser than an estimate of the real integrand alone (2x in the median
+    and up to 158x, where Re(V dL) cancels, on 200 seeded inclusions). It
+    covers neither the tables the
     pipeline reads (the PCHIP Hhat behind the phase of B^+, and the phi^+
     LogTable behind grad_u0, which carries that Hhat's error) nor the
     gradient error; the estimate says nothing about them. sign is
@@ -192,9 +194,11 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     so delta = Re(V L) for one complex response L of the position alone; L
     is integrated once, whatever v, and est = |V| e_L, with e_L the
     estimate of L, bounds |Re(V dL)| by |V| |dL|. The line is seeded one
-    period of the poles' e^{-i u cx} apart (numerics.period_seeds, at most
-    3000 seeds) out to min(x_cut, 60/|cy|), where their e^{-u |cy|} has
-    died."""
+    period of the poles' e^{-i u cx} apart (numerics.period_seeds) out to
+    min(x_cut, 60/|cy|), where their e^{-u |cy|} has died; past x_cut, K
+    decays like (a ln u + b)/u^2 + c/u^3 even where each half-line alone is
+    O(1/u) (the kappa xi Phi^- Pbar^+ term), and numerics.algebraic_tail
+    closes it."""
     cx, cy = float(Y[0]), float(Y[1])
     if cy == 0.0:
         raise GeometryError("inclusion centre must lie off the interface line")
@@ -228,34 +232,16 @@ def _delta_from_v(field: WeightField, v, Y, spec):
                 20.0 * mu0, 4.0 * xi_c) * max(1.0, spec.truncation_radius / 1e4)
     seeds = ()
     if abs(cx) > 1e-12:
-        seeds = period_seeds(xi_c, min(x_cut, 60.0 / abs(cy)), abs(cx), 3000)
+        seeds = period_seeds(xi_c, min(x_cut, 60.0 / abs(cy)), abs(cx))
 
     total, est = half_line(response, xi_c, x_cut, spec, seeds)
-
-    # tail: K decays like (a ln u + b)/u^2 + c/u^3 even where each
-    # half-line alone is O(1/u) (the kappa xi Phi^- Pbar^+ term); fit the
-    # three-term model and integrate it in closed form, with the half-scale
-    # refit as residual. The two fits share the node 0.5 x_cut, so one
-    # response call serves their five nodes.
-    ratios = np.array([0.5, 1.0 / math.sqrt(2.0), 1.0])
-    us = np.concatenate([(0.5 * x_cut) * ratios[:2], x_cut * ratios])
-    ks = response(us)
-
-    def fitted_tail(us, ks):
-        basis = np.column_stack([np.log(us) / us ** 2, 1.0 / us ** 2,
-                                 1.0 / us ** 3])
-        abc = np.linalg.solve(basis, ks)
-        return (abc[0] * (1.0 + math.log(x_cut)) / x_cut
-                + abc[1] / x_cut + abc[2] / (2.0 * x_cut ** 2))
-
-    tail = fitted_tail(us[2:], ks[2:])
-    est += abs(tail - fitted_tail(us[:3], ks[:3]))
+    tail, e_tail = algebraic_tail(response, x_cut)
 
     front = -0.5 * math.sqrt(mu0 / math.pi)
     L = front * (total + tail)
     v = np.asarray(v, dtype=float)
     delta = v[0] * L.real - v[1] * L.imag
-    err = abs(front) * np.hypot(v[0], v[1]) * est
+    err = abs(front) * np.hypot(v[0], v[1]) * (est + e_tail)
     if v.ndim == 1:
         return float(delta), float(err)
     return delta, err

@@ -381,7 +381,7 @@ class UnperturbedSolution:
         def a_j(xi):
             return self.a_coeff(j, xi, self.phi_plus_cached(xi))
 
-        seeds = period_seeds(0.0, cut, x_max, 4000) if x_max else ()
+        seeds = period_seeds(0.0, cut, x_max) if x_max else ()
         val, err = half_line(lambda xi: weight(xi, a_j(xi)),
                              min(self.kernel.mu0, 0.25 / y_min), cut, spec, seeds)
         return val, err, a_j, cut

@@ -112,7 +112,7 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
     """int_0^inf f(sign u) du of the Betti integrand f: the head and mid by
     numerics.half_line, then an analytic tail. A point load's mid is seeded
     one period of its fastest oscillation e^{-i c_max u} apart
-    (numerics.period_seeds, at most 3000 seeds)."""
+    (numerics.period_seeds)."""
     mu0 = field.kernel.mu0
     f = _betti_integrand(field, load)
 
@@ -125,7 +125,7 @@ def _spectral_half(field: WeightField, load: CrackLoad, sign, spec):
         c_min, c_max = load.oscillations[0][0], load.oscillations[-1][0]
         x_cut = max(4.0 * xi_c, 100.0 / c_min) * stretch
         body, e_body = half_line(f_signed, xi_c, x_cut, spec,
-                                 seeds=period_seeds(xi_c, x_cut, c_max, 3000))
+                                 seeds=period_seeds(xi_c, x_cut, c_max))
 
         def envelope(u):
             ss = sign * u

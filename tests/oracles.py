@@ -232,7 +232,7 @@ def cauchy_pv_adaptive(sol, x, spec=None):
             est += r
     else:
         for mirror in (plain, lambda u: plain(-u)):
-            v, r = algebraic_tail(mirror, x_cut, spec)
+            v, r = algebraic_tail(mirror, x_cut)
             total += v
             est += r
 
@@ -282,7 +282,7 @@ def _halfline_core(g, omega, spec):
             tail_val, tail_err = 0.0 + 0.0j, raw
             break
         if omega == 0.0:
-            tail_val, tail_err = algebraic_tail(g, x_max, spec)
+            tail_val, tail_err = algebraic_tail(g, x_max)
         elif abs(omega) * x_max >= 8.0 * math.pi:
             tail_val, tail_err = oscillatory_tail(g, omega, x_max)
         else:

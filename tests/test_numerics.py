@@ -10,7 +10,7 @@ import pytest
 from scipy.special import erf
 
 import interfrac
-from interfrac import _kernels
+from interfrac import _kernels, numerics
 from interfrac.errors import (DomainError, NonFiniteSample)
 from interfrac.numerics import (LogTable, QuadratureSpec, algebraic_tail,
                                 half_line, integrate_err, oscillatory_tail,
@@ -137,16 +137,17 @@ class TestPeriodSeeds:
     def test_one_seed_per_period(self):
         lo, hi, omega = 0.3, 50.0, 2.0
         period = 2.0 * math.pi / omega
-        seeds = period_seeds(lo, hi, omega, 3000)
+        seeds = period_seeds(lo, hi, omega)
         assert seeds.size == math.floor((hi - lo) / period)
         assert seeds[0] == pytest.approx(lo + period, rel=1e-15)
         assert np.diff(seeds) == pytest.approx(period, rel=1e-12)
         assert seeds[-1] < hi <= seeds[-1] + period
 
     def test_step_widens_at_the_cap(self):
-        # 15915 periods fit; 3000 steps of (hi - lo)/3000 still reach hi
-        lo, hi, cap = 1.0, 1e4, 3000
-        seeds = period_seeds(lo, hi, 10.0, cap)
+        # 15915 periods fit; cap steps of (hi - lo)/cap still reach hi
+        lo, hi, cap = 1.0, 1e4, numerics._MAX_PERIODS
+        assert (hi - lo) * 10.0 / (2.0 * math.pi) > cap
+        seeds = period_seeds(lo, hi, 10.0)
         step = (hi - lo) / cap
         assert seeds.size == cap - 1
         assert seeds[0] == pytest.approx(lo + step, rel=1e-15)
@@ -155,7 +156,7 @@ class TestPeriodSeeds:
 
     @pytest.mark.parametrize("hi", [1.0, 0.5])
     def test_none_within_one_period(self, hi):
-        assert period_seeds(0.0, hi, 2.0 * math.pi, 10).size == 0
+        assert period_seeds(0.0, hi, 2.0 * math.pi).size == 0
 
 
 class TestPrincipalValue:
@@ -266,7 +267,7 @@ def _refusing(limit):
 @pytest.mark.parametrize("call", [
     lambda f: integrate_err(f, 0.0, 1.0, SPEC),
     lambda f: oscillatory_tail(f, 3.0, 0.5),
-    lambda f: algebraic_tail(f, 0.5, SPEC),
+    lambda f: algebraic_tail(f, 0.5),
 ], ids=["integrate_err", "oscillatory_tail", "algebraic_tail"])
 def test_integrand_error_reaches_caller(call):
     # numerics calls the integrand on node arrays only, so its own typed

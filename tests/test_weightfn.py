@@ -245,7 +245,7 @@ def _sigma0_transform_limit(load, material, t_values):
                                  breakpoints=sorted(seeds))
             total += v
         for mirror in (lambda u: g(u) / den(u), lambda u: g(-u) / den(-u)):
-            v, _ = algebraic_tail(mirror, big, spec)
+            v, _ = algebraic_tail(mirror, big)
             total += v
         l_plus = total / (2j * math.pi)
         xi0 = sol.kernel.xi0_plus(1j * T)

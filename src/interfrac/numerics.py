@@ -19,8 +19,9 @@ import numpy as np
 from .errors import DomainError, NonConvergence, NonFiniteSample
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-# LogTable's fitting points: the 6 Chebyshev points of the first kind
-_CHEB = np.cos((2 * np.arange(6) + 1) * math.pi / 12)
+# LogTable's fitting points: the 6 Chebyshev points of the second kind,
+# ascending; the ends -1 and 1 are exact, so neighbouring panels share them
+_CHEB = -np.cos(np.arange(6) * math.pi / 5)
 # period_seeds' largest number of seed steps
 _MAX_PERIODS = 4000
 
@@ -209,9 +210,11 @@ class LogTable:
     once, on the (panels, 6) array u of ln x at 2 k + 1 + t half-widths from
     ln lo on row k, t at _CHEB, and its real or complex values fix on each
     row the quintic in t, highest degree first (well conditioned in the
-    monomial basis at degree 5); x = exp(u) flat. A call clamps x to
-    [lo, hi] and takes one floor in ln x, one gather and a Horner sum, for
-    x of any shape."""
+    monomial basis at degree 5); x = exp(u) flat. Neighbouring rows share
+    their end node, so the table is continuous; its derivative jumps at
+    the panel joins, the x of the shared nodes. A call clamps x to [lo, hi]
+    and takes one floor in ln x, one gather and a Horner sum, for x of any
+    shape."""
 
     def __init__(self, f, lo, hi, panels):
         self.lo, self.hi = float(lo), float(hi)
@@ -219,9 +222,11 @@ class LogTable:
         span = math.log(self.hi) - self._ln_lo
         self._per_ln = panels / span
         half = 0.5 * span / panels
-        centres = self._ln_lo + half * (2 * np.arange(panels) + 1)
-        u = centres[:, None] + half * _CHEB
+        # 2 k + 1 + t is an integer at t = -1 and 1, so the shared nodes
+        # of rows k and k + 1 are one u
+        u = self._ln_lo + half * ((2 * np.arange(panels) + 1)[:, None] + _CHEB)
         self.x = np.exp(u).ravel()
+        self.joins = np.exp(u[1:, 0])
         self._coeffs = np.linalg.solve(np.vander(_CHEB), np.asarray(f(u)).T).T
 
     def __call__(self, x):

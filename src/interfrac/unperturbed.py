@@ -33,7 +33,8 @@ it, so an unbuildable mesh is refused before g is sampled.
 Gradients and displacements off the interface line come from the inverse
 transform, folded to xi > 0 by conjugate symmetry: one numerics.half_line
 pass each, on a numerics.LogTable of phi^+ (8 panels per decade, filled by
-one batched transform); phi_plus_load evaluates phi^+ directly.
+one batched transform, with its panel joins among the pass's seeds);
+phi_plus_load evaluates phi^+ directly.
 Below its low end 1e-6 scale, with scale = min(mu0, 1/a), the table holds
 phi^+ constant, which shifts a field at distance r by up to about
 (1e-6 scale r)^{3/2} relative (measured on the smooth load: 4e-7 at
@@ -372,16 +373,20 @@ class UnperturbedSolution:
         over xi > 0, with j = 1 for y > 0 and 2 below, cut = _DECAY / y_min
         and the phi^+ table filled to the cut, in one numerics.half_line
         pass (head to min(mu0, 0.25 / y_min), one period_seeds seed per
-        period of e^{-i xi x_max}). Returns (value, error estimate, the A_j
+        period of e^{-i xi x_max}, and a seed at each of the table's panel
+        joins below the cut, where its slope jumps and an unseeded panel's
+        estimate runs low). Returns (value, error estimate, the A_j
         callable, cut)."""
         j = 1 if y > 0 else 2
         cut = _DECAY / y_min
-        self._phi_table(cut)
+        joins = self._phi_table(cut)[0].joins
 
         def a_j(xi):
             return self.a_coeff(j, xi, self.phi_plus_cached(xi))
 
-        seeds = period_seeds(0.0, cut, x_max) if x_max else ()
+        seeds = list(joins[joins < cut])
+        if x_max:
+            seeds += list(period_seeds(0.0, cut, x_max))
         val, err = half_line(lambda xi: weight(xi, a_j(xi)),
                              min(self.kernel.mu0, 0.25 / y_min), cut, spec, seeds)
         return val, err, a_j, cut

@@ -348,5 +348,21 @@ class TestLogTable:
         table = LogTable(f, 1e-2, 1e5, 21)
         assert seen == [(21, 6)]
         assert table.x.shape == (6 * 21,)
-        assert np.all((table.x >= 1e-2) & (table.x <= 1e5))
+        # the nodes ascend from exp(ln lo) to exp(ln hi), lo and hi to
+        # rounding, and neighbouring rows share their end node
+        rows = table.x.reshape(21, 6)
+        assert table.x[[0, -1]] == pytest.approx([1e-2, 1e5], rel=1e-14)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert np.array_equal(rows[1:, 0], rows[:-1, -1])
+        assert np.array_equal(table.joins, rows[1:, 0])
         assert np.allclose(table(table.x), table.x, rtol=1e-14)
+
+    def test_continuous_at_the_joins(self):
+        # the quintics of neighbouring panels meet at their shared node, so
+        # a function they do not reproduce shows no jump there; first-kind
+        # points left one of about the interpolation error, 2e-3 here
+        table = LogTable(lambda u: np.sin(3.0 * u) + 1j * np.exp(0.2 * u),
+                         1e-3, 1e3, 12)
+        below = table(table.joins * (1.0 - 1e-13))
+        above = table(table.joins * (1.0 + 1e-13))
+        assert np.max(np.abs(above - below)) < 1e-11

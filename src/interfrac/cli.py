@@ -107,13 +107,14 @@ def _parse_load(cfg):
 
 def _parse_numerics(cfg):
     t = _section(cfg, "numerics", {})
-    rel_tol = _number(t, "numerics", "rel_tol", 1e-8)
-    abs_tol = _number(t, "numerics", "abs_tol", 1e-12)
-    max_subdivisions = _positive_int(t, "numerics", "max_subdivisions", 4000)
-    truncation_radius = _number(t, "numerics", "truncation_radius", 1e4)
-    return QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_subdivisions=max_subdivisions,
-                          truncation_radius=truncation_radius)
+    default = QuadratureSpec()
+    return QuadratureSpec(
+        rel_tol=_number(t, "numerics", "rel_tol", default.rel_tol),
+        abs_tol=_number(t, "numerics", "abs_tol", default.abs_tol),
+        max_subdivisions=_positive_int(t, "numerics", "max_subdivisions",
+                                       default.max_subdivisions),
+        truncation_radius=_number(t, "numerics", "truncation_radius",
+                                  default.truncation_radius))
 
 
 def _load_config(path):

@@ -159,10 +159,10 @@ class PerturbationResult:
     delta_sigma0 = Re(V L), so it bounds |Re(V dL)| by |V| |dL| and is
     looser than an estimate of the real integrand alone (2x in the median
     and up to 158x, where Re(V dL) cancels, on 200 seeded inclusions). It
-    covers neither the tables the
-    pipeline reads (the PCHIP Hhat behind the phase of B^+, and the phi^+
-    LogTable behind grad_u0, which carries that Hhat's error) nor the
-    gradient error; the estimate says nothing about them. sign is
+    covers neither the tables the pipeline reads (the PCHIP Hhat behind
+    the phase of B^+, and the phi^+ LogTable behind grad_u0, which carries
+    that Hhat's error) nor the gradient error; the estimate says nothing
+    about them. sign is
     shielding where |sigma0| falls (sigma0_base * delta_sigma0 < 0),
     amplifying where it rises, and neutral when |delta_sigma0| <= est_error.
     """
@@ -247,14 +247,28 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     return delta, err
 
 
+def _refuse_other_load(load, solution):
+    """DomainError when a prebuilt solution (None is skipped) was built for
+    another load than the call's, by the CrackLoad equality that the
+    sigma0 memo reads: a load equals itself and the loads with the same
+    fields, its transforms function included."""
+    if solution is not None and solution.load != load:
+        raise DomainError(f"the UnperturbedSolution passed was built for "
+                          f"another load ({solution.load.kind}) than this "
+                          f"call's ({load.kind}); pass the load it was "
+                          f"built for")
+
+
 def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
                  spec=None, solution=None, field=None) -> PerturbationResult:
     """First-order crack-tip traction change eps^2 * delta_sigma0 induced by
     the inclusion; sign classified against the error-estimate neutrality
     band. sigma0_base is computed once per field, load and spec: pass one
     prebuilt solution and field to a run of calls over many inclusions. A
-    solution or field built for another material raises DomainError."""
+    solution or field built for another material, or a solution built for
+    another load, raises DomainError."""
     _refuse_other_material(material, solution, field)
+    _refuse_other_load(load, solution)
     spec = spec or QuadratureSpec()
     if solution is None:
         solution = UnperturbedSolution(load, material, spec=spec)
@@ -296,12 +310,13 @@ def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     """delta_sigma0 sign over a (phi, alpha) grid for the inclusion inc; the
     grids replace inc.phi and inc.alpha, its distance and shape stay. A
     prebuilt solution for (load, material) may be passed, as to delta_sigma0;
-    one built for another material raises DomainError.
+    one built for another material or load raises DomainError.
 
     delta is real-linear in v = M G: per phi the complex response L is
     integrated once and every alpha is Re(V L). An empty alpha grid
     computes no response, but every position is still checked."""
     _refuse_other_material(material, solution)
+    _refuse_other_load(load, solution)
     spec = spec or QuadratureSpec()
     phi_grid = np.asarray(phi_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)

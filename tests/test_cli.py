@@ -156,6 +156,13 @@ class TestSigma0Command:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "max_subdivisions must be an integer >= 1" in err[0]
 
+    def test_numerics_defaults_are_the_api_defaults(self):
+        from interfrac.cli import _parse_numerics
+        from interfrac.numerics import QuadratureSpec
+        assert _parse_numerics({}) == QuadratureSpec()
+        assert (_parse_numerics({"numerics": {"rel_tol": 1e-10}})
+                == QuadratureSpec(rel_tol=1e-10))
+
     def test_csv_format(self, tmp_path):
         cfg = write_cfg(tmp_path, POINT_CFG)
         out = tmp_path / "s.csv"

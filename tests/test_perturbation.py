@@ -180,6 +180,17 @@ class TestDeltaSigma0:
         with pytest.raises(DomainError, match="built for"):
             delta_sigma0(LOAD, MATERIAL, inc, **{which: built})
 
+    def test_prebuilt_for_another_load_refused(self):
+        # a point triple's solution gave -1.30e-3 here, for delta_sigma0 and
+        # sign_map alike, instead of the smooth load's -1.36e-4
+        other = UnperturbedSolution(point_triple(1.0, 1.0, 0.5), MATERIAL)
+        inc = InclusionSpec(d=1.0, phi=1.2, alpha=0.3, ell_a=0.2, ell_b=0.1,
+                            nu_star=5.0)
+        with pytest.raises(DomainError, match="built for"):
+            delta_sigma0(LOAD, MATERIAL, inc, solution=other)
+        with pytest.raises(DomainError, match="built for"):
+            sign_map(LOAD, MATERIAL, inc, [1.2], [0.3], solution=other)
+
     def test_linear_in_dipole(self, pipeline):
         solution, field = pipeline
         v = np.array([0.3, -0.7])

@@ -162,9 +162,9 @@ class PerturbationResult:
     covers neither the tables the pipeline reads (the PCHIP Hhat behind
     the phase of B^+, and the phi^+ LogTable behind grad_u0, which carries
     that Hhat's error) nor the gradient error; the estimate says nothing
-    about them. sign is
-    shielding where |sigma0| falls (sigma0_base * delta_sigma0 < 0),
-    amplifying where it rises, and neutral when |delta_sigma0| <= est_error.
+    about them. sign is shielding where |sigma0| falls (sigma0_base *
+    delta_sigma0 < 0), amplifying where it rises, and neutral when
+    |delta_sigma0| <= est_error.
     """
 
     delta_sigma0: float
@@ -249,14 +249,10 @@ def _delta_from_v(field: WeightField, v, Y, spec):
 
 def _refuse_other_load(load, solution):
     """DomainError when a prebuilt solution (None is skipped) was built for
-    another load than the call's, by the CrackLoad equality that the
-    sigma0 memo reads: a load equals itself and the loads with the same
-    fields, its transforms function included."""
+    another load, by the CrackLoad equality that the sigma0 memo reads."""
     if solution is not None and solution.load != load:
-        raise DomainError(f"the UnperturbedSolution passed was built for "
-                          f"another load ({solution.load.kind}) than this "
-                          f"call's ({load.kind}); pass the load it was "
-                          f"built for")
+        raise DomainError("the UnperturbedSolution passed was built for "
+                          "another load; pass the load it was built for")
 
 
 def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,

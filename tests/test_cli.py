@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interfrac.cli import main
+from interfrac.cli import _parse_numerics, main
+from interfrac.numerics import QuadratureSpec
 
 POINT_CFG = {
     "material": {"mu1": 1.0, "mu2": 1.0, "kappa": 0.5},
@@ -157,8 +158,6 @@ class TestSigma0Command:
         assert "max_subdivisions must be an integer >= 1" in err[0]
 
     def test_numerics_defaults_are_the_api_defaults(self):
-        from interfrac.cli import _parse_numerics
-        from interfrac.numerics import QuadratureSpec
         assert _parse_numerics({}) == QuadratureSpec()
         assert (_parse_numerics({"numerics": {"rel_tol": 1e-10}})
                 == QuadratureSpec(rel_tol=1e-10))

@@ -247,12 +247,29 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     return delta, err
 
 
-def _refuse_other_load(load, solution):
-    """DomainError when a prebuilt solution (None is skipped) was built for
-    another load, by the CrackLoad equality that the sigma0 memo reads."""
+def _prepare(load, material, spec, solution, field=None):
+    """(spec, solution, field, sigma0_base) for a call on load and
+    material. A solution or field built for another material, or a
+    solution built for another load, raises DomainError; whatever was not
+    passed is built. sigma0 depends on the load and the material, not on
+    the inclusion, so calls that share a field share it through
+    field.sigma0_memo; CrackLoad and QuadratureSpec are frozen, so any
+    other load or spec misses and is computed afresh."""
+    _refuse_other_material(material, solution, field)
     if solution is not None and solution.load != load:
         raise DomainError("the UnperturbedSolution passed was built for "
                           "another load; pass the load it was built for")
+    spec = spec or QuadratureSpec()
+    if solution is None:
+        solution = UnperturbedSolution(load, material, spec=spec)
+    if field is None:
+        field = WeightField(material, a=load.reference_length, spec=spec,
+                            kernel=solution.kernel)
+    memo = field.sigma0_memo
+    if memo is None or memo[0] != load or memo[1] != spec:
+        memo = field.sigma0_memo = (
+            load, spec, _sigma0(load, material, spec, field=field).sigma0)
+    return spec, solution, field, memo[2]
 
 
 def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
@@ -263,27 +280,12 @@ def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     prebuilt solution and field to a run of calls over many inclusions. A
     solution or field built for another material, or a solution built for
     another load, raises DomainError."""
-    _refuse_other_material(material, solution, field)
-    _refuse_other_load(load, solution)
-    spec = spec or QuadratureSpec()
-    if solution is None:
-        solution = UnperturbedSolution(load, material, spec=spec)
-    if field is None:
-        field = WeightField(material, a=load.reference_length, spec=spec,
-                            kernel=solution.kernel)
+    spec, solution, field, base = _prepare(load, material, spec, solution,
+                                           field)
     Y = inclusion_centre(inc)
     G = solution.grad_u0(Y)
     M = dipole_for(inc)
     delta, est = _delta_from_v(field, M @ np.asarray(G, dtype=float), Y, spec)
-    # sigma0 depends on the load and the material, not on the inclusion, so
-    # calls that share a field share it; CrackLoad and QuadratureSpec are
-    # frozen, so any other load or spec misses and is computed afresh
-    memo = field.sigma0_memo
-    if memo is not None and memo[0] == load and memo[1] == spec:
-        base = memo[2]
-    else:
-        base = _sigma0(load, material, spec, field=field).sigma0
-        field.sigma0_memo = (load, spec, base)
     return PerturbationResult(
         delta_sigma0=delta, sign=_classify(delta, est, base),
         est_error=est,
@@ -311,16 +313,9 @@ def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     delta is real-linear in v = M G: per phi the complex response L is
     integrated once and every alpha is Re(V L). An empty alpha grid
     computes no response, but every position is still checked."""
-    _refuse_other_material(material, solution)
-    _refuse_other_load(load, solution)
-    spec = spec or QuadratureSpec()
     phi_grid = np.asarray(phi_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    if solution is None:
-        solution = UnperturbedSolution(load, material, spec=spec)
-    field = WeightField(material, a=load.reference_length, spec=spec,
-                        kernel=solution.kernel)
-    base = _sigma0(load, material, spec, field=field).sigma0
+    spec, solution, field, base = _prepare(load, material, spec, solution)
     delta = np.empty((phi_grid.size, alpha_grid.size))
     est = np.empty_like(delta)
     for i, phi in enumerate(phi_grid):

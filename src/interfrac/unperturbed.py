@@ -32,9 +32,10 @@ it, so an unbuildable mesh is refused before g is sampled.
 
 Gradients and displacements off the interface line come from the inverse
 transform, folded to xi > 0 by conjugate symmetry: one numerics.half_line
-pass each, on a numerics.LogTable of phi^+ (8 panels per decade, filled by
-one batched transform, with its panel joins among the pass's seeds);
-phi_plus_load evaluates phi^+ directly.
+pass each (_a_line), which fills a numerics.LogTable of phi^+ (8 panels
+per decade, by one batched transform) out to its cut, reads that table
+alone, and seeds the pass at its panel joins; phi_plus_load evaluates
+phi^+ directly.
 Below its low end 1e-6 scale, with scale = min(mu0, 1/a), the table holds
 phi^+ constant, which shifts a field at distance r by up to about
 (1e-6 scale r)^{3/2} relative (measured on the smooth load: 4e-7 at
@@ -324,18 +325,6 @@ class UnperturbedSolution:
             self._phi_interp = (table, table.lo, table.hi)
         return self._phi_interp
 
-    def phi_plus_cached(self, xi):
-        """phi^+ at xi > 0 (scalar or array) from the table, held at its
-        end values outside it (integrands there are damped); a non-finite
-        or non-positive xi raises DomainError."""
-        arr = np.asarray(xi, dtype=float)
-        if not np.all((arr > 0.0) & (arr < math.inf)):
-            raise DomainError("phi_plus_cached needs finite xi > 0")
-        if arr.size == 0:
-            return np.zeros(arr.shape, dtype=complex)
-        out = self._phi_table(arr.max())[0](arr)
-        return out if np.ndim(xi) else complex(out)
-
     # -- physical-domain reconstruction ----------------------------------------
 
     def check_position(self, Y, min_angle_deg=5.0):
@@ -371,20 +360,20 @@ class UnperturbedSolution:
     def _a_line(self, y, y_min, x_max, weight, spec):
         """The A_j line integral of grad_u0 and u0: int_0^cut weight(xi, A_j)
         over xi > 0, with j = 1 for y > 0 and 2 below, cut = _DECAY / y_min
-        and the phi^+ table filled to the cut, in one numerics.half_line
-        pass (head to min(mu0, 0.25 / y_min), one period_seeds seed per
-        period of e^{-i xi x_max}, and a seed at each of the table's panel
-        joins below the cut, where its slope jumps and an unseeded panel's
-        estimate runs low). Returns (value, error estimate, the A_j
-        callable, cut)."""
+        and A_j read from the phi^+ table that this pass alone fills, to the
+        cut, in one numerics.half_line pass (head to min(mu0, 0.25 / y_min),
+        one period_seeds seed per period of e^{-i xi x_max}, and a seed at
+        each of the table's panel joins below the cut, where its slope jumps
+        and an unseeded panel's estimate runs low). Returns (value, error
+        estimate, the A_j callable, cut)."""
         j = 1 if y > 0 else 2
         cut = _DECAY / y_min
-        joins = self._phi_table(cut)[0].joins
+        table = self._phi_table(cut)[0]
 
         def a_j(xi):
-            return self.a_coeff(j, xi, self.phi_plus_cached(xi))
+            return self.a_coeff(j, xi, table(xi))
 
-        seeds = list(joins[joins < cut])
+        seeds = list(table.joins[table.joins < cut])
         if x_max:
             seeds += list(period_seeds(0.0, cut, x_max))
         val, err = half_line(lambda xi: weight(xi, a_j(xi)),

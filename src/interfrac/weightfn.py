@@ -40,8 +40,9 @@ class WeightField:
     """Weight-function transforms for one material/reference-length pair.
 
     sigma0_memo is the (load, spec, sigma0) of the last sigma0 that
-    perturbation.delta_sigma0 computed on this field, or None; it is
-    replaced whole, in one assignment."""
+    perturbation._prepare (behind delta_sigma0 and sign_map) computed on
+    this field, or None; _prepare alone replaces it, whole, in one
+    assignment."""
 
     def __init__(self, material: Bimaterial, a=1.0, spec=None, kernel=None):
         self.material = material

@@ -99,6 +99,26 @@ def smooth_load_transforms(xi):
     return 0.5 * (p_plus + p_minus), p_plus - p_minus
 
 
+def _smooth_x_parts(x):
+    """The x-domain pair (<p>, [p]) of the smooth exponential load."""
+    x = np.asarray(x, dtype=float)
+    p_plus = -(4.0 / 9.0) * x * np.exp(2.0 * x)
+    p_minus = -x * np.exp(3.0 * x)
+    return 0.5 * (p_plus + p_minus), p_plus - p_minus
+
+
+@dataclass(frozen=True)
+class _Routine:
+    """A built-in load's transforms as a value: the model routine `name` on
+    (*args, xi), looked up at call time so that a wrapper of it sees all."""
+
+    name: str
+    args: tuple = ()
+
+    def __call__(self, xi):
+        return globals()[self.name](*self.args, xi)
+
+
 @dataclass(frozen=True)
 class CrackLoad:
     """Self-balanced crack-face loading, described by its transform pair.
@@ -106,8 +126,9 @@ class CrackLoad:
     transforms(xi) returns (<p>, [p]) in one call, so that every integrand
     node evaluates the load once; x_parts(x), where given, returns the
     x-domain pair (<p>(x), [p](x)) that k3_perfect integrates. The built-in
-    loads look their model routine up at call time, so that a wrapper bound
-    to the module name sees every evaluation.
+    loads carry both as values, so that two loads built alike compare
+    equal; a load with its own callables, as custom_transform builds,
+    equals only itself.
     oscillations is the point-force table of a point load: one row
     (s_k, a_k, j_k) per force position x = -s_k, sorted by shift, so that
     <p> = sum_k a_k e^{-i s_k xi} and [p] = sum_k j_k e^{-i s_k xi}. Loads
@@ -149,23 +170,17 @@ def point_triple(F, a, b):
                     (a + b, 0.25 * F, -0.5 * F))
     return CrackLoad(
         kind="point-triple",
-        transforms=lambda xi: point_load_transforms(F, a, b, xi),
+        transforms=_Routine("point_load_transforms", (F, a, b)),
         F=F, a=a, b=b, reference_length=a, oscillations=oscillations)
 
 
 def smooth_exponential(reference_length=1.0):
     """The smooth asymmetric exponential pair (see smooth_load_transforms)."""
-
-    def x_parts(x):
-        x = np.asarray(x, dtype=float)
-        p_plus = -(4.0 / 9.0) * x * np.exp(2.0 * x)
-        p_minus = -x * np.exp(3.0 * x)
-        return 0.5 * (p_plus + p_minus), p_plus - p_minus
-
     return CrackLoad(
         kind="smooth-exponential",
-        transforms=lambda xi: smooth_load_transforms(xi),
-        reference_length=reference_length, decay_exponent=1.0, x_parts=x_parts)
+        transforms=_Routine("smooth_load_transforms"),
+        reference_length=reference_length, decay_exponent=1.0,
+        x_parts=_smooth_x_parts)
 
 
 def custom_transform(transform_avg, transform_jump, decay_exponent,

@@ -1,6 +1,7 @@
 """Domain data: materials, derived groups, loads and their transforms."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -149,6 +150,30 @@ class TestCrackLoad:
     def test_custom_transform_needs_array_transforms(self, avg, jump):
         with pytest.raises(UnsupportedLoad, match="one value per element"):
             custom_transform(avg, jump, decay_exponent=1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: point_triple(1.0, 1.0, 0.5), smooth_exponential],
+        ids=["point_triple", "smooth_exponential"])
+    def test_built_in_loads_are_values(self, build):
+        # two loads built alike are equal, hash alike and survive pickling
+        load = build()
+        assert load == build() and hash(load) == hash(build())
+        assert pickle.loads(pickle.dumps(load)) == load
+        assert load.transforms(1.5)[0] == build().transforms(1.5)[0]
+
+    def test_built_in_loads_differ_by_their_data(self):
+        assert point_triple(1.0, 1.0, 0.5) != point_triple(1.0, 1.0, 0.6)
+        assert point_triple(1.0, 1.0, 0.5) != point_triple(-1.0, 1.0, 0.5)
+        assert smooth_exponential(1.0) != smooth_exponential(2.0)
+        assert smooth_exponential() != point_triple(1.0, 1.0, 0.5)
+
+    def test_custom_loads_compare_by_identity(self):
+        def build():
+            return custom_transform(lambda x: 1.0 / (1.0 + 1j * x) ** 2,
+                                    lambda x: 0.0 * x, decay_exponent=1.0)
+
+        load = build()
+        assert load == load and load != build()
 
     def test_custom_requires_positive_decay(self):
         with pytest.raises(DomainError):

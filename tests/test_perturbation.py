@@ -429,6 +429,19 @@ class TestDeltaSigma0:
         # one miss on the shared field, one on each fresh one
         assert len(loads) == 1 + len(self.WARM_INCLUSIONS)
 
+    def test_equal_load_built_apart_serves_the_prebuilt_pair(self, pipeline,
+                                                             monkeypatch):
+        # a built-in load is a value: smooth_exponential() built again
+        # equals LOAD, so the solution built for LOAD is not refused and the
+        # field's sigma0 memo is read, not recomputed
+        solution, _ = pipeline
+        field = WeightField(MATERIAL, a=1.0, spec=SPEC, kernel=solution.kernel)
+        loads = self._count_sigma0(monkeypatch)
+        for inc in self.WARM_INCLUSIONS:
+            delta_sigma0(smooth_exponential(), MATERIAL, inc, spec=SPEC,
+                         solution=solution, field=field)
+        assert len(loads) == 1
+
     def test_sigma0_base_recomputed_for_a_new_load_or_spec(self, monkeypatch):
         # F -> -F and a second spec on one field: each call changes one of
         # the two from the call before, so each must miss; the labels follow

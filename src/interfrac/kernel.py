@@ -128,12 +128,16 @@ def _series_phase(y):
     asymptotic series adds to sqrt(iy) in Gamma(1 + iy) / Gamma(1/2 + iy):
     with w = iy, sum_n d_n w^-n = -(i/y) sum_k d_(2k+1) t^k, t = -1/y^2, a
     real polynomial in t (1/y squared, as y * y overflows past 1e154)."""
-    t = -(1.0 / y) ** 2
-    acc = _RATIO_SERIES[-1] * t
+    return -_ratio_series(-(1.0 / y) ** 2) / y
+
+
+def _ratio_series(q):
+    """sum_k d_(2k+1) q^k by Horner, for real or complex q."""
+    acc = _RATIO_SERIES[-1] * q
     for d in _RATIO_SERIES[-2:0:-1]:
         acc += d
-        acc *= t
-    return -(acc + _RATIO_SERIES[0]) / y
+        acc *= q
+    return acc + _RATIO_SERIES[0]
 
 
 def _shifted_phase(y):
@@ -144,13 +148,7 @@ def _shifted_phase(y):
     for c in _SHIFT_PRODUCT[1:]:
         prod *= s + c
     inv = 1.0 / (_SHIFT + 1j * y)
-    q = inv * inv
-    acc = _RATIO_SERIES[-1] * q
-    for d in _RATIO_SERIES[-2:0:-1]:
-        acc += d
-        acc *= q
-    acc += _RATIO_SERIES[0]
-    acc *= inv
+    acc = _ratio_series(inv * inv) * inv
     return np.angle(prod) + 0.5 * np.arctan2(y, _SHIFT) + acc.imag
 
 

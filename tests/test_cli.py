@@ -96,8 +96,12 @@ class TestSigma0Command:
         assert main(["sigma0", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["sigma0"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_unreadable_config_exit_2(self, tmp_path):
-        assert main(["sigma0", "--config", str(tmp_path / "nope.json")]) == 2
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text('{"material": {"mu1": 1.0,')
+        for name in ("nope.json", "bad.json"):
+            assert main(["sigma0", "--config", str(tmp_path / name)]) == 2
+            err = capsys.readouterr().err.strip().split("\n")
+            assert len(err) == 1 and err[0].startswith("config error:")
 
     @pytest.mark.parametrize("command,cfg_data", [
         ("sigma0", dict(POINT_CFG, numerics={"rel_tol": "abc"})),
@@ -130,6 +134,12 @@ class TestSigma0Command:
         ("field --at 0.5,0.8 --min-angle nan", POINT_CFG),
         ("field --at 0.3,0.9", dict(POINT_CFG, load={
             "kind": "smooth-exponential", "a": 1e-300})),
+        ("sweep --axis kappa_star --log --from 0 --to 1 --points 3",
+         POINT_CFG),
+        ("ratio --from 0.1 --to 1 --points 2 --mu-star-2 0.5",
+         dict(POINT_CFG, ratio={"mu_star_1": 1.5})),
+        ("sigma0", dict(POINT_CFG, material={"mu1": 10 ** 400, "mu2": 1.0,
+                                             "kappa": 0.5})),
     ], ids=["rel_tol_string", "F_string", "truncation_radius_inf",
             "top_level_array", "map_d_string", "mu0_overflow",
             "mu0_zero_division", "load_string", "smooth_a_negative",
@@ -137,7 +147,8 @@ class TestSigma0Command:
             "rigid_string", "nu_star_negative", "nu_star_zero",
             "ell_b_negative", "epsilon_above_1", "phi_steps_negative",
             "phi_steps_zero", "alpha_steps_zero", "residual_points_zero",
-            "min_angle_nan", "field_smooth_a_tiny"])
+            "min_angle_nan", "field_smooth_a_tiny", "sweep_log_from_zero",
+            "ratio_mu_star_1_outside", "integer_past_float_range"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, cfg_data):
         cfg = write_cfg(tmp_path, cfg_data)
         argv = command.split()
@@ -318,7 +329,8 @@ class TestMapCommand:
         assert lines[1] == "x,y,u,gx,gy"
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("at", ["0.5,nan", "1,inf", "inf,1", "0.5,0"])
+    @pytest.mark.parametrize("at", ["0.5,nan", "1,inf", "inf,1", "0.5,0",
+                                    "1;2"])
     def test_field_bad_position_exit_2(self, tmp_path, capsys, at):
         cfg = write_cfg(tmp_path, POINT_CFG)
         assert main(["field", "--config", cfg, "--at", at]) == 2

@@ -132,6 +132,38 @@ class TestHalfLine:
                     callers.append(f"{path.name}:{node.lineno}")
         assert callers == []
 
+    @staticmethod
+    def _owners(match):
+        """{(module, innermost enclosing def)} of the nodes in src/ that
+        match accepts."""
+        found = set()
+
+        def walk(node, owner, module):
+            if match(node):
+                found.add((module, owner))
+            if isinstance(node, ast.FunctionDef):
+                owner = node.name
+            for child in ast.iter_child_nodes(node):
+                walk(child, owner, module)
+
+        for path in sorted(Path(interfrac.__file__).parent.glob("*.py")):
+            walk(ast.parse(path.read_text(), str(path)), None, path.name)
+        return found
+
+    def test_one_writer_of_the_memo_and_one_reader_of_the_table(self):
+        # one access route per cache: the sigma0 memo is set by the
+        # preparation step behind delta_sigma0 and sign_map (and cleared at
+        # construction), and the phi^+ table is read by the A_j line alone
+        writes = self._owners(lambda n: isinstance(n, ast.Attribute)
+                              and n.attr == "sigma0_memo"
+                              and isinstance(n.ctx, ast.Store))
+        assert writes == {("weightfn.py", "__init__"),
+                          ("perturbation.py", "_prepare")}
+        calls = self._owners(lambda n: isinstance(n, ast.Call) and "_phi_table"
+                             in (getattr(n.func, "id", None),
+                                 getattr(n.func, "attr", None)))
+        assert calls == {("unperturbed.py", "_a_line")}
+
 
 class TestPeriodSeeds:
     def test_one_seed_per_period(self):

@@ -109,8 +109,9 @@ def _smooth_x_parts(x):
 
 @dataclass(frozen=True)
 class _Routine:
-    """A built-in load's transforms as a value: the model routine `name` on
-    (*args, xi), looked up at call time so that a wrapper of it sees all."""
+    """A built-in load's transforms as a value: the model routine `name`
+    called on (*args, xi), looked up at call time so that a wrapper bound to
+    the module name sees every evaluation."""
 
     name: str
     args: tuple = ()

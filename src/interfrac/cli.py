@@ -11,15 +11,13 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError, InterfracError
 from .kernel import KernelFactors
 from .model import (Bimaterial, InclusionSpec, bimaterial_from_dimensionless,
-                    derive_params, inclusion_centre, point_triple,
-                    smooth_exponential)
+                    derive_params, point_triple, smooth_exponential)
 from .numerics import QuadratureSpec
 # delta_sigma0 has no caller here; perfbench/tracer.py patches it by name
 from .perturbation import delta_sigma0, sign_map
@@ -262,12 +260,11 @@ def cmd_map(args):
                             ell_b=ell_b, nu_star=nu_star, rigid=rigid)
         solution = UnperturbedSolution(load, material, spec=spec)
     try:
-        for p in phi:
-            solution.check_position(inclusion_centre(replace(inc, phi=p)))
+        # sign_map checks every phi before it computes anything
+        result = sign_map(load, material, inc, phi, alpha, spec=spec,
+                          solution=solution)
     except GeometryError as exc:
         raise ConfigError(f"inclusion.d = {d:.4g}: {exc}") from exc
-    result = sign_map(load, material, inc, phi, alpha, spec=spec,
-                      solution=solution)
     rows = []
     for i, p in enumerate(result.phi):
         for j, al in enumerate(result.alpha):

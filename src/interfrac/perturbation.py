@@ -12,10 +12,10 @@ both half-lines. The Betti identity then gives
 
 and the perturbed constant is sigma0 + eps^2 dsigma0, eps = ell_a/d.
 Through <U> = -(mu_*/2)[U] and kappa xi Phi^- = -(xi |xi|/mu0)[U] both
-integrands are xi [U] times a load factor, so the weight function costs one
-[U] evaluation per node. dw1/dy = Re[iV/(x - p)^2]/(2 pi), with
-V = v_x + i v_y for v = M G and p = Y_x + i Y_y, has two double poles and no
-simple ones; the half-line transforms of 1/(x - q)^2 follow by parts from
+integrands are xi [U] times a load factor, so the weight function is one
+read per node of the field's table of [U] (WeightField._weight_table).
+dw1/dy = Re[iV/(x - p)^2]/(2 pi), with V = v_x + i v_y for v = M G and
+p = Y_x + i Y_y, has two double poles and no simple ones; the half-line transforms of 1/(x - q)^2 follow by parts from
 exponential-integral closed forms, and the x < 0 and x > 0 sides evaluate
 e^z E1(z) at the same z = i xi q, so both come from one e^z E1(z) per pole
 per node; both poles of a node batch share one call of the vectorised
@@ -159,10 +159,15 @@ class PerturbationResult:
     delta_sigma0 = Re(V L), so it bounds |Re(V dL)| by |V| |dL| and is
     looser than an estimate of the real integrand alone (2x in the median
     and up to 158x, where Re(V dL) cancels, on 200 seeded inclusions). It
-    covers neither the tables the pipeline reads (the PCHIP Hhat behind
-    the phase of B^+, and the phi^+ LogTable behind grad_u0, which carries
-    that Hhat's error) nor the gradient error; the estimate says nothing
-    about them. sign is shielding where |sigma0| falls (sigma0_base *
+    covers neither the tables the pipeline reads nor the gradient error;
+    the estimate says nothing about them. The tables are the PCHIP Hhat
+    behind the phase of B^+, the phi^+ LogTable behind grad_u0, which
+    carries that Hhat's error, and the field's weight table behind the
+    weight u [U] (WeightField._weight_table: within 7.3e-9 relative of the
+    kernel's u [U] outside u/mu0 in [0.8, 6], within 9.0e-7 inside, and
+    there no farther than the kernel's from the direct-Hhat weight; it
+    moved delta_sigma0 by at most 0.04 est_error, 6.8e-8 relative, on 209
+    delta_warm cases). sign is shielding where |sigma0| falls (sigma0_base *
     delta_sigma0 < 0), amplifying where it rises, and neutral when
     |delta_sigma0| <= est_error.
     """
@@ -198,7 +203,9 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     min(x_cut, 60/|cy|), where their e^{-u |cy|} has died; past x_cut, K
     decays like (a ln u + b)/u^2 + c/u^3 even where each half-line alone is
     O(1/u) (the kappa xi Phi^- Pbar^+ term), and numerics.algebraic_tail
-    closes it."""
+    closes it. The weight u [U] is the field's weight table over sqrt(u)
+    (WeightField._weight_table, built by the first call on the field and
+    rebuilt when x_cut passes its top), so a node costs no kernel factor."""
     cx, cy = float(Y[0]), float(Y[1])
     if cy == 0.0:
         raise GeometryError("inclusion centre must lie off the interface line")
@@ -210,6 +217,13 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     half_mu = 0.5 * field.mu_star
     w_minus = s_p - half_mu * s_q
 
+    xi_c = min(mu0, 1.0 / math.hypot(cx, cy))
+    # past x_cut the layer transforms are in their boundary 1/(i xi) regime
+    # (pole parts ~ e^{-|xi cy|} dead) and the weight factors in theirs
+    x_cut = max(120.0 / abs(cy) + 120.0 / math.hypot(cx, cy),
+                20.0 * mu0, 4.0 * xi_c) * max(1.0, spec.truncation_radius / 1e4)
+    table = field._weight_table(x_cut)
+
     # the weights xi [U] s_p + xi <U> s_q and kappa xi Phi^- s_p + xi <U> s_q
     # through <U> = -(mu_*/2) [U] and kappa xi Phi^- = -(xi |xi| / mu0) [U]
     # give X_q(u) = u [U] (w_minus D^-(q) + w_plus D^+(q)) for the pole
@@ -219,17 +233,11 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     poles = np.array([p, p.conjugate()])
 
     def response(u):
-        weight = u * field.jump_u(u)
+        weight = table(u) / np.sqrt(u)
         w_plus = -u * s_p / mu0 - half_mu * s_q
         minus, plus = _double_pole_transforms(poles, u)
         x = weight * (w_minus * minus + w_plus * plus)
         return (0.5j / math.pi) * (x[0] + np.conj(x[1]))
-
-    xi_c = min(mu0, 1.0 / math.hypot(cx, cy))
-    # past x_cut the layer transforms are in their boundary 1/(i xi) regime
-    # (pole parts ~ e^{-|xi cy|} dead) and the weight factors in theirs
-    x_cut = max(120.0 / abs(cy) + 120.0 / math.hypot(cx, cy),
-                20.0 * mu0, 4.0 * xi_c) * max(1.0, spec.truncation_radius / 1e4)
     seeds = ()
     if abs(cx) > 1e-12:
         seeds = period_seeds(xi_c, min(x_cut, 60.0 / abs(cy)), abs(cx))
@@ -247,14 +255,16 @@ def _delta_from_v(field: WeightField, v, Y, spec):
     return delta, err
 
 
-def _prepare(load, material, spec, solution, field=None):
+def _prepare(load, material, spec, solution, positions, field=None):
     """(spec, solution, field, sigma0_base) for a call on load and
-    material. A solution or field built for another material, or a
-    solution built for another load, raises DomainError; whatever was not
-    passed is built. sigma0 depends on the load and the material, not on
-    the inclusion, so calls that share a field share it through
-    field.sigma0_memo; CrackLoad and QuadratureSpec are frozen, so any
-    other load or spec misses and is computed afresh."""
+    material at the inclusion centres `positions`. A solution or field
+    built for another material, or a solution built for another load,
+    raises DomainError; whatever was not passed is built. Every position
+    then passes solution.check_position, so a refused one raises
+    GeometryError before sigma0 is computed. sigma0 depends on the load and
+    the material, not on the inclusion, so calls that share a field share
+    it through field.sigma0_memo; CrackLoad and QuadratureSpec are frozen,
+    so any other load or spec misses and is computed afresh."""
     _refuse_other_material(material, solution, field)
     if solution is not None and solution.load != load:
         raise DomainError("the UnperturbedSolution passed was built for "
@@ -262,6 +272,8 @@ def _prepare(load, material, spec, solution, field=None):
     spec = spec or QuadratureSpec()
     if solution is None:
         solution = UnperturbedSolution(load, material, spec=spec)
+    for Y in positions:
+        solution.check_position(Y)
     if field is None:
         field = WeightField(material, a=load.reference_length, spec=spec,
                             kernel=solution.kernel)
@@ -280,9 +292,9 @@ def delta_sigma0(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     prebuilt solution and field to a run of calls over many inclusions. A
     solution or field built for another material, or a solution built for
     another load, raises DomainError."""
-    spec, solution, field, base = _prepare(load, material, spec, solution,
-                                           field)
     Y = inclusion_centre(inc)
+    spec, solution, field, base = _prepare(load, material, spec, solution,
+                                           [Y], field)
     G = solution.grad_u0(Y)
     M = dipole_for(inc)
     delta, est = _delta_from_v(field, M @ np.asarray(G, dtype=float), Y, spec)
@@ -311,19 +323,20 @@ def sign_map(load: CrackLoad, material: Bimaterial, inc: InclusionSpec,
     one built for another material or load raises DomainError.
 
     delta is real-linear in v = M G: per phi the complex response L is
-    integrated once and every alpha is Re(V L). An empty alpha grid
-    computes no response, but every position is still checked."""
+    integrated once and every alpha is Re(V L). Every position is checked
+    before sigma0_base is computed; an empty alpha grid computes no
+    response."""
     phi_grid = np.asarray(phi_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    spec, solution, field, base = _prepare(load, material, spec, solution)
+    cells = [replace(inc, phi=phi) for phi in phi_grid]
+    centres = [inclusion_centre(at) for at in cells]
+    spec, solution, field, base = _prepare(load, material, spec, solution,
+                                           centres)
     delta = np.empty((phi_grid.size, alpha_grid.size))
     est = np.empty_like(delta)
-    for i, phi in enumerate(phi_grid):
-        at = replace(inc, phi=phi)
-        Y = inclusion_centre(at)
+    for i, (at, Y) in enumerate(zip(cells, centres)):
         if not alpha_grid.size:
-            solution.check_position(Y)
-            continue
+            break
         G = np.asarray(solution.grad_u0(Y))
         v = np.reshape([dipole_for(replace(at, alpha=alpha)) @ G
                         for alpha in alpha_grid], (-1, 2)).T

@@ -134,15 +134,15 @@ class TestHalfLine:
 
     @staticmethod
     def _owners(match):
-        """{(module, innermost enclosing def)} of the nodes in src/ that
-        match accepts."""
+        """{(module, enclosing defs)} of the nodes in src/ that match
+        accepts, the defs dotted outermost first (classes are skipped)."""
         found = set()
 
         def walk(node, owner, module):
             if match(node):
                 found.add((module, owner))
             if isinstance(node, ast.FunctionDef):
-                owner = node.name
+                owner = node.name if owner is None else f"{owner}.{node.name}"
             for child in ast.iter_child_nodes(node):
                 walk(child, owner, module)
 
@@ -153,16 +153,28 @@ class TestHalfLine:
     def test_one_writer_of_the_memo_and_one_reader_of_the_table(self):
         # one access route per cache: the sigma0 memo is set by the
         # preparation step behind delta_sigma0 and sign_map (and cleared at
-        # construction), and the phi^+ table is read by the A_j line alone
+        # construction), the phi^+ table is read by the A_j line alone, and
+        # the weight table is built and read for the second Betti integral
+        # alone, while sigma0's integrand and tails read jump_u
         writes = self._owners(lambda n: isinstance(n, ast.Attribute)
                               and n.attr == "sigma0_memo"
                               and isinstance(n.ctx, ast.Store))
         assert writes == {("weightfn.py", "__init__"),
                           ("perturbation.py", "_prepare")}
-        calls = self._owners(lambda n: isinstance(n, ast.Call) and "_phi_table"
-                             in (getattr(n.func, "id", None),
-                                 getattr(n.func, "attr", None)))
-        assert calls == {("unperturbed.py", "_a_line")}
+        assert self._calls("_phi_table") == {("unperturbed.py", "_a_line")}
+        assert self._calls("_weight_table") == {
+            ("perturbation.py", "_delta_from_v")}
+        assert self._owners(lambda n: isinstance(n, ast.Attribute)
+                            and n.attr == "_weight") == {
+            ("weightfn.py", "_weight_table")}
+        assert self._calls("jump_u") == {
+            ("weightfn.py", "_betti_integrand.f"),
+            ("weightfn.py", "_spectral_half.envelope"),
+            ("weightfn.py", "_weight_table")}
+
+    def _calls(self, name):
+        return self._owners(lambda n: isinstance(n, ast.Call) and name in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None)))
 
 
 class TestPeriodSeeds:

@@ -207,15 +207,60 @@ class TestDeltaSigma0:
                 field, vs[:, j], (0.4, 0.9), SPEC)
         assert (deltas[3], ests[3]) == (0.0, 0.0)
 
-    def test_one_jump_u_per_node(self, pipeline, monkeypatch):
-        # work guard: one kernel-factor evaluation per layer-transform node
-        solution, field = pipeline
-        points = self._count_points(field, monkeypatch, (0.4, 0.9))
-        assert 0 < points["b_plus"] <= 1.05 * points["layer"]
+    def test_warm_field_reads_no_kernel_factor(self, pipeline, monkeypatch):
+        # work guard: the first pass on a field evaluates B^+ once, on the
+        # nodes of the weight table it builds; a second reads that table and
+        # evaluates no kernel factor at any of its layer-transform nodes
+        solution, _ = pipeline
+        field = WeightField(MATERIAL, a=1.0, spec=SPEC, kernel=solution.kernel)
+        first = self._count_points(field, monkeypatch, (0.4, 0.9))
+        assert first["b_plus"] == field._weight_table(0.0).x.size
+        second = self._count_points(field, monkeypatch, (0.4, 0.9))
+        assert second["b_plus"] == 0 < second["layer"]
 
-    # kernel-factor points of one _delta_from_v that integrates both
-    # half-lines (counted as xi0_minus points while [U] composed from it)
-    B_PLUS_POINTS_UNFOLDED = {(0.4, 0.9): 7224}
+    def test_weight_table_rebuilt_past_its_top(self, pipeline):
+        # the table's top is 1e8 mu0 until a call's x_cut passes it: a
+        # stretched truncation (x_cut 7.7e8, top 5.3e8) rebuilds it to cover
+        # that x_cut, and the call then equals a fresh field's, bitwise
+        solution, _ = pipeline
+        field = WeightField(MATERIAL, a=1.0, spec=SPEC, kernel=solution.kernel)
+        v, Y = np.array([0.3, -0.7]), (0.4, 0.9)
+        _delta_from_v(field, v, Y, SPEC)
+        built = field._weight_table(0.0)
+        assert built.hi == 1e8 * field.kernel.mu0
+        stretched = replace(SPEC, truncation_radius=3e10)
+        warm = _delta_from_v(field, v, Y, stretched)
+        table = field._weight_table(0.0)
+        assert table is not built and table.hi > 1e8 * field.kernel.mu0
+        fresh = WeightField(MATERIAL, a=1.0, spec=SPEC, kernel=solution.kernel)
+        assert warm == _delta_from_v(fresh, v, Y, stretched)
+        assert fresh._weight_table(0.0).hi == table.hi
+
+    def test_weight_table_within_est_error_of_a_tight_jump_u_run(
+            self, pipeline, monkeypatch):
+        # calibration: on 40 seeded positions in both half-planes, 5 to 175
+        # deg from the interface, the default pass reading the weight table
+        # lies within its est_error of a rel_tol = 1e-12 pass that reads
+        # u^{3/2} jump_u at every node (measured: 0.012 est_error at most)
+        solution, field = pipeline
+        direct = WeightField(MATERIAL, a=1.0, spec=SPEC, kernel=solution.kernel)
+        monkeypatch.setattr(direct, "_weight_table", lambda hi: (
+            lambda u: u * np.sqrt(u) * direct.jump_u(u)))
+        tight = replace(SPEC, rel_tol=1e-12)
+        rng = np.random.default_rng(29)
+        d = rng.uniform(0.8, 1.6, 40)
+        phi = np.radians(rng.uniform(5.0, 175.0, 40)) * rng.choice([-1, 1], 40)
+        turn = rng.uniform(0.0, 2.0 * math.pi, 40)
+        for i in range(40):
+            Y = (d[i] * math.cos(phi[i]), d[i] * math.sin(phi[i]))
+            v = np.array([math.cos(turn[i]), math.sin(turn[i])])
+            delta, est = _delta_from_v(field, v, Y, SPEC)
+            assert abs(delta - _delta_from_v(direct, v, Y, tight)[0]) <= est
+
+    # layer-transform nodes of one _delta_from_v that integrates both
+    # half-lines (counted as kernel-factor points, one per node, while the
+    # weight read jump_u at every node)
+    NODES_UNFOLDED = {(0.4, 0.9): 7224}
 
     @pytest.mark.parametrize("Y", [(0.4, 0.9), (0.0, 1.0), (1.2, 0.15)])
     def test_one_e1_per_pole_per_node(self, pipeline, monkeypatch, Y):
@@ -223,9 +268,9 @@ class TestDeltaSigma0:
         # per node, and the folded integrand visits u > 0 only
         solution, field = pipeline
         points = self._count_points(field, monkeypatch, Y)
-        assert points["e1"] <= 1.05 * 2 * points["b_plus"]
-        if Y in self.B_PLUS_POINTS_UNFOLDED:
-            assert points["b_plus"] <= 0.5 * self.B_PLUS_POINTS_UNFOLDED[Y]
+        assert points["e1"] <= 1.05 * 2 * points["layer"]
+        if Y in self.NODES_UNFOLDED:
+            assert points["layer"] <= 0.5 * self.NODES_UNFOLDED[Y]
 
     @staticmethod
     def _count_points(field, monkeypatch, Y):
@@ -466,6 +511,24 @@ class TestDeltaSigma0:
             assert math.copysign(1.0, r.sigma0_base) == F
             assert r.sign == "shielding"
             assert abs(r.sigma0_total) < abs(r.sigma0_base)
+
+    def test_refused_position_costs_no_sigma0(self, monkeypatch):
+        # every position is checked before sigma0_base is served: one 2 deg
+        # from the interface raises with no sigma0 solve, from delta_sigma0
+        # and from any phi of sign_map (each call cost one at the parent)
+        material = Bimaterial(3.0, 1.0, 0.25)
+        load = point_triple(1.0, 1.0, 0.75)
+        solution = UnperturbedSolution(load, material)
+        low = InclusionSpec(d=1.0, phi=math.radians(2.0), alpha=0.3,
+                            ell_a=0.05, ell_b=0.01, nu_star=3.0)
+        seen = self._count_sigma0(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(GeometryError, match="guard"):
+                delta_sigma0(load, material, low, solution=solution)
+        with pytest.raises(GeometryError, match="guard"):
+            sign_map(load, material, low, [1.2, low.phi], [0.3],
+                     solution=solution)
+        assert seen == []
 
     def test_lower_half_plane_inclusion(self, pipeline):
         solution, field = pipeline

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from interfrac import model, numerics
+from interfrac import _kernels, kernel, model, numerics, weightfn
 from interfrac.errors import (DomainError, SelfBalanceViolation,
                               UnsupportedLoad)
 from interfrac.model import (Bimaterial, bimaterial_from_dimensionless,
@@ -151,6 +151,19 @@ class TestSigma0:
         if load.oscillations:
             assert load.phase_scale == load.oscillations[-1][0]
 
+    def test_builds_no_weight_table(self, monkeypatch):
+        # work guard: sigma0 reads jump_u at every node; a weight table
+        # would cost a build for one read in a sweep of fresh fields
+        def refuse(*args):
+            raise AssertionError("sigma0 built a weight table")
+
+        monkeypatch.setattr(weightfn, "LogTable", refuse)
+        field = WeightField(Bimaterial(3.0, 1.0, 0.25), a=1.0)
+        for load in (point_triple(1.0, 1.0, 0.75), smooth_exponential()):
+            sigma0(load, field.material, field=field)
+            sigma0(load, field.material)
+        assert field._weight is None
+
     def test_within_est_error_of_a_tight_run(self):
         # a seeded point triple whose half-period seeds left sigma0 2.4
         # est_errors from this tight run
@@ -263,6 +276,59 @@ def _sigma0_transform_limit(load, material, t_values):
     basis = np.vstack([np.ones_like(ts), np.log(ts) / ts, 1.0 / ts]).T
     coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
     return float(coef[0])
+
+
+class TestWeightTable:
+    """The LogTable of R(u) = u^{3/2} [U](u) that the second Betti
+    integral reads, against u^{3/2} jump_u(u) and the direct-Hhat weight."""
+
+    @staticmethod
+    def jump_route(field, u):
+        return u * np.sqrt(u) * field.jump_u(u)
+
+    @staticmethod
+    def direct_route(field, u):
+        # R with the phase from the direct Hhat (_kernels.pv_cauchy_batch
+        # at every point) in place of the PCHIP table behind jump_u
+        s = u / field.kernel.mu0
+        phase = (s * _kernels.pv_cauchy_batch(s, 1.0) / math.pi
+                 + kernel._ratio_phase(s / math.pi))
+        return (np.exp(1j * (0.25 * math.pi - phase))
+                / np.sqrt(math.pi * (1.0 + s)))
+
+    def test_within_1e_8_outside_the_pchip_window(self, field_contrast):
+        # 500 log-uniform u from below the table to its top: within 1e-8
+        # relative outside s = u/mu0 in [0.8, 6] (measured 2.5e-9 at most)
+        mu0 = field_contrast.kernel.mu0
+        table = field_contrast._weight_table(0.0)
+        u = mu0 * 10.0 ** np.random.default_rng(3).uniform(-16.0, 8.0, 500)
+        want = self.jump_route(field_contrast, u)
+        err = np.abs(table(u) - want) / np.abs(want)
+        outside = (u < 0.8 * mu0) | (u > 6.0 * mu0)
+        assert err[outside].max() <= 1e-8
+        assert np.median(err) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["field", "field_contrast"])
+    def test_nearer_the_direct_weight_than_jump_u_inside(self, name, request):
+        # inside s in [0.8, 6] the PCHIP Hhat is only C^1 and jump_u is off
+        # the direct-Hhat weight by up to 2.6e-7; the table, a quintic fit
+        # of jump_u there, is no farther (2.5e-7)
+        field = request.getfixturevalue(name)
+        u = field.kernel.mu0 * np.geomspace(0.8, 6.0, 400)
+        direct = self.direct_route(field, u)
+        table = field._weight_table(0.0)
+        assert (np.abs(table(u) - direct).max()
+                <= np.abs(self.jump_route(field, u) - direct).max())
+
+    def test_clamped_below_the_low_end(self, field_contrast):
+        # R tends to e^{i pi/4}/sqrt(pi) as u -> 0, so the end value serves
+        # every u below the table
+        table = field_contrast._weight_table(0.0)
+        u = table.lo * np.geomspace(1e-30, 1.0, 60)
+        assert np.abs(table(u) - self.jump_route(field_contrast, u)).max() \
+            <= 1e-12
+        assert abs(table(u[0]) - np.exp(0.25j * math.pi) / math.sqrt(math.pi)) \
+            <= 1e-12
 
 
 class TestSigma0TransformLimit:

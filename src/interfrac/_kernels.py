@@ -19,10 +19,12 @@ scaled_e1 picks its form per point from |z| and Re z alone (DLMF 6.6.2 and
 small |z| and the sector around the E1 cut, where the terms do not cancel
 and the branch part 2 pi i e^z still counts; the continued fraction
 everywhere else, evaluated backward from a depth that falls with |z| and
-with the distance Re sqrt(z) = sqrt((|z| + Re z)/2) from the cut. Both run
-as a fixed number of numpy passes over the whole batch, whatever its size,
-and stay within 7e-15 relative of 30-digit values from |z| = 1e-6 to 1e5,
-all around the cut.
+with the distance Re sqrt(z) = sqrt((|z| + Re z)/2) from the cut. Each form
+runs once per call, as a fixed number of numpy passes over its points
+whatever their number. Against 30-digit values they stay within 6.3e-15
+relative on 6000 seeded points (|z| log-uniform in [1e-6, 1e5], 30 % of
+them within 0.1 rad of the cut, seed 11) and within 6.8e-15 on 2000 points
+where the series cancels against ln z (Re z > 0, 1.5 <= |z| <= 2.1).
 """
 
 import bisect
@@ -43,14 +45,19 @@ _BLOCK = 512
 log_gamma_raw = loggamma
 
 _EULER = 0.57721566490153286061
-# 1/(k k!), the coefficients of the E1 power series in -z (0 at k = 0), in
-# columns of _E1_BLOCK: column j holds the terms of (-z)^(16 j). Two blocks
-# reach full precision up to |z| = 3.5, one more up to each further entry of
-# _E1_SERIES_REACH (measured need: 31, 46, 59, 78, 90 and 103 terms)
+# the coefficients of the E1 power series in -z, Euler's gamma at k = 0 and
+# 1/(k k!) from k = 1, in rows of _E1_BLOCK: row j holds the terms of
+# (-z)^(16 j) to (-z)^(16 j + 15). The first row is split into four 4-term
+# groups (_E1_HEAD), the others are the blocks past it (_E1_TAIL). One block
+# past the first reaches full precision up to |z| = 3.5, one more up to each
+# further entry of _E1_SERIES_REACH (measured need: 31, 46, 59, 78, 90 and
+# 103 terms)
 _E1_BLOCK = 16
-_E1_BLOCKS = np.array([0.0] + [1.0 / (k * math.factorial(k))
-                               for k in range(1, 7 * _E1_BLOCK)]
-                      ).reshape(-1, _E1_BLOCK).T.copy()
+_E1_COEF = np.array([_EULER] + [1.0 / (k * math.factorial(k))
+                                for k in range(1, 7 * _E1_BLOCK)]
+                    ).reshape(-1, _E1_BLOCK)
+_E1_HEAD = _E1_COEF[0].reshape(4, 4).astype(complex)
+_E1_TAIL = _E1_COEF[1:].astype(complex)
 _E1_SERIES_REACH = (3.5, 7.0, 14.0, 22.0, 30.0)
 
 
@@ -154,23 +161,36 @@ def pv_cauchy_batch(s, mu0):
 
 
 def _e1_series(z, r_max):
-    # e^z (-gamma - ln z - sum_k (-z)^k/(k k!)) with the sum in blocks of
-    # _E1_BLOCK terms: Horner in -z over the columns of all blocks at once,
-    # then Horner in (-z)^16 over the blocks
-    blocks = 2 + bisect.bisect_left(_E1_SERIES_REACH, r_max)
-    coef = _E1_BLOCKS[:, :blocks]
+    # e^z (-ln z - gamma - sum_k (-z)^k/(k k!)): one cumulative product
+    # gives the powers (-z)^0 .. (-z)^15, one matrix product sums every block
+    # past the first, and Horner in (-z)^16 runs over them, one step per
+    # block, each a pass over the whole batch. Where the sum cancels
+    # against ln z (Re z > 0, |z| near 2, where E1 is small) the first block
+    # is four 4-term groups joined by Horner in (-z)^4, gamma its first
+    # term: there it read 6.8e-15 relative at worst, where a plain power sum
+    # of the block read 1.6e-14 (9.4e-15 with gamma inside the sum)
+    blocks = 1 + bisect.bisect_left(_E1_SERIES_REACH, r_max)
     x = -z
-    part = np.ones((z.size, 1), dtype=complex) * coef[-1]
-    for c in coef[-2::-1]:
-        part *= x[:, None]
-        part += c
-    y = x * x
-    for _ in range(3):
-        y *= y
-    acc = part[:, -1]
-    for j in range(blocks - 2, -1, -1):
-        acc = acc * y + part[:, j]
-    return np.exp(z) * (-_EULER - np.log(z) - acc)
+    pw = np.empty((_E1_BLOCK, z.size), dtype=complex)
+    pw[0] = 1.0
+    pw[1:] = x
+    np.cumprod(pw, axis=0, out=pw)
+    head = _E1_HEAD @ pw[:4]
+    tail = _E1_TAIL[:blocks] @ pw
+    x4 = pw[4]
+    acc = head[3] * x4
+    for row in head[2:0:-1]:
+        acc += row
+        acc *= x4
+    acc += head[0]
+    y = pw[-1] * x
+    part = tail[-1]
+    for row in tail[-2::-1]:
+        part *= y
+        part += row
+    part *= y
+    acc += part
+    return np.exp(z) * (-np.log(z) - acc)
 
 
 def _e1_fraction(z, r, edge):
@@ -207,12 +227,8 @@ def scaled_e1(z):
     edge = r + flat.real
     series = (edge <= 4.0) & (r < 38.0)
     out = np.empty_like(flat)
-    # the term count follows the largest |z| it serves: two blocks serve
-    # |z| <= 3.5, most of the points, and the rest of the sector goes apart
-    two = r <= _E1_SERIES_REACH[0]
-    for part in (series & two, series & ~two):
-        if part.any():
-            out[part] = _e1_series(flat[part], float(r[part].max()))
+    if series.any():
+        out[series] = _e1_series(flat[series], float(r[series].max()))
     rest = ~series
     if rest.any():
         out[rest] = _e1_fraction(flat[rest], r[rest], edge[rest])

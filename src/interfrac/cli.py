@@ -1,5 +1,6 @@
 """Config-driven command line: sigma0 spot values, parameter sweeps, the
-perfect-interface comparison ratio, and the inclusion sign map.
+perfect-interface comparison ratio, one inclusion's delta_sigma0, and the
+inclusion sign map.
 
 Every artifact embeds the resolved configuration: JSON outputs carry it
 under "config", CSV outputs as a single '#'-prefixed JSON metadata line.
@@ -19,7 +20,6 @@ from .kernel import KernelFactors
 from .model import (Bimaterial, InclusionSpec, bimaterial_from_dimensionless,
                     derive_params, point_triple, smooth_exponential)
 from .numerics import QuadratureSpec
-# delta_sigma0 has no caller here; perfbench/tracer.py patches it by name
 from .perturbation import delta_sigma0, sign_map
 from .unperturbed import UnperturbedSolution
 from .weightfn import ratio_r, sigma0
@@ -245,33 +245,73 @@ def cmd_ratio(args):
     return 0
 
 
-def cmd_map(args):
-    cfg, material, load, spec = _read_run(args.config)
+def _parse_inclusion(cfg, phi, alpha):
+    """The InclusionSpec of the config's inclusion table at the angles phi
+    and alpha (radians): d (default 1), nu_star (5), ell_a (0.1 d), ell_b
+    (ell_a/2) and rigid (false)."""
     t = _section(cfg, "inclusion", {})
     d = _number(t, "inclusion", "d", 1.0)
     nu_star = _number(t, "inclusion", "nu_star", 5.0)
     ell_a = _number(t, "inclusion", "ell_a", 0.1 * d)
     ell_b = _number(t, "inclusion", "ell_b", ell_a * 0.5)
     rigid = _boolean(t, "inclusion", "rigid", False)
+    with _building():
+        return InclusionSpec(d=d, phi=phi, alpha=alpha, ell_a=ell_a,
+                             ell_b=ell_b, nu_star=nu_star, rigid=rigid)
+
+
+def cmd_delta(args):
+    """delta_sigma0 for the one inclusion of the config, at inclusion.phi
+    and inclusion.alpha in degrees (default 90 and 0)."""
+    cfg, material, load, spec = _read_run(args.config)
+    t = _section(cfg, "inclusion", {})
+    phi = _number(t, "inclusion", "phi", 90.0)
+    alpha = _number(t, "inclusion", "alpha", 0.0)
+    inc = _parse_inclusion(cfg, math.radians(phi), math.radians(alpha))
+    with _building():
+        solution = UnperturbedSolution(load, material, spec=spec)
+    try:
+        result = delta_sigma0(load, material, inc, spec=spec,
+                              solution=solution)
+    except GeometryError as exc:
+        raise ConfigError(f"inclusion at d = {inc.d:.4g}, phi = {phi:.4g} "
+                          f"deg: {exc}") from exc
+    payload = {
+        "delta_sigma0": result.delta_sigma0,
+        "est_error": result.est_error,
+        "sigma0_base": result.sigma0_base,
+        "sigma0_total": result.sigma0_total,
+        "epsilon": result.epsilon,
+        "sign": result.sign,
+        "config": cfg,
+    }
+    with _open_out(args.out) as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+def cmd_map(args):
+    cfg, material, load, spec = _read_run(args.config)
     phi = np.linspace(math.radians(5.0), math.radians(175.0), args.phi_steps)
     alpha = np.linspace(0.0, math.pi, args.alpha_steps, endpoint=False)
+    inc = _parse_inclusion(cfg, phi[0], alpha[0])
     with _building():
-        inc = InclusionSpec(d=d, phi=phi[0], alpha=alpha[0], ell_a=ell_a,
-                            ell_b=ell_b, nu_star=nu_star, rigid=rigid)
         solution = UnperturbedSolution(load, material, spec=spec)
     try:
         # sign_map checks every phi before it computes anything
         result = sign_map(load, material, inc, phi, alpha, spec=spec,
                           solution=solution)
     except GeometryError as exc:
-        raise ConfigError(f"inclusion.d = {d:.4g}: {exc}") from exc
+        raise ConfigError(f"inclusion.d = {inc.d:.4g}: {exc}") from exc
     rows = []
     for i, p in enumerate(result.phi):
         for j, al in enumerate(result.alpha):
             rows.append((math.degrees(p), math.degrees(al), result.delta[i, j],
                          result.est_error[i, j], str(result.sign[i, j])))
-    meta = {"command": "map", "d": d, "nu_star": nu_star, "e": ell_b / ell_a,
-            "ell_a": ell_a, "rigid": rigid, "config": cfg}
+    meta = {"command": "map", "d": inc.d, "nu_star": inc.nu_star,
+            "e": inc.ell_b / inc.ell_a, "ell_a": inc.ell_a, "rigid": inc.rigid,
+            "config": cfg}
     _write_csv(args.out, meta, ("phi_deg", "alpha_deg", "delta_sigma0",
                                 "est_error", "sign"), rows)
     if args.pgm:
@@ -360,6 +400,11 @@ def build_parser():
                        help="perfect-interface comparison ratio r(kappa_star) (CSV)")
     p.add_argument("--mu-star-2", dest="mu_star_2", type=float, default=None)
     p.set_defaults(func=cmd_ratio)
+
+    p = sub.add_parser("delta", parents=[run],
+                       help="delta_sigma0 of one inclusion, with its "
+                            "est_error, sigma0_base and label (JSON)")
+    p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("map", parents=[run],
                        help="delta_sigma0 sign over (phi, alpha) (CSV, optional PGM)")

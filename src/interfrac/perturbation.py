@@ -106,33 +106,39 @@ def _pole_transforms(q, xi):
     Both are e^z E1(z) at the same z = i xi q, continued across the E1 cut,
     so one e^z E1(z) serves the pair and only the continuations differ. The
     principal branch jumps where z crosses the negative real axis (xi Im q
-    > 0 as Re q changes sign): J(q, xi) gains sign(xi) 2 pi i e^z where
-    Re q > 0, and J(-q, -xi) loses it where Re q < 0. Where z is real
-    (Re q == 0) the two sides are the opposite limits onto the cut, so
-    J(-q, -xi) is J(q, xi) minus that jump wherever z < 0. e^z is computed
-    only where a jump or a residue applies; elsewhere it may overflow.
-    Checked against the two separate continuations and direct quadrature in
-    tests."""
-    q = np.asarray(q, dtype=complex)[..., None]
+    > 0 as Re q changes sign): at the nodes with xi Im q > 0, J(q, xi)
+    gains sign(xi) 2 pi i e^z where Re q > 0, and J(-q, -xi) loses it where
+    Re q < 0. Where z is real (Re q == 0) the two sides are the opposite
+    limits onto the cut, so J(-q, -xi) is J(q, xi) minus that jump wherever
+    z < 0, again at xi Im q > 0. A pole's row thus takes the jump at every
+    node, at none or at one sign of xi; on the folded line xi > 0, at every
+    node of the pole with Im q > 0. e^z is computed only where the jump
+    applies; elsewhere it may overflow. Checked against the two separate
+    continuations and direct quadrature in tests."""
+    q = np.asarray(q, dtype=complex)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    z = 1j * xi * q
-    sgn = np.broadcast_to(np.sign(xi), z.shape)
-    on_cut = z.imag == 0.0
-    if np.any(on_cut):
+    z = 1j * xi * q[..., None]
+    rows = z.reshape(-1, xi.size)
+    poles = q.ravel()
+    cut = poles.real == 0.0
+    if cut.any():
         # the sign of a zero imaginary part picks the side of the cut
-        z.imag[on_cut] = np.copysign(0.0, -sgn[on_cut])
-    pos = _kernels.scaled_e1(z)
+        rows.imag[cut] = np.copysign(0.0, -np.sign(xi))
+    pos = _kernels.scaled_e1(rows)
     neg = pos.copy()
-    jump = on_cut & (z.real < 0.0)
-    if np.any(jump):
-        neg[jump] -= sgn[jump] * 2j * math.pi * np.exp(z[jump])
-    res = ~on_cut & (xi * q.imag > 0.0)
-    if np.any(res):
-        r = sgn[res] * 2j * math.pi * np.exp(z[res])
-        right = np.broadcast_to(q.real > 0.0, z.shape)[res]
-        pos[res] += np.where(right, r, 0.0)
-        neg[res] -= np.where(right, 0.0, r)
-    return pos, neg
+    up = xi > 0.0
+    n_up = np.count_nonzero(up)
+    for i, p in enumerate(poles.tolist()):
+        above = p.imag > 0.0
+        count = n_up if above else xi.size - n_up
+        if count:
+            cols = slice(None) if count == xi.size else (up if above else ~up)
+            jump = (2j if above else -2j) * math.pi * np.exp(rows[i, cols])
+            if p.real > 0.0:
+                pos[i, cols] += jump
+            else:
+                neg[i, cols] -= jump
+    return pos.reshape(z.shape), neg.reshape(z.shape)
 
 
 def _double_pole_transforms(q, u):

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interfrac.cli import _parse_numerics, main
+from interfrac.model import Bimaterial, InclusionSpec, smooth_exponential
 from interfrac.numerics import QuadratureSpec
+from interfrac.perturbation import delta_sigma0
 
 POINT_CFG = {
     "material": {"mu1": 1.0, "mu2": 1.0, "kappa": 0.5},
@@ -130,6 +132,9 @@ class TestSigma0Command:
         ("map --phi-steps -1", MAP_CFG),
         ("map --phi-steps 0", MAP_CFG),
         ("map --alpha-steps 0", MAP_CFG),
+        ("delta", map_cfg(phi="x")),
+        ("delta", map_cfg(phi=0.0)),
+        ("delta", map_cfg(alpha=math.inf)),
         ("kernel-residual --points 0", POINT_CFG),
         ("field --at 0.5,0.8 --min-angle nan", POINT_CFG),
         ("field --at 0.3,0.9", dict(POINT_CFG, load={
@@ -146,7 +151,8 @@ class TestSigma0Command:
             "smooth_a_zero", "sweep_nan", "sweep_to_inf", "ratio_nan",
             "rigid_string", "nu_star_negative", "nu_star_zero",
             "ell_b_negative", "epsilon_above_1", "phi_steps_negative",
-            "phi_steps_zero", "alpha_steps_zero", "residual_points_zero",
+            "phi_steps_zero", "alpha_steps_zero", "delta_phi_string",
+            "delta_phi_zero", "delta_alpha_inf", "residual_points_zero",
             "min_angle_nan", "field_smooth_a_tiny", "sweep_log_from_zero",
             "ratio_mu_star_1_outside", "integer_past_float_range"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, cfg_data):
@@ -359,8 +365,9 @@ class TestMapCommand:
         ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=500)),
         ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e12)),
         ("map --phi-steps 1 --alpha-steps 1", map_cfg(d=1e200)),
+        ("delta", map_cfg(d=500, phi=90.0)),
     ], ids=["field_at_200_200", "field_second_at", "map_d_500", "map_d_1e12",
-            "map_d_1e200"])
+            "map_d_1e200", "delta_d_500"])
     def test_past_reach_exit_2(self, tmp_path, capsys, command, cfg_data):
         # Bimaterial(3, 1, 0.25) and the smooth load reach 1e2 from the tip;
         # a position past it is input, rejected before any solve
@@ -434,6 +441,53 @@ class TestMapCommand:
                        phi_grid=np.radians([5.0, 175.0]),
                        alpha_grid=np.array([0.0, math.pi]))
         assert np.allclose(res.delta[:, 0], res.delta[:, 1], rtol=1e-8)
+
+
+class TestDeltaCommand:
+    # inclusion.phi and inclusion.alpha are read in degrees
+    CFG = map_cfg(phi=60.0, alpha=30.0)
+
+    def test_values_are_delta_sigma0s(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.CFG)
+        out = tmp_path / "delta.json"
+        assert main(["delta", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        want = delta_sigma0(smooth_exponential(), Bimaterial(3.0, 1.0, 0.25),
+                            InclusionSpec(d=1.0, phi=math.radians(60.0),
+                                          alpha=math.radians(30.0), ell_a=0.2,
+                                          ell_b=0.1, nu_star=5.0))
+        for key in ("delta_sigma0", "est_error", "sigma0_base",
+                    "sigma0_total", "epsilon", "sign"):
+            assert payload[key] == getattr(want, key), key
+        assert payload["config"] == self.CFG
+
+    def test_position_in_the_angle_guard_exit_2(self, tmp_path, capsys):
+        # 2 deg from the interface is inside check_position's 5 deg guard
+        cfg = write_cfg(tmp_path, map_cfg(phi=2.0))
+        assert main(["delta", "--config", cfg]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "deg guard" in err[0]
+
+    def test_map_row_is_the_delta_command(self, tmp_path):
+        # map and delta read the inclusion through one helper: map's 1 x 1
+        # grid (phi = 5 deg, alpha = 0) is the delta command's values, in
+        # map's CSV format, under map's metadata line
+        cfg = write_cfg(tmp_path, self.CFG)
+        out = tmp_path / "map.csv"
+        assert main(["map", "--config", cfg, "--phi-steps", "1",
+                     "--alpha-steps", "1", "--out", str(out)]) == 0
+        cfg5 = write_cfg(tmp_path, map_cfg(phi=5.0, alpha=0.0), "cfg5.json")
+        one = tmp_path / "delta.json"
+        assert main(["delta", "--config", cfg5, "--out", str(one)]) == 0
+        got = json.loads(one.read_text())
+        meta = {"command": "map", "d": 1.0, "nu_star": 5.0, "e": 0.5,
+                "ell_a": 0.2, "rigid": False, "config": self.CFG}
+        assert out.read_text() == (
+            "# " + json.dumps(meta, sort_keys=True) + "\n"
+            + "phi_deg,alpha_deg,delta_sigma0,est_error,sign\n"
+            + f"5,0,{got['delta_sigma0']:.12g},{got['est_error']:.12g},"
+            + f"{got['sign']}\n")
 
 
 # any JSON value, NaN and Infinity included (json writes and reads both);

@@ -145,6 +145,31 @@ E1_FROZEN = [
 ]
 
 
+# frozen: (Re z, Im z, Re, Im) of e^z E1(z), mpmath at 30 digits, where the
+# power series cancels against ln z: Re z > 0, 1.5 <= |z| <= 2.1 (inside
+# the series' sector, |z| + Re z <= 4), where E1 is small. A plain power sum
+# of the first 16 terms, with gamma added apart, reads 1.1e-14 to 1.6e-14
+# relative here; the two-pass Horner series read at most 4.8e-15
+E1_CANCEL_FROZEN = [
+    (1.962830381433712, -0.12050752576138409, 0.36571633176976975, 0.01717840750274838),
+    (1.8731396268156366, 0.7536482988532267, 0.3464193779127181, -0.10500235004529246),
+    (1.789998643935468, -0.8505387434696772, 0.3472432652580803, 0.12296599238240881),
+    (1.9186771067028805, 0.06664699449242989, 0.3727128748988642, -0.009869588155723025),
+    (1.8974188263811311, 0.45366947520054923, 0.3636092399546129, -0.06596596186047027),
+    (1.9283557188536073, -0.20924949383545863, 0.36891124964635125, 0.03052583576838299),
+    (1.845827822691039, 0.9236884862767457, 0.334697938964922, -0.1253663722779324),
+    (1.9559548040019812, -0.5360288225288881, 0.3514879966661574, 0.07339537851527646),
+    (1.9568627810914414, -0.3597436011598817, 0.35998714012544747, 0.0505305906901281),
+    (1.8749763677446158, -0.3763277322114756, 0.37058249669958765, 0.05637262981604481),
+    (1.8857094246100958, -0.2364888833042149, 0.3743767652422443, 0.03566312642134269),
+    (1.9061593715674439, 0.5646588587117896, 0.356007267533477, -0.0799613700654264),
+    (1.7651094151595697, 0.98670728670354, 0.3364335258482386, -0.13928593974749925),
+    (1.8465482347114917, 0.2585925146712726, 0.3795311506186166, -0.040222564489268434),
+    (1.7753136854387888, 0.09330888544039644, 0.3949363491603067, -0.015619293855300725),
+    (1.935971295142308, -0.4582849133661374, 0.35824512551525706, 0.06456621599985932),
+]
+
+
 @pytest.fixture(scope="module")
 def kf():
     return KernelFactors(1.0)
@@ -261,10 +286,30 @@ class TestGammaFactor:
 
 class TestScaledE1:
     def test_frozen_values(self):
-        z = np.array([complex(a, b) for a, b, _, _ in E1_FROZEN])
-        want = np.array([complex(c, d) for _, _, c, d in E1_FROZEN])
+        rows = E1_FROZEN + E1_CANCEL_FROZEN
+        z = np.array([complex(a, b) for a, b, _, _ in rows])
+        want = np.array([complex(c, d) for _, _, c, d in rows])
         got = _kernels.scaled_e1(z)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_one_series_pass_per_call(self, monkeypatch):
+        # work guard: the series points of a batch, at |z| <= 3.5 and up to
+        # |z| = 38 alike, go through one series pass, beside the continued
+        # fraction's points
+        z = np.array([complex(a, b) for a, b, _, _ in E1_FROZEN])
+        r = np.abs(z)
+        series = (r + z.real <= 4.0) & (r < 38.0)
+        assert np.any(series & (r <= 3.5)) and np.any(series & (r > 3.5))
+        assert not np.all(series)
+        sizes = []
+        e1_series = _kernels._e1_series
+
+        def counted(part, r_max):
+            sizes.append(part.size)
+            return e1_series(part, r_max)
+        monkeypatch.setattr(_kernels, "_e1_series", counted)
+        _kernels.scaled_e1(z)
+        assert sizes == [np.count_nonzero(series)]
 
     def test_shapes_and_points_alone(self):
         # a point's value does not depend on the batch around it, beyond
